@@ -13,10 +13,10 @@ import os
 import numpy as np
 
 from qruler import (
+    GaussianModel,
     GaussianProbeSpec,
     coherence_function,
     coherence_time,
-    gaussian_closed_forms,
     grid_for_gaussian,
     make_gaussian_probe,
     make_gaussian_ruler,
@@ -43,7 +43,7 @@ def main():
         tau_cs.append(coherence_time(gamma))
         dlams.append(signal_uncertainty(p))
         products.append(tau_cs[-1] * dlams[-1])
-        closed.append(gaussian_closed_forms(args.sigma, dphi).delta2_lambda)
+        closed.append(GaussianModel(args.sigma, dphi).delta2_lambda)
 
     print(f"probe sigma = {args.sigma}  (conjugate variance {1/(4*args.sigma**2):.4f})")
     print(f"{'dphi_m':>8} {'tau_c':>10} {'dlam':>10} {'product':>10} {'closed d2lam':>13}")

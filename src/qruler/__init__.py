@@ -25,7 +25,6 @@ from .coherence import (
     coherence_function,
     coherence_time,
     direct_statistics,
-    gaussian_closed_forms,
     signal_uncertainty,
     statistics_from_coherence,
     wk_product,
@@ -41,6 +40,7 @@ from .errors import (
     NonPositiveBudget,
     NonPositiveSigma,
     NormalizationFailure,
+    NotShiftInvariant,
     StepTooLarge,
     XiOutOfDisc,
 )

@@ -12,6 +12,7 @@ failure (1 for I/O failures).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .acceptance import run_all
+from .acceptance import CRITERIA, run_all
 from .budget import optimize_linear, optimize_nonlinear, sweep_budget
 from .coherence import (
     coherence_function,
@@ -65,10 +66,16 @@ def _parse_minispec(text: str, allowed: dict[str, set[str]]) -> tuple[str, dict[
             if not sep or key not in allowed[kind]:
                 raise ConfigError(f"bad parameter {item!r} for {kind!r}")
             try:
-                params[key] = float(val)
+                params[key] = _finite(float(val), item)
             except ValueError as exc:
                 raise ConfigError(f"non-numeric value in {item!r}") from exc
     return kind, params
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite value in {what!r}")
+    return value
 
 
 def _build_grid(spec: str | None, probe_kind: str, probe_params: dict) -> GeneratorGrid:
@@ -127,13 +134,7 @@ def _cmd_validate_ruler(args, outdir: str, fmt: str) -> list[str]:
                 "ruler": args.ruler,
                 "grid": {"g_min": grid.g_min, "g_max": grid.g_max, "n_points": grid.n_points},
                 "all_pass": report.all_pass,
-                "hermitian": report.hermitian,
-                "hermiticity_residual": report.hermiticity_residual,
-                "flat_diagonal": report.flat_diagonal,
-                "diagonal_residual": report.diagonal_residual,
-                "positive": report.positive,
-                "min_eigenvalue": report.min_eigenvalue,
-                "max_eigenvalue": report.max_eigenvalue,
+                **dataclasses.asdict(report),
             },
         )
         files.append(path)
@@ -277,12 +278,12 @@ def _cmd_fisher(args, outdir: str, fmt: str) -> list[str]:
 def _parse_lambdas(raw) -> list[float]:
     if raw is None:
         return [0.0]
-    if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
+    tokens = raw if isinstance(raw, (list, tuple)) else [t for t in str(raw).split(",") if t.strip()]
     try:
-        return [float(tok) for tok in str(raw).split(",") if tok.strip()]
+        values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ConfigError(f"bad --lambdas value {raw!r}") from exc
+    return [_finite(v, f"--lambdas {raw}") for v in values]
 
 
 def _cmd_scenario(args, outdir: str, fmt: str) -> list[str]:
@@ -340,30 +341,11 @@ def _cmd_optimize(args, outdir: str, fmt: str) -> list[str]:
     files = []
     if args.objective == "linear":
         opt = optimize_linear(args.budget)
-        payload = {
-            "objective": "linear",
-            "budget": opt.budget,
-            "split": opt.split,
-            "split_numeric": opt.split_numeric,
-            "delta2_lambda": opt.delta2_lambda,
-            "delta2_lambda_numeric": opt.delta2_lambda_numeric,
-            "probe_variance": opt.probe_variance,
-        }
         print(f"optimize[linear]: split={opt.split} delta2_lambda={opt.delta2_lambda:.9g}")
     else:
         opt = optimize_nonlinear(args.budget)
-        payload = {
-            "objective": "nonlinear",
-            "budget": opt.budget,
-            "split": opt.split,
-            "split_numeric": opt.split_numeric,
-            "fisher": opt.fisher,
-            "fisher_numeric": opt.fisher_numeric,
-            "probe_variance": opt.probe_variance,
-            "qfi": opt.qfi,
-            "ratio_to_qfi": opt.ratio_to_qfi,
-        }
         print(f"optimize[nonlinear]: split={opt.split} ratio_to_qfi={opt.ratio_to_qfi}")
+    payload = {"objective": args.objective, **dataclasses.asdict(opt)}
     if fmt in ("json", "both"):
         path = os.path.join(outdir, "optimum.json")
         write_json(path, payload)
@@ -377,11 +359,13 @@ def _cmd_optimize(args, outdir: str, fmt: str) -> list[str]:
 
 
 def _cmd_acceptance(args, outdir: str, fmt: str) -> tuple[list[str], bool]:
-    results = run_all()
-    if args.only is not None:
-        results = [r for r in results if r.index == args.only]
-        if not results:
+    if args.only is None:
+        results = run_all()
+    else:
+        numbered = dict(enumerate(CRITERIA, start=1))
+        if not isinstance(args.only, (int, float)) or args.only not in numbered:
             raise ConfigError(f"no acceptance criterion numbered {args.only}")
+        results = [numbered[args.only]()]
     for res in results:
         print(res.line())
     all_pass = all(r.passed for r in results)
@@ -490,6 +474,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if getattr(args, name) is None:
             raise ConfigError(f"{args.command} requires --{name}")
     for key, value in sorted(vars(args).items()):
+        if isinstance(value, float):
+            _finite(value, f"--{key} {value}")
         if key not in ("config",) and value is not None:
             merged[key] = value
     return merged

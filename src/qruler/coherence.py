@@ -4,13 +4,17 @@ The outcome density p(mu) of a shift-invariant measurement and the
 detection-process coherence function Gamma(tau) form a Fourier pair,
 
     p(mu) = integral dtau Gamma(tau) exp(-i tau mu),
-    Gamma(tau) = integral' dg <g|rho0|g+tau> <g+tau|Delta0|g>,
+    Gamma(tau) = integral' dg <g|rho0|g+tau> <g+tau|Delta0|g>
+               = K(tau) * (psi * psi)(tau),
 
 the quantum analogue of the Wiener-Khinchin relation between a spectral
 density and a coherence function.  The primed range drops g where g+tau
-falls off the grid.  Two independent routes to p(mu) are provided: the
-transform of Gamma and a brute-force double sum over the kernel, used to
-cross-check each other.
+falls off the grid.  For a shift-invariant ruler the seed enters only
+through its symbol K(tau), and the probe only through its autocorrelation
+(psi * psi)(tau) = integral' dg psi(g) conj(psi(g+tau)), computed by one
+FFT.  Two independent routes to p(mu) are provided: the transform of Gamma
+and a brute-force double sum over the dense kernel, used to cross-check
+each other.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft  # numpy.fft's pocketfft algorithm, less scratch per call on Bluestein lengths
 from scipy.interpolate import CubicSpline
 
 from .errors import (
@@ -26,6 +31,7 @@ from .errors import (
     GridMismatch,
     NonPositiveSigma,
     NormalizationFailure,
+    NotShiftInvariant,
 )
 from .ruler import FLAT_DIAGONAL, RulerSeed
 from .states import PureProbe
@@ -121,21 +127,23 @@ def _check_coherence(values: np.ndarray, gamma0_expected: float | None) -> float
 
 
 def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
-    """Gamma(tau) = sum'_g <g|rho0|g+tau> <g+tau|Delta0|g> * dg.
+    """Gamma(tau) = K(tau) * sum'_g psi(g) conj(psi(g+tau)) * dg.
 
-    The primed range keeps only g with g+tau on the grid, i.e. the sum
-    over each tau runs along one off-diagonal of the sampled kernels.
+    The autocorrelation is one zero-padded FFT of the amplitudes, padded to
+    the next power of two >= 2n-1 so no lag wraps; O(n log n) time and O(n)
+    memory.  Only seeds stored by their symbol qualify.
     """
     if probe.grid != ruler.grid:
         raise GridMismatch("probe and ruler must share a grid")
+    if ruler.symbol is None:
+        raise NotShiftInvariant("coherence_function needs a ruler seed stored by its symbol")
     psi = probe.amplitudes
-    rho = np.outer(psi, np.conj(psi))          # <g_i| rho0 |g_l>
-    b = rho * ruler.kernel.T                   # times <g_l| Delta0 |g_i>
-    n = probe.grid.n_points
-    vals = np.empty(2 * n - 1, dtype=complex)
-    for j in range(-(n - 1), n):
-        vals[j + n - 1] = np.trace(b, offset=j)
-    vals *= probe.grid.spacing
+    n = len(psi)
+    size = 1 << (2 * n - 2).bit_length()
+    spec = scipy.fft.fft(psi, size)
+    corr = scipy.fft.ifft(spec * np.conj(spec))  # corr[t] = sum_g psi(g+t) conj(psi(g))
+    lags = np.concatenate([corr[size - n + 1:], corr[:n]])  # lag j at index j + n - 1
+    vals = ruler.symbol * lags[::-1] * probe.grid.spacing  # Gamma(tau) reads corr at -tau
     gamma0 = _check_coherence(vals, FLAT_DIAGONAL)
     vals.flags.writeable = False
     return CoherenceFunction(probe.grid.tau_grid, vals, gamma0)
@@ -179,7 +187,7 @@ def statistics_from_coherence(gamma: CoherenceFunction) -> OutcomeDistribution:
     vals = gamma.values
     m = len(vals)
     dtau = gamma.spacing
-    raw = dtau * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(vals)))
+    raw = dtau * np.fft.fftshift(scipy.fft.fft(np.fft.ifftshift(vals)))
     dmu = 2.0 * np.pi / (m * dtau)
     mu = np.arange(-(m // 2), m // 2 + 1) * dmu
     mu.flags.writeable = False
@@ -192,6 +200,8 @@ def direct_statistics(
     """Brute-force trace route, independent of the coherence transform:
 
         p(mu) = sum_{g,g'} <g|rho0|g'> <g'|Delta0|g> exp(i (g-g') mu) dg^2
+
+    Reads the dense kernel, so it costs O(n^2) memory; an oracle only.
     """
     if probe.grid != ruler.grid:
         raise GridMismatch("probe and ruler must share a grid")
@@ -266,10 +276,6 @@ class GaussianModel:
     @property
     def delta2_lambda(self) -> float:
         return self.total_phi2
-
-
-def gaussian_closed_forms(probe_sigma: float, ruler_sigma: float) -> GaussianModel:
-    return GaussianModel(probe_sigma, ruler_sigma)
 
 
 def appendix_coherence(

@@ -17,6 +17,10 @@ class GridMismatch(DomainError):
     """Two objects that must share a grid do not."""
 
 
+class NotShiftInvariant(DomainError):
+    """Ruler seed given only by a dense kernel where its symbol is needed."""
+
+
 class NonPositiveSigma(DomainError):
     """A width parameter that must be strictly positive is not."""
 

@@ -32,7 +32,7 @@ from .coherence import (
 from .errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
 from .fisher import FisherReport, closed_form_fn, closed_form_fp2, closed_form_linear, closed_form_phase
 from .grids import GeneratorGrid, GeneratorKind, grid_for_gaussian
-from .ruler import FLAT_DIAGONAL, make_gaussian_ruler, make_ideal_ruler
+from .ruler import make_gaussian_ruler, make_ideal_ruler
 from .states import GaussianProbeSpec, PureProbe, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
 SPAN_SIGMAS = 8.0
@@ -49,9 +49,6 @@ class ScenarioRun:
     gamma: CoherenceFunction | None = None
     probe: PureProbe | None = None
     default_step: float = 1e-4
-
-    def distribution(self, lam: float = 0.0) -> OutcomeDistribution:
-        return self.family(lam)
 
 
 def _default_step(crb: float | None) -> float:
@@ -198,38 +195,15 @@ def sg_closed_form_density(xi: complex, phi: np.ndarray, lam: float = 0.0) -> np
     return (1.0 - a2) / (2.0 * np.pi) / np.abs(1.0 - xi * np.exp(1j * (phi - lam))) ** 2
 
 
-def _sg_coherence(probe: PureProbe) -> CoherenceFunction:
-    """Gamma(tau) = sum_n c_n conj(c_{n+tau}) / (2*pi) on integer tau.
-
-    Computed as an FFT-based autocorrelation of the amplitude series;
-    the flat 1/(2*pi) kernel of the ideal phase measurement enters as a
-    constant factor.
-    """
-    c = probe.amplitudes
-    n = len(c)
-    size = 1 << int(math.ceil(math.log2(2 * n - 1)))
-    spec = np.fft.fft(c, size)
-    corr = np.fft.ifft(spec * np.conj(spec))  # corr[t] = sum_n c_{n+t} conj(c_n)
-    pos = corr[:n]                            # lags 0 .. n-1
-    neg = corr[size - n + 1:]                 # lags -(n-1) .. -1
-    full = np.concatenate([neg, pos])         # lag j at index j + n - 1
-    # Gamma(tau) = sum_n c_n conj(c_{n+tau}) = corr[-tau]
-    vals = FLAT_DIAGONAL * full[::-1]
-    tau = np.arange(-(n - 1), n, dtype=float)
-    g0 = vals[n - 1].real
-    vals.flags.writeable = False
-    tau.flags.writeable = False
-    return CoherenceFunction(tau, vals, g0)
-
-
 def run_phase_sg(sc: SGScenario) -> ScenarioRun:
     """Periodic phase statistics of the truncated geometric-series probe.
 
-    The transform is a Fourier series over integer tau; outcomes are the
+    Gamma is the generic route with the ideal ruler's flat symbol; the
+    transform is a Fourier series over integer tau, and outcomes are the
     M = 2*n_max + 1 phases phi_k = 2*pi*k/M on (-pi, pi).
     """
     probe = make_sg_probe(SGProbeSpec(xi=sc.xi, n_max=sc.n_max))
-    gamma = _sg_coherence(probe)
+    gamma = coherence_function(probe, make_ideal_ruler(probe.grid))
 
     def family(lam: float) -> OutcomeDistribution:
         return statistics_from_coherence(gamma.shifted(lam))

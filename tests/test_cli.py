@@ -194,6 +194,38 @@ class TestConfigHandling:
         assert (tmp_path / "envout" / "optimum.json").exists()
 
 
+class TestNonFiniteValues:
+    """inf and nan are config errors (exit 2) at every entry point."""
+
+    def test_float_flag(self, tmp_path):
+        assert run_cli([
+            "fisher", "--scenario", "linear", "--dxs", "nan", "--dxm", "0.5",
+            "--out", str(tmp_path / "x"),
+        ]) == 2
+
+    def test_budget(self, tmp_path):
+        assert run_cli([
+            "optimize", "--objective", "linear", "--budget", "inf", "--out", str(tmp_path / "x"),
+        ]) == 2
+
+    def test_lambdas(self, tmp_path):
+        assert run_cli([
+            "scenario", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5",
+            "--lambdas", "0,nan", "--out", str(tmp_path / "x"),
+        ]) == 2
+
+    def test_minispec_value(self, tmp_path):
+        assert run_cli([
+            "wk", "--probe", "gaussian:sigma=1", "--ruler", "gaussian:dphi=nan",
+            "--out", str(tmp_path / "x"),
+        ]) == 2
+
+    def test_config_file_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"objective": "linear", "budget": math.inf}))
+        assert run_cli(["optimize", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "det"
@@ -218,6 +250,14 @@ class TestAcceptanceCommand:
 
     def test_unknown_criterion_number(self, tmp_path):
         assert run_cli(["acceptance", "--only", "99", "--out", str(tmp_path / "x")]) == 2
+
+    def test_only_runs_no_other_criterion(self, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("--only must not run the whole suite")
+
+        monkeypatch.setattr(cli, "run_all", refuse)
+        assert run_cli(["acceptance", "--only", "9", "--out", str(tmp_path / "acc")]) == 0
+        assert run_cli(["acceptance", "--only", "0", "--out", str(tmp_path / "x")]) == 2
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
         fake = [CriterionResult(index=1, name="fake", passed=False, checks=["FAIL: x"])]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,22 +9,40 @@ from scipy.integrate import quad
 
 from qruler.coherence import (
     CoherenceFunction,
+    GaussianModel,
     OutcomeDistribution,
     appendix_coherence,
     coherence_function,
     coherence_time,
     direct_statistics,
-    gaussian_closed_forms,
     signal_uncertainty,
     statistics_from_coherence,
     wk_product,
 )
-from qruler.errors import DegenerateDistribution, GridMismatch, NormalizationFailure
+from qruler.errors import (
+    DegenerateDistribution,
+    DomainError,
+    GridMismatch,
+    NormalizationFailure,
+    NotShiftInvariant,
+)
 from qruler.grids import GeneratorGrid, grid_for_gaussian
-from qruler.ruler import FLAT_DIAGONAL, make_gaussian_ruler, make_ideal_ruler
-from qruler.states import GaussianProbeSpec, make_gaussian_probe
+from qruler.ruler import FLAT_DIAGONAL, RulerSeed, make_gaussian_ruler, make_ideal_ruler
+from qruler.states import GaussianProbeSpec, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def trace_coherence(probe, ruler):
+    """Dense oracle for Gamma: sum along each off-diagonal of rho0 * Delta0^T.
+
+    Gamma(tau_j) = sum_i <g_i|rho0|g_i+j> <g_i+j|Delta0|g_i> * dg, read
+    from the dense n x n kernel; O(n^2) memory, tests only.
+    """
+    psi = probe.amplitudes
+    b = np.outer(psi, np.conj(psi)) * ruler.kernel.T
+    n = len(psi)
+    return np.array([np.trace(b, offset=j) for j in range(-(n - 1), n)]) * probe.grid.spacing
 
 
 class TestCoherenceFunction:
@@ -56,6 +75,43 @@ class TestCoherenceFunction:
         other = make_gaussian_ruler(0.5, grid_for_gaussian(0.0, 1.0, 256))
         with pytest.raises(GridMismatch):
             coherence_function(unit_probe, other)
+
+    def test_dense_kernel_seed_is_domain_error(self, unit_probe, half_ruler):
+        dense = RulerSeed(unit_probe.grid, np.array(half_ruler.kernel))
+        with pytest.raises(NotShiftInvariant):
+            coherence_function(unit_probe, dense)
+        assert issubclass(NotShiftInvariant, DomainError)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(64, 300),
+        sigma=st.floats(0.4, 2.0),
+        center=st.floats(-1.0, 1.0),
+        k0=st.floats(-2.0, 2.0).filter(lambda v: abs(v) > 1e-3),
+        dphi=st.floats(0.05, 1.5),
+        ideal=st.booleans(),
+    )
+    def test_fft_route_matches_trace_oracle(self, n, sigma, center, k0, dphi, ideal):
+        grid = grid_for_gaussian(center, sigma, n)
+        probe = make_gaussian_probe(GaussianProbeSpec(center, sigma, k0), grid)
+        ruler = make_ideal_ruler(grid) if ideal else make_gaussian_ruler(dphi, grid)
+        gamma = coherence_function(probe, ruler)
+        np.testing.assert_allclose(gamma.values, trace_coherence(probe, ruler), rtol=0, atol=1e-15)
+
+    def test_no_dense_allocation_on_large_axis(self):
+        # the xi = 0.999 phase axis: 13,810 points, a dense kernel would be 3 GB
+        probe = make_sg_probe(SGProbeSpec(xi=0.999))
+        grid = probe.grid
+        assert grid.n_points == 13810
+        tracemalloc.start()
+        try:
+            gamma = coherence_function(probe, make_ideal_ruler(grid))
+            make_gaussian_ruler(0.1, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(gamma.values) == 2 * grid.n_points - 1
+        assert peak < 50e6
 
 
 class TestStatisticsFromCoherence:
@@ -126,8 +182,8 @@ class TestWidths:
         assert tc == pytest.approx(math.sqrt(2 * math.pi), rel=1e-9)
 
     def test_coherence_time_scaling(self):
-        narrow = gaussian_closed_forms(1.0, 0.5)              # total variance 0.5
-        wide = gaussian_closed_forms(1.0, math.sqrt(0.75))    # total variance 1.0
+        narrow = GaussianModel(1.0, 0.5)              # total variance 0.5
+        wide = GaussianModel(1.0, math.sqrt(0.75))    # total variance 1.0
         assert wide.tau_c == pytest.approx(narrow.tau_c / math.sqrt(2.0), rel=1e-12)
 
     def test_signal_uncertainty_is_gaussian_sigma(self):
@@ -168,22 +224,22 @@ class TestWidths:
 
 class TestGaussianClosedForms:
     def test_ideal_measurement(self):
-        model = gaussian_closed_forms(1.0, 0.0)
+        model = GaussianModel(1.0, 0.0)
         assert model.delta2_lambda == pytest.approx(0.25)
         assert model.phi_m2 == 0.0
 
     def test_balanced_contributions(self):
         # ruler width equal to the probe's conjugate width doubles the variance
-        model = gaussian_closed_forms(1.0, 0.5)
+        model = GaussianModel(1.0, 0.5)
         assert model.delta2_lambda == pytest.approx(2 * model.phi_s2)
 
     def test_infinite_coherence_limit(self):
-        model = gaussian_closed_forms(1e6, 0.0)
+        model = GaussianModel(1e6, 0.0)
         assert model.delta2_lambda < 1e-12
 
     def test_gamma_callable_matches_sampled(self, unit_probe, half_ruler):
         gamma = coherence_function(unit_probe, half_ruler)
-        model = gaussian_closed_forms(1.0, 0.5)
+        model = GaussianModel(1.0, 0.5)
         np.testing.assert_allclose(
             gamma.values.real, model.gamma(gamma.tau_grid), atol=1e-6 * FLAT_DIAGONAL
         )

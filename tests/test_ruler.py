@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qruler.errors import NonPositiveSigma
-from qruler.grids import GeneratorGrid
+from qruler.errors import GridMismatch, NonPositiveSigma
+from qruler.grids import GeneratorGrid, GeneratorKind, grid_for_gaussian
 from qruler.ruler import (
     FLAT_DIAGONAL,
     RulerSeed,
@@ -26,6 +26,35 @@ def test_gaussian_kernel_values():
         FLAT_DIAGONAL * math.exp(-2.0),
         rtol=1e-12,
     )
+
+
+@pytest.mark.parametrize(
+    "grid, dphi",
+    [
+        (grid_for_gaussian(0.0, 1.0, 512), 0.5),
+        (grid_for_gaussian(0.7, 1.9, 301), 1.4),
+        (grid_for_gaussian(100.0, 5.0, 1024, kind=GeneratorKind.N), 0.1),
+    ],
+)
+def test_kernel_matches_dense_construction(grid, dphi):
+    # the Toeplitz view of the symbol against K(g_a - g_b) built from grid points
+    g = grid.points
+    dense = (FLAT_DIAGONAL * np.exp(-0.5 * dphi**2 * (g[:, None] - g[None, :]) ** 2)).astype(complex)
+    seed = make_gaussian_ruler(dphi, grid)
+    np.testing.assert_allclose(seed.kernel, dense, rtol=0, atol=1e-15)
+    assert not seed.kernel.flags.writeable
+    np.testing.assert_array_equal(make_ideal_ruler(grid).kernel, np.full_like(dense, FLAT_DIAGONAL))
+
+
+def test_seed_needs_kernel_or_symbol():
+    grid = GeneratorGrid(-8.0, 8.0, 128)
+    seed = make_gaussian_ruler(0.5, grid)
+    with pytest.raises(ValueError):
+        RulerSeed(grid)
+    with pytest.raises(ValueError):
+        RulerSeed(grid, np.array(seed.kernel), symbol=seed.symbol)
+    with pytest.raises(GridMismatch):
+        RulerSeed(grid, symbol=seed.symbol[1:-1])
 
 
 def test_vanishing_width_is_flat():

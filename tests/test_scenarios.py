@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_coherence import trace_coherence
 
 from qruler.coherence import (
+    CoherenceFunction,
     coherence_function,
     coherence_time,
     signal_uncertainty,
@@ -19,7 +22,6 @@ from qruler.scenarios import (
     NonlinearScenario,
     PhaseGaussianScenario,
     SGScenario,
-    _sg_coherence,
     phase_distribution_ws,
     rotate_by_propagator,
     rotate_gaussian,
@@ -144,7 +146,7 @@ class TestSG:
 
     def test_correlation_against_brute_force(self):
         probe = make_sg_probe(SGProbeSpec(xi=0.3 + 0.2j, n_max=80))
-        gamma = _sg_coherence(probe)
+        gamma = coherence_function(probe, make_ideal_ruler(probe.grid))
         c = probe.amplitudes
         n = len(c)
         for tau in (-5, -1, 0, 1, 2, 17):
@@ -153,12 +155,24 @@ class TestSG:
 
     def test_matches_generic_kernel_route(self):
         probe = make_sg_probe(SGProbeSpec(xi=0.5))
-        dedicated = _sg_coherence(probe)
-        generic = coherence_function(probe, make_ideal_ruler(probe.grid))
-        np.testing.assert_allclose(dedicated.values, generic.values, atol=1e-14)
-        p_d = statistics_from_coherence(dedicated)
+        ideal = make_ideal_ruler(probe.grid)
+        generic = coherence_function(probe, ideal)
+        dense = trace_coherence(probe, ideal)
+        np.testing.assert_allclose(generic.values, dense, atol=1e-14)
         p_g = statistics_from_coherence(generic)
+        p_d = statistics_from_coherence(CoherenceFunction(generic.tau_grid, dense, generic.gamma0))
         np.testing.assert_allclose(p_d.density, p_g.density, atol=1e-12)
+
+    def test_large_axis_allocates_no_dense_kernel(self):
+        # xi = 0.999 needs 13,810 number states; a dense ideal kernel is 3 GB
+        tracemalloc.start()
+        try:
+            run = run_phase_sg(SGScenario(xi=0.999))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.probe.grid.n_points == 13810
+        assert peak < 50e6
 
 
 class TestNonlinear:
