@@ -67,7 +67,9 @@ from .scenarios import (
     NonlinearScenario,
     PhaseDistribution,
     PhaseGaussianScenario,
+    ScenarioKind,
     ScenarioRun,
+    SCENARIOS,
     SGScenario,
     gaussian_number_qfi,
     phase_distribution_ws,

@@ -169,15 +169,12 @@ def sweep_budget(
     objective: str,
     n_samples: int,
     displacements: tuple[float, float] | None = None,
-    swap_roles: bool = False,
 ) -> BudgetSweep:
     """Tabulate an objective over splits s in (0, 1) for plotting.
 
-    ``objective`` is one of "linear" (signal variance, minimized),
-    "nonlinear" (quadratic-generator Fisher, maximized) or "fn"
+    ``objective`` is one of "linear" (:func:`linear_objective`, minimized),
+    "nonlinear" (:func:`nonlinear_objective`, maximized) or "fn"
     (rotation-generator Fisher with displacements (x0, p0), maximized).
-    ``swap_roles`` exchanges which side of the split feeds the probe,
-    mirroring the curve about s = 1/2.
     """
     if not c > 0:
         raise NonPositiveBudget(f"budget must be > 0, got {c}")
@@ -186,15 +183,13 @@ def sweep_budget(
     splits = np.linspace(SPLIT_EPS, 1.0 - SPLIT_EPS, n_samples)
 
     def value(s: float) -> float:
-        s_probe = 1.0 - s if swap_roles else s
-        vx_s = 1.0 / (s_probe * c)
-        vx_m = 1.0 / ((1.0 - s_probe) * c)
         if objective == "linear":
-            return vx_s + vx_m
+            return linear_objective(c, s)
         if objective == "nonlinear":
-            return (vx_m / vx_s) / (vx_m + vx_s) ** 2
+            return nonlinear_objective(c, s)
         if objective == "fn":
             x0, p0 = displacements if displacements is not None else (0.0, 0.0)
+            vx_s, vx_m = 1.0 / (s * c), 1.0 / ((1.0 - s) * c)
             return closed_form_fn(
                 vx_s, 1.0 / (4.0 * vx_s), vx_m, 1.0 / (4.0 * vx_m), x0, p0
             ).fisher

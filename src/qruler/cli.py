@@ -1,9 +1,21 @@
 """Configuration-driven command line front end.
 
 Subcommands: validate-ruler, wk, fisher, scenario, optimize, acceptance.
-Parameters come from flags and/or a single JSON config file (flags win).
-Every run writes its artifacts plus a manifest.json carrying the merged
-config and its digest; outputs are byte-identical across repeated runs.
+Parameters come from flags and/or a single JSON config file keyed by
+flag name (flags win).  A config value is a number or a string and goes
+through the same argparse type and choices as the flag it sets, so a bad
+value fails the same way on either route.
+
+The scenario flags of ``fisher`` and ``scenario`` come from
+``scenarios.SCENARIOS``: each settable spec field is one flag, named as
+the field without underscores (``dx_s`` -> ``--dxs``); fields without a
+default are required, and a flag the chosen scenario does not read is
+rejected.  ``wk`` runs every probe through the same pipeline: ruler on
+the probe's grid, coherence function, outcome statistics.
+
+Each command returns its artifacts by file name; ``main`` alone writes
+the ones ``--format`` selects, plus a manifest.json carrying the merged
+config and its digest.  Outputs are byte-identical across repeated runs.
 
 Exit codes: 0 success, 2 config error, 3 domain error, 4 acceptance
 failure (1 for I/O failures).
@@ -31,25 +43,48 @@ from .coherence import (
 )
 from .errors import ConfigError, DomainError
 from .fisher import fisher_from_family
-from .grids import GeneratorGrid, GeneratorKind, grid_for_gaussian
+from .grids import GeneratorGrid, grid_for_gaussian
 from .output import write_csv, write_json, write_manifest
 from .ruler import make_gaussian_ruler, make_ideal_ruler, validate_ruler
-from .scenarios import (
-    CoherentSqueezedScenario,
-    LinearScenario,
-    NonlinearScenario,
-    PhaseGaussianScenario,
-    SGScenario,
-    run_linear,
-    run_nonlinear,
-    run_phase_coherent_squeezed,
-    run_phase_gaussian,
-    run_phase_sg,
-)
-from .states import GaussianProbeSpec, SGProbeSpec, make_gaussian_probe, make_sg_probe
+from .scenarios import SCENARIOS
+from .states import GaussianProbeSpec, PureProbe, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
 OUTDIR_ENV = "QRULER_OUTDIR"
-SCENARIO_KINDS = ("linear", "phase", "sg", "nonlinear", "phase-cs")
+PROBE_KINDS = {"gaussian": {"sigma", "center", "kc"}, "sg": {"xi", "nmax"}}
+RULER_KINDS = {"gaussian": {"dphi"}, "ideal": set()}
+
+
+def _flag(field: str) -> str:
+    """The CLI flag of a scenario spec field: its name without underscores."""
+    return field.replace("_", "")
+
+
+SCENARIO_FLAGS = tuple(dict.fromkeys(_flag(f) for kind in SCENARIOS.values() for f in kind.fields))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or config value as a ConfigError (exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
+    return value
+
+
+def _number(text: str, what: str) -> float:
+    try:
+        return _finite_float(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"{exc} in {what!r}") from exc
 
 
 def _parse_minispec(text: str, allowed: dict[str, set[str]]) -> tuple[str, dict[str, float]]:
@@ -65,44 +100,35 @@ def _parse_minispec(text: str, allowed: dict[str, set[str]]) -> tuple[str, dict[
             key = key.strip()
             if not sep or key not in allowed[kind]:
                 raise ConfigError(f"bad parameter {item!r} for {kind!r}")
-            try:
-                params[key] = _finite(float(val), item)
-            except ValueError as exc:
-                raise ConfigError(f"non-numeric value in {item!r}") from exc
+            params[key] = _number(val, item)
     return kind, params
 
 
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite value in {what!r}")
-    return value
-
-
-def _build_grid(spec: str | None, probe_kind: str, probe_params: dict) -> GeneratorGrid:
-    if spec is not None:
-        _, params = _parse_minispec("grid:" + spec, {"grid": {"gmin", "gmax", "n"}})
-        try:
-            return GeneratorGrid(
-                params["gmin"], params["gmax"], int(params.get("n", 512))
-            )
-        except KeyError as exc:
-            raise ConfigError(f"grid spec needs gmin and gmax: {spec!r}") from exc
-    if probe_kind == "gaussian":
-        sigma = probe_params.get("sigma", 1.0)
-        center = probe_params.get("center", 0.0)
+def _build_grid(spec: str | None, center: float = 0.0, sigma: float = 1.0) -> GeneratorGrid:
+    """The --grid spec, or else a 512-point grid sized for a Gaussian probe."""
+    if spec is None:
         return grid_for_gaussian(center, sigma, 512)
-    raise ConfigError("a --grid spec is required for this probe")
+    _, params = _parse_minispec("grid:" + spec, {"grid": {"gmin", "gmax", "n"}})
+    try:
+        return GeneratorGrid(params["gmin"], params["gmax"], int(params.get("n", 512)))
+    except KeyError as exc:
+        raise ConfigError(f"grid spec needs gmin and gmax: {spec!r}") from exc
 
 
-def _build_probe(kind: str, params: dict, grid: GeneratorGrid | None):
+def _build_probe(kind: str, params: dict, grid_spec: str | None) -> PureProbe:
+    """A Gaussian probe on the --grid; an sg probe on its own integer grid."""
     if kind == "gaussian":
-        spec = GaussianProbeSpec(
-            center=params.get("center", 0.0),
-            sigma=params.get("sigma", 1.0),
-            conjugate_center=params.get("kc", 0.0),
-        )
+        center, sigma = params.get("center", 0.0), params.get("sigma", 1.0)
+        grid = _build_grid(grid_spec, center, sigma)
+        spec = GaussianProbeSpec(center, sigma, conjugate_center=params.get("kc", 0.0))
         return make_gaussian_probe(spec, grid)
+    if grid_spec is not None:
+        raise ConfigError("the sg probe sits on its own integer grid; --grid does not apply")
+    if "xi" not in params:
+        raise ConfigError("the sg probe needs xi, e.g. sg:xi=0.9")
     nmax = params.get("nmax")
+    if nmax is not None and nmax != int(nmax):
+        raise ConfigError(f"sg nmax must be an integer, got {nmax}")
     return make_sg_probe(SGProbeSpec(xi=params["xi"], n_max=None if nmax is None else int(nmax)))
 
 
@@ -112,283 +138,185 @@ def _build_ruler(kind: str, params: dict, grid: GeneratorGrid):
     return make_gaussian_ruler(params.get("dphi", 0.5), grid)
 
 
-PROBE_KINDS = {"gaussian": {"sigma", "center", "kc"}, "sg": {"xi", "nmax"}}
-RULER_KINDS = {"gaussian": {"dphi"}, "ideal": set()}
-
-
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns the list of files written
+# subcommand implementations; each returns ({file name: payload}, passed).
+# A .json payload is a dict, a .csv payload a (header, columns) pair.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate_ruler(args, outdir: str, fmt: str) -> list[str]:
+def _cmd_validate_ruler(args):
     kind, params = _parse_minispec(args.ruler, RULER_KINDS)
-    grid = _build_grid(args.grid, "gaussian", {"sigma": 1.0, "center": 0.0})
+    grid = _build_grid(args.grid)
     report = validate_ruler(_build_ruler(kind, params, grid))
-    files = []
-    if fmt in ("json", "both"):
-        path = os.path.join(outdir, "ruler_report.json")
-        write_json(
-            path,
-            {
-                "ruler": args.ruler,
-                "grid": {"g_min": grid.g_min, "g_max": grid.g_max, "n_points": grid.n_points},
-                "all_pass": report.all_pass,
-                **dataclasses.asdict(report),
-            },
-        )
-        files.append(path)
     status = "all-pass" if report.all_pass else "violations detected"
     print(f"ruler validation: {status}")
-    return files
+    return {
+        "ruler_report.json": {
+            "ruler": args.ruler,
+            "grid": {"g_min": grid.g_min, "g_max": grid.g_max, "n_points": grid.n_points},
+            "all_pass": report.all_pass,
+            **dataclasses.asdict(report),
+        }
+    }, True
 
 
-def _cmd_wk(args, outdir: str, fmt: str) -> list[str]:
+def _cmd_wk(args):
     probe_kind, probe_params = _parse_minispec(args.probe, PROBE_KINDS)
     ruler_kind, ruler_params = _parse_minispec(args.ruler, RULER_KINDS)
-    if probe_kind == "sg":
-        if ruler_kind != "ideal":
-            raise ConfigError("the sg probe supports only the ideal phase ruler")
-        run = run_phase_sg(SGScenario(xi=probe_params["xi"]))
-        probe, gamma = run.probe, run.gamma
-        dist = run.family(0.0)
-    else:
-        grid = _build_grid(args.grid, probe_kind, probe_params)
-        probe = _build_probe(probe_kind, probe_params, grid)
-        ruler = _build_ruler(ruler_kind, ruler_params, grid)
-        gamma = coherence_function(probe, ruler)
-        dist = statistics_from_coherence(gamma)
+    probe = _build_probe(probe_kind, probe_params, args.grid)
+    gamma = coherence_function(probe, _build_ruler(ruler_kind, ruler_params, probe.grid))
+    dist = statistics_from_coherence(gamma)
     tau_c = coherence_time(gamma)
     dlam = signal_uncertainty(dist)
-    files = []
-    if fmt in ("csv", "both"):
-        state = os.path.join(outdir, "probe_state.csv")
-        write_csv(
-            state,
+    print(f"wk: tau_c={tau_c:.9g} delta_lambda={dlam:.9g} product={tau_c * dlam:.9g}")
+    return {
+        "probe_state.csv": (
             ["g", "re_psi", "im_psi"],
             [probe.grid.points, probe.amplitudes.real, probe.amplitudes.imag],
-        )
-        gam = os.path.join(outdir, "coherence.csv")
-        write_csv(
-            gam,
+        ),
+        "coherence.csv": (
             ["tau", "re_gamma", "im_gamma"],
             [gamma.tau_grid, gamma.values.real, gamma.values.imag],
-        )
-        stats = os.path.join(outdir, "statistics.csv")
-        write_csv(stats, ["mu", "p"], [dist.mu_grid, dist.density])
-        files += [state, gam, stats]
-    if fmt in ("json", "both"):
-        summary = os.path.join(outdir, "summary.json")
-        write_json(
-            summary,
-            {
-                "probe": args.probe,
-                "ruler": args.ruler,
-                "gamma0": gamma.gamma0,
-                "tau_c": tau_c,
-                "delta_lambda": dlam,
-                "delta2_lambda": dlam**2,
-                "wk_product": tau_c * dlam,
-            },
-        )
-        files.append(summary)
-    print(f"wk: tau_c={tau_c:.9g} delta_lambda={dlam:.9g} product={tau_c * dlam:.9g}")
-    return files
+        ),
+        "statistics.csv": (["mu", "p"], [dist.mu_grid, dist.density]),
+        "summary.json": {
+            "probe": args.probe,
+            "ruler": args.ruler,
+            "gamma0": gamma.gamma0,
+            "tau_c": tau_c,
+            "delta_lambda": dlam,
+            "delta2_lambda": dlam**2,
+            "wk_product": tau_c * dlam,
+        },
+    }, True
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
+def _scenario_run(args, lambda_pad: float = 0.0):
+    """Run the --scenario from its flags; return the run and the flags it read.
+
+    ``lambda_pad`` widens a spec that sizes its outcome grids for a
+    largest |lambda| (the nonlinear scenario) when the default is smaller.
+    """
+    kind = SCENARIOS[args.scenario]
+    reads = {_flag(field): field for field in kind.fields}
+    stray = [f for f in SCENARIO_FLAGS if f not in reads and getattr(args, f) is not None]
+    if stray:
+        raise ConfigError(f"scenario {args.scenario!r} does not read --" + ", --".join(stray))
+    params = {f: getattr(args, f) for f in reads if getattr(args, f) is not None}
+    missing = [
+        _flag(f.name)
+        for f in dataclasses.fields(kind.spec)
+        if f.default is dataclasses.MISSING and _flag(f.name) not in params
+    ]
     if missing:
-        raise ConfigError(
-            f"scenario {args.scenario!r} needs --" + ", --".join(missing)
-        )
+        raise ConfigError(f"scenario {args.scenario!r} needs --" + ", --".join(missing))
+    spec = kind.spec(**{reads[f]: v for f, v in params.items()})
+    if lambda_pad > getattr(spec, "lambda_pad", lambda_pad):
+        spec = dataclasses.replace(spec, lambda_pad=lambda_pad)
+    return kind.run(spec), params
 
 
-def _build_scenario_run(args, lambda_pad: float | None = None):
-    sc = args.scenario
-    if sc not in SCENARIO_KINDS:
-        raise ConfigError(f"unknown scenario {sc!r}; expected one of {SCENARIO_KINDS}")
-    if sc == "linear":
-        _require(args, ["dxs", "dxm"])
-        return run_linear(
-            LinearScenario(dx_s=args.dxs, dx_m=args.dxm, x0=args.x0 or 0.0, p0=args.p0 or 0.0)
-        )
-    if sc == "phase":
-        _require(args, ["nmean", "dns"])
-        return run_phase_gaussian(
-            PhaseGaussianScenario(n_mean=args.nmean, dn_s=args.dns, dphi_m=args.dphim or 0.0)
-        )
-    if sc == "sg":
-        _require(args, ["xi"])
-        return run_phase_sg(SGScenario(xi=args.xi))
-    if sc == "nonlinear":
-        _require(args, ["vxs", "vxm"])
-        spec = NonlinearScenario(
-            vx_s=args.vxs, vx_m=args.vxm, x0=args.x0 or 0.0, p0=args.p0 or 0.0
-        )
-        if lambda_pad is not None and lambda_pad > spec.lambda_pad:
-            spec = NonlinearScenario(
-                vx_s=args.vxs, vx_m=args.vxm, x0=args.x0 or 0.0, p0=args.p0 or 0.0,
-                lambda_pad=lambda_pad,
-            )
-        return run_nonlinear(spec)
-    _require(args, ["vxs", "vxm"])
-    return run_phase_coherent_squeezed(
-        CoherentSqueezedScenario(
-            vx_s=args.vxs, vx_m=args.vxm, x0=args.x0 or 0.0, p0=args.p0 or 0.0
-        )
-    )
-
-
-def _scenario_params(args) -> dict:
-    keys = ("dxs", "dxm", "nmean", "dns", "dphim", "xi", "vxs", "vxm", "x0", "p0")
-    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-
-
-def _cmd_fisher(args, outdir: str, fmt: str) -> list[str]:
-    run = _build_scenario_run(args)
+def _cmd_fisher(args):
+    run, params = _scenario_run(args)
     step = args.step if args.step is not None else run.default_step
     numerical = fisher_from_family(run.family, 0.0, step, qfi=run.qfi)
     closed = run.closed_form
-    agreement = (
-        abs(numerical.fisher / closed.fisher - 1.0) if closed and closed.fisher else None
-    )
     payload = {
         "scenario": run.scenario,
-        "params": _scenario_params(args),
+        "params": params,
         "step": step,
         "numerical": {"fisher": numerical.fisher, "crb": numerical.crb},
         "qfi": run.qfi,
     }
     if closed is not None:
         payload["closed_form"] = {"fisher": closed.fisher, "crb": closed.crb}
-        payload["agreement_rel"] = agreement
-    files = []
-    if fmt in ("json", "both"):
-        path = os.path.join(outdir, "fisher.json")
-        write_json(path, payload)
-        files.append(path)
+        payload["agreement_rel"] = (
+            abs(numerical.fisher / closed.fisher - 1.0) if closed.fisher else None
+        )
     print(
         f"fisher[{run.scenario}]: numerical={numerical.fisher:.9g}"
         + (f" closed={closed.fisher:.9g}" if closed else "")
     )
-    return files
+    return {"fisher.json": payload}, True
 
 
-def _parse_lambdas(raw) -> list[float]:
+def _parse_lambdas(raw: str | None) -> list[float]:
     if raw is None:
         return [0.0]
-    tokens = raw if isinstance(raw, (list, tuple)) else [t for t in str(raw).split(",") if t.strip()]
-    try:
-        values = [float(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ConfigError(f"bad --lambdas value {raw!r}") from exc
-    return [_finite(v, f"--lambdas {raw}") for v in values]
+    return [_number(tok, f"--lambdas {raw}") for tok in raw.split(",") if tok.strip()]
 
 
-def _cmd_scenario(args, outdir: str, fmt: str) -> list[str]:
+def _cmd_scenario(args):
     lambdas = _parse_lambdas(args.lambdas)
-    pad = 1.05 * max((abs(v) for v in lambdas), default=0.0)
-    run = _build_scenario_run(args, lambda_pad=pad)
-    files = []
-    records = []
+    run, params = _scenario_run(args, 1.05 * max((abs(v) for v in lambdas), default=0.0))
+    artifacts, records = {}, []
     for idx, lam in enumerate(lambdas):
         dist = run.family(lam)
         name = f"distribution_{idx:03d}.csv"
-        if fmt in ("csv", "both"):
-            path = os.path.join(outdir, name)
-            if dist.density.ndim == 1:
-                write_csv(path, ["mu", "p"], [dist.mu_grid, dist.density])
-            else:
-                mm, kk = np.meshgrid(dist.mu_grid, dist.k_grid, indexing="ij")
-                write_csv(
-                    path,
-                    ["m", "k", "p"],
-                    [mm.ravel(), kk.ravel(), dist.density.ravel()],
-                )
-            files.append(path)
         record = {"lambda": lam, "file": name, "mass": dist.total_mass()}
         if dist.density.ndim == 1:
+            artifacts[name] = (["mu", "p"], [dist.mu_grid, dist.density])
             record["mean"] = dist.mean()
             record["variance"] = dist.variance()
             record["delta2_lambda"] = signal_uncertainty(dist) ** 2
+        else:
+            mm, kk = np.meshgrid(dist.mu_grid, dist.k_grid, indexing="ij")
+            artifacts[name] = (["m", "k", "p"], [mm.ravel(), kk.ravel(), dist.density.ravel()])
         records.append(record)
-    if fmt in ("json", "both"):
-        summary = os.path.join(outdir, "summary.json")
-        payload = {
-            "scenario": run.scenario,
-            "params": _scenario_params(args),
-            "distributions": records,
-        }
-        if run.gamma is not None:
-            dist0 = run.family(0.0)
-            payload["tau_c"] = coherence_time(run.gamma)
-            payload["wk_product"] = wk_product(run.gamma, dist0)
-        if run.closed_form is not None:
-            payload["closed_form"] = {
-                "fisher": run.closed_form.fisher,
-                "crb": run.closed_form.crb,
-            }
-        write_json(summary, payload)
-        files.append(summary)
+    summary = {"scenario": run.scenario, "params": params, "distributions": records}
+    if run.gamma is not None:
+        summary["tau_c"] = coherence_time(run.gamma)
+        summary["wk_product"] = wk_product(run.gamma, run.family(0.0))
+    if run.closed_form is not None:
+        summary["closed_form"] = {"fisher": run.closed_form.fisher, "crb": run.closed_form.crb}
+    artifacts["summary.json"] = summary
     print(f"scenario[{run.scenario}]: wrote {len(records)} distribution(s)")
-    return files
+    return artifacts, True
 
 
-def _cmd_optimize(args, outdir: str, fmt: str) -> list[str]:
-    if args.objective not in ("linear", "nonlinear"):
-        raise ConfigError(f"unknown objective {args.objective!r}")
-    files = []
+def _cmd_optimize(args):
     if args.objective == "linear":
         opt = optimize_linear(args.budget)
         print(f"optimize[linear]: split={opt.split} delta2_lambda={opt.delta2_lambda:.9g}")
     else:
         opt = optimize_nonlinear(args.budget)
         print(f"optimize[nonlinear]: split={opt.split} ratio_to_qfi={opt.ratio_to_qfi}")
-    payload = {"objective": args.objective, **dataclasses.asdict(opt)}
-    if fmt in ("json", "both"):
-        path = os.path.join(outdir, "optimum.json")
-        write_json(path, payload)
-        files.append(path)
-    if args.sweep_samples is not None and fmt in ("csv", "both"):
-        sweep = sweep_budget(args.budget, args.objective, args.sweep_samples)
-        path = os.path.join(outdir, "sweep.csv")
-        write_csv(path, ["split", "value"], [sweep.splits, sweep.values])
-        files.append(path)
-    return files
+    artifacts = {"optimum.json": {"objective": args.objective, **dataclasses.asdict(opt)}}
+    if args.sweep_samples is not None:
+        try:
+            sweep = sweep_budget(args.budget, args.objective, args.sweep_samples)
+        except ValueError as exc:
+            raise ConfigError(f"--sweep-samples: {exc}") from exc
+        artifacts["sweep.csv"] = (["split", "value"], [sweep.splits, sweep.values])
+    return artifacts, True
 
 
-def _cmd_acceptance(args, outdir: str, fmt: str) -> tuple[list[str], bool]:
+def _cmd_acceptance(args):
     if args.only is None:
         results = run_all()
     else:
         numbered = dict(enumerate(CRITERIA, start=1))
-        if not isinstance(args.only, (int, float)) or args.only not in numbered:
+        if args.only not in numbered:
             raise ConfigError(f"no acceptance criterion numbered {args.only}")
         results = [numbered[args.only]()]
     for res in results:
         print(res.line())
     all_pass = all(r.passed for r in results)
-    files = []
-    if fmt in ("json", "both"):
-        path = os.path.join(outdir, "acceptance.json")
-        write_json(
-            path,
-            {
-                "all_pass": all_pass,
-                "criteria": [
-                    {
-                        "index": r.index,
-                        "name": r.name,
-                        "passed": r.passed,
-                        "checks": r.checks,
-                    }
-                    for r in results
-                ],
-            },
-        )
-        files.append(path)
-    return files, all_pass
+    criteria = [
+        {"index": r.index, "name": r.name, "passed": r.passed, "checks": r.checks}
+        for r in results
+    ]
+    return {"acceptance.json": {"all_pass": all_pass, "criteria": criteria}}, all_pass
+
+
+COMMANDS = {
+    "validate-ruler": _cmd_validate_ruler,
+    "wk": _cmd_wk,
+    "fisher": _cmd_fisher,
+    "scenario": _cmd_scenario,
+    "optimize": _cmd_optimize,
+    "acceptance": _cmd_acceptance,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -398,113 +326,113 @@ def _cmd_acceptance(args, outdir: str, fmt: str) -> tuple[list[str], bool]:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with parameter defaults")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", default=None, choices=("csv", "json", "both"))
+    sub.add_argument("--out", help="output directory")
+    sub.add_argument("--format", choices=("csv", "json", "both"))
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scenario", choices=SCENARIO_KINDS, default=None)
-    for flag in ("dxs", "dxm", "nmean", "dns", "dphim", "xi", "vxs", "vxm", "x0", "p0", "step"):
-        sub.add_argument(f"--{flag}", type=float, default=None)
+    sub.add_argument("--scenario", choices=tuple(SCENARIOS), required=True)
+    for flag in SCENARIO_FLAGS:
+        sub.add_argument(f"--{flag}", type=_finite_float)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qruler",
         description="numerical lab for shift-invariant ruler measurement models",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("validate-ruler", help="legitimacy checks for a ruler seed")
-    p.add_argument("--ruler", default=None, help="e.g. gaussian:dphi=1 or ideal")
-    p.add_argument("--grid", default=None, help="e.g. gmin=-8,gmax=8,n=512")
+    p.add_argument("--ruler", required=True, help="e.g. gaussian:dphi=1 or ideal")
+    p.add_argument("--grid", help="e.g. gmin=-8,gmax=8,n=512")
     _add_common(p)
 
     p = subs.add_parser("wk", help="coherence function and outcome statistics")
-    p.add_argument("--probe", default=None, help="gaussian:sigma=1[,center=..,kc=..] or sg:xi=0.9")
-    p.add_argument("--ruler", default=None, help="gaussian:dphi=0.5 or ideal")
-    p.add_argument("--grid", default=None)
+    p.add_argument(
+        "--probe", required=True, help="gaussian:sigma=1[,center=..,kc=..] or sg:xi=0.9[,nmax=..]"
+    )
+    p.add_argument("--ruler", required=True, help="gaussian:dphi=0.5 or ideal")
+    p.add_argument("--grid", help="gaussian probes only")
     _add_common(p)
 
     p = subs.add_parser("fisher", help="numerical and closed-form Fisher information")
     _add_scenario_flags(p)
+    p.add_argument("--step", type=_finite_float, help="finite-difference step")
     _add_common(p)
 
     p = subs.add_parser("scenario", help="emit outcome distributions for signal values")
     _add_scenario_flags(p)
-    p.add_argument("--lambdas", default=None, help="comma-separated signal values")
+    p.add_argument("--lambdas", help="comma-separated signal values")
     _add_common(p)
 
     p = subs.add_parser("optimize", help="coherence-budget optimization")
-    p.add_argument("--objective", choices=("linear", "nonlinear"), default=None)
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--sweep-samples", type=int, default=None, dest="sweep_samples")
+    p.add_argument("--objective", choices=("linear", "nonlinear"), required=True)
+    p.add_argument("--budget", type=_finite_float, required=True)
+    p.add_argument("--sweep-samples", type=int, dest="sweep_samples")
     _add_common(p)
 
     p = subs.add_parser("acceptance", help="run the acceptance-criteria suite")
-    p.add_argument("--only", type=int, default=None, help="run a single criterion")
+    p.add_argument("--only", type=int, help="run a single criterion")
     _add_common(p)
     return parser
 
 
-_REQUIRED = {"validate-ruler": ["ruler"], "wk": ["probe", "ruler"],
-             "fisher": ["scenario"], "scenario": ["scenario"],
-             "optimize": ["objective", "budget"], "acceptance": []}
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv with the --config file's values spliced in ahead of the flags.
 
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Overlay config-file values onto unset flags; flags take precedence."""
-    merged = {}
-    if args.config:
+    Each config entry becomes ``--key=value`` right after the command, so
+    argparse types and checks it like the flag, and a flag given on the
+    command line, coming later, wins.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = _Parser(prog="qruler", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    raw = {}
+    if path:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = set(vars(args))
-        for key, value in raw.items():
-            dest = key.replace("-", "_")
-            if dest not in known or dest in ("command", "config"):
-                raise ConfigError(f"unknown config key {key!r} for {args.command!r}")
-            if getattr(args, dest) is None:
-                setattr(args, dest, value)
-    for name in _REQUIRED[args.command]:
-        if getattr(args, name) is None:
-            raise ConfigError(f"{args.command} requires --{name}")
-    for key, value in sorted(vars(args).items()):
-        if isinstance(value, float):
-            _finite(value, f"--{key} {value}")
-        if key not in ("config",) and value is not None:
-            merged[key] = value
-    return merged
+    tokens = []
+    for key, value in raw.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ConfigError(f"config key {key!r} must be a number or a string, got {value!r}")
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    args = build_parser().parse_args(argv[:1] + tokens + argv[1:])
+    for key in raw:
+        if key.replace("-", "_") not in vars(args) or key in ("command", "config"):
+            raise ConfigError(f"unknown config key {key!r} for {args.command!r}")
+    return args
+
+
+def _write(path: str, payload) -> str:
+    if path.endswith(".json"):
+        write_json(path, payload)
+    else:
+        write_csv(path, *payload)
+    return path
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        merged = _merge_config(args)
+        args = _parse_args(argv)
+        config = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
         outdir = args.out or os.environ.get(OUTDIR_ENV) or "qruler_out"
         fmt = args.format or "both"
-        if fmt not in ("csv", "json", "both"):
-            raise ConfigError(f"unknown format {fmt!r}")
         os.makedirs(outdir, exist_ok=True)
-        if args.command == "acceptance":
-            files, all_pass = _cmd_acceptance(args, outdir, fmt)
-        else:
-            handler = {
-                "validate-ruler": _cmd_validate_ruler,
-                "wk": _cmd_wk,
-                "fisher": _cmd_fisher,
-                "scenario": _cmd_scenario,
-                "optimize": _cmd_optimize,
-            }[args.command]
-            files, all_pass = handler(args, outdir, fmt), True
-        write_manifest(outdir, args.command, merged, files)
-        if not all_pass:
-            return 4
-        return 0
+        artifacts, passed = COMMANDS[args.command](args)
+        written = [
+            _write(os.path.join(outdir, name), payload)
+            for name, payload in artifacts.items()
+            if fmt in ("both", name.rpartition(".")[2])
+        ]
+        write_manifest(outdir, args.command, config, written)
+        return 0 if passed else 4
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,16 +9,19 @@ Four families:
 * joint (m, k) readout by squeezed-coherent projections, driven either by
   the quadratic generator p^2 or by a phase-space rotation.
 
-Each ``run_*`` returns a :class:`ScenarioRun` whose ``family`` maps a
-signal value to an outcome distribution on a fixed grid, ready for the
-finite-difference Fisher machinery.
+Each ``run_*`` takes a frozen spec dataclass and returns a
+:class:`ScenarioRun` whose ``family`` maps a signal value to an outcome
+distribution on a fixed grid, ready for the finite-difference Fisher
+machinery.  ``SCENARIOS`` names the five runnable kinds and, for each,
+its spec, its runner and the spec fields a caller may set; the command
+line derives its flags, required values and reported parameters from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -461,6 +464,32 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
 def gaussian_number_qfi(vx: float, vp: float, x0: float, p0: float) -> float:
     """4*Var(N) of a pure Gaussian state: 2(vx^2+vp^2) - 1 + 4(vx x0^2 + vp p0^2)."""
     return 2.0 * (vx**2 + vp**2) - 1.0 + 4.0 * (vx * x0**2 + vp * p0**2)
+
+
+@dataclass(frozen=True)
+class ScenarioKind:
+    """A runnable scenario: its spec dataclass, its runner, settable fields.
+
+    Spec fields left out of ``fields`` (grid sizes, ``lambda_pad``) keep
+    their defaults; fields without a default must be given.
+    """
+
+    spec: type
+    run: Callable[[Any], ScenarioRun]
+    fields: tuple[str, ...]
+
+
+SCENARIOS = {
+    "linear": ScenarioKind(LinearScenario, run_linear, ("dx_s", "dx_m", "x0", "p0")),
+    "phase": ScenarioKind(
+        PhaseGaussianScenario, run_phase_gaussian, ("n_mean", "dn_s", "dphi_m")
+    ),
+    "sg": ScenarioKind(SGScenario, run_phase_sg, ("xi",)),
+    "nonlinear": ScenarioKind(NonlinearScenario, run_nonlinear, ("vx_s", "vx_m", "x0", "p0")),
+    "phase-cs": ScenarioKind(
+        CoherentSqueezedScenario, run_phase_coherent_squeezed, ("vx_s", "vx_m", "x0", "p0")
+    ),
+}
 
 
 # ---------------------------------------------------------------------------

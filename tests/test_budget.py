@@ -89,14 +89,12 @@ class TestSweep:
         assert np.all(np.diff(sweep.values[: i + 1]) > 0)
         assert np.all(np.diff(sweep.values[i:]) < 0)
 
-    def test_swapped_roles_mirror_the_curve(self):
-        # relabeling which side of the split feeds the probe moves the
-        # optimum to 1 - s* with the same optimal value
-        fwd = sweep_budget(4.0, "nonlinear", 101)
-        rev = sweep_budget(4.0, "nonlinear", 101, swap_roles=True)
-        assert rev.splits[rev.optimum_index] == pytest.approx(0.25, abs=1e-2)
-        assert rev.values.max() == pytest.approx(fwd.values.max(), rel=1e-12)
-        np.testing.assert_allclose(rev.values, fwd.values[::-1], rtol=1e-9)
+    @pytest.mark.parametrize("objective", ["linear", "nonlinear"])
+    def test_values_are_the_objective(self, objective):
+        sweep = sweep_budget(4.0, objective, 101)
+        fn = linear_objective if objective == "linear" else nonlinear_objective
+        expected = np.array([fn(4.0, s) for s in sweep.splits])
+        assert np.array_equal(sweep.values, expected)
 
     def test_fn_objective_with_displacements(self):
         sweep = sweep_budget(4.0, "fn", 33, displacements=(1.0, 0.0))

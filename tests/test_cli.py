@@ -6,6 +6,7 @@ import pytest
 
 from qruler import cli
 from qruler.acceptance import CriterionResult
+from qruler.scenarios import SCENARIOS
 
 
 def run_cli(args):
@@ -72,6 +73,51 @@ class TestWkCommand:
             "--grid", "gmin=-4,gmax=4,n=128", "--out", str(tmp_path / "x"),
         ])
         assert code == 3
+
+
+class TestWkProbeSpec:
+    """Every probe takes the generic route: ruler on probe.grid, Gamma, statistics."""
+
+    def test_sg_nmax_sets_the_truncation(self, tmp_path):
+        out = tmp_path / "nmax"
+        assert run_cli([
+            "wk", "--probe", "sg:xi=0.9,nmax=200", "--ruler", "ideal", "--out", str(out),
+        ]) == 0
+        assert len((out / "probe_state.csv").read_text().splitlines()) == 1 + 201
+
+    def test_sg_nmax_too_short_for_xi_is_domain_error(self, tmp_path):
+        # n_max=50 (floored to 64 points) leaves tail mass 1e-6 at xi=0.9
+        assert run_cli([
+            "wk", "--probe", "sg:xi=0.9,nmax=50", "--ruler", "ideal",
+            "--out", str(tmp_path / "x"),
+        ]) == 3
+
+    def test_sg_without_xi(self, tmp_path, capsys):
+        assert run_cli([
+            "wk", "--probe", "sg:nmax=5", "--ruler", "ideal", "--out", str(tmp_path / "x"),
+        ]) == 2
+        assert "needs xi" in capsys.readouterr().err
+
+    def test_sg_nmax_must_be_an_integer(self, tmp_path):
+        assert run_cli([
+            "wk", "--probe", "sg:xi=0.5,nmax=80.5", "--ruler", "ideal",
+            "--out", str(tmp_path / "x"),
+        ]) == 2
+
+    def test_grid_does_not_apply_to_sg(self, tmp_path):
+        assert run_cli([
+            "wk", "--probe", "sg:xi=0.9", "--ruler", "ideal",
+            "--grid", "gmin=0,gmax=100,n=101", "--out", str(tmp_path / "x"),
+        ]) == 2
+
+    def test_sg_under_gaussian_phase_blur(self, tmp_path):
+        out = tmp_path / "blur"
+        assert run_cli([
+            "wk", "--probe", "sg:xi=0.9", "--ruler", "gaussian:dphi=0.3", "--out", str(out),
+        ]) == 0
+        summary = read_json(out / "summary.json")
+        assert summary["wk_product"] == pytest.approx(math.sqrt(math.pi), abs=1e-6)
+        assert summary["delta2_lambda"] > math.pi * (0.19 / 1.81) ** 2
 
 
 class TestOptimizeCommand:
@@ -148,6 +194,45 @@ class TestScenarioCommand:
         assert code == 3
 
 
+class TestScenarioFlags:
+    """Scenario flags, required values and params come from scenarios.SCENARIOS."""
+
+    def test_flags_are_the_spec_fields_without_underscores(self):
+        assert set(cli.SCENARIO_FLAGS) == {
+            "dxs", "dxm", "nmean", "dns", "dphim", "xi", "vxs", "vxm", "x0", "p0",
+        }
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_required_fields(self, name, tmp_path, capsys):
+        assert run_cli(["fisher", "--scenario", name, "--out", str(tmp_path / "x")]) == 2
+        needs = {"linear": "--dxs, --dxm", "phase": "--nmean, --dns", "sg": "--xi",
+                 "nonlinear": "--vxs, --vxm", "phase-cs": "--vxs, --vxm"}[name]
+        assert f"needs {needs}" in capsys.readouterr().err
+
+    def test_unread_flags_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli([
+            "fisher", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5",
+            "--xi", "0.3", "--nmean", "7", "--out", str(out),
+        ]) == 2
+        assert "does not read --nmean, --xi" in capsys.readouterr().err
+        assert not (out / "fisher.json").exists()
+
+    def test_params_are_the_flags_read(self, tmp_path):
+        out = tmp_path / "p"
+        assert run_cli([
+            "fisher", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", "--x0", "0.25",
+            "--out", str(out),
+        ]) == 0
+        assert read_json(out / "fisher.json")["params"] == {"dxs": 0.5, "dxm": 0.5, "x0": 0.25}
+
+    def test_step_is_fisher_only(self, tmp_path):
+        assert run_cli([
+            "scenario", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5",
+            "--step", "1e9", "--out", str(tmp_path / "x"),
+        ]) == 2
+
+
 class TestConfigHandling:
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -192,6 +277,54 @@ class TestConfigHandling:
         monkeypatch.chdir(tmp_path)
         assert run_cli(["optimize", "--objective", "linear", "--budget", "4"]) == 0
         assert (tmp_path / "envout" / "optimum.json").exists()
+
+
+class TestConfigTyping:
+    """Config values are numbers or strings, parsed like the flag they set."""
+
+    def test_string_number_matches_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"objective": "linear", "budget": "4"}))
+        assert run_cli(["optimize", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        assert run_cli([
+            "optimize", "--objective", "linear", "--budget", "4", "--out", str(tmp_path / "f"),
+        ]) == 0
+        assert (tmp_path / "c" / "optimum.json").read_bytes() == (
+            tmp_path / "f" / "optimum.json"
+        ).read_bytes()
+
+    def test_string_scenario_fields(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "linear", "dxs": "0.5", "dxm": "0.5"}))
+        assert run_cli(["fisher", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        assert run_cli([
+            "fisher", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5",
+            "--out", str(tmp_path / "f"),
+        ]) == 0
+        assert (tmp_path / "c" / "fisher.json").read_bytes() == (
+            tmp_path / "f" / "fisher.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("command, config", [
+        ("optimize", {"objective": "linear", "budget": "four"}),
+        ("optimize", {"objective": "linear", "budget": True}),
+        ("optimize", {"objective": "linear", "budget": None}),
+        ("optimize", {"objective": "linear", "budget": 4, "sweep_samples": 33.5}),
+        ("optimize", {"objective": "linear", "budg": 4}),
+        ("optimize", {"objective": "linear", "budget": 4, "config": "other.json"}),
+        ("fisher", {"scenario": "linear", "dxs": [0.5], "dxm": 0.5}),
+        ("scenario", {"scenario": "sg", "xi": 0.5, "lambdas": [0, 0.3]}),
+    ])
+    def test_bad_values_rejected(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    def test_too_few_sweep_samples(self, tmp_path):
+        assert run_cli([
+            "optimize", "--objective", "linear", "--budget", "4", "--sweep-samples", "8",
+            "--format", "json", "--out", str(tmp_path / "x"),
+        ]) == 2
 
 
 class TestNonFiniteValues:
