@@ -104,13 +104,21 @@ def _parse_minispec(text: str, allowed: dict[str, set[str]]) -> tuple[str, dict[
     return kind, params
 
 
+def _count(params: dict[str, float], key: str, default: int | None = None) -> int | None:
+    """A minispec value that counts points: an integer, given as any number."""
+    value = params.get(key, default)
+    if value is not None and value != int(value):
+        raise ConfigError(f"{key} must be an integer, got {value}")
+    return None if value is None else int(value)
+
+
 def _build_grid(spec: str | None, center: float = 0.0, sigma: float = 1.0) -> GeneratorGrid:
     """The --grid spec, or else a 512-point grid sized for a Gaussian probe."""
     if spec is None:
         return grid_for_gaussian(center, sigma, 512)
     _, params = _parse_minispec("grid:" + spec, {"grid": {"gmin", "gmax", "n"}})
     try:
-        return GeneratorGrid(params["gmin"], params["gmax"], int(params.get("n", 512)))
+        return GeneratorGrid(params["gmin"], params["gmax"], _count(params, "n", 512))
     except KeyError as exc:
         raise ConfigError(f"grid spec needs gmin and gmax: {spec!r}") from exc
 
@@ -126,10 +134,7 @@ def _build_probe(kind: str, params: dict, grid_spec: str | None) -> PureProbe:
         raise ConfigError("the sg probe sits on its own integer grid; --grid does not apply")
     if "xi" not in params:
         raise ConfigError("the sg probe needs xi, e.g. sg:xi=0.9")
-    nmax = params.get("nmax")
-    if nmax is not None and nmax != int(nmax):
-        raise ConfigError(f"sg nmax must be an integer, got {nmax}")
-    return make_sg_probe(SGProbeSpec(xi=params["xi"], n_max=None if nmax is None else int(nmax)))
+    return make_sg_probe(SGProbeSpec(xi=params["xi"], n_max=_count(params, "nmax")))
 
 
 def _build_ruler(kind: str, params: dict, grid: GeneratorGrid):
@@ -227,16 +232,10 @@ def _cmd_fisher(args):
         "step": step,
         "numerical": {"fisher": numerical.fisher, "crb": numerical.crb},
         "qfi": run.qfi,
+        "closed_form": {"fisher": closed.fisher, "crb": closed.crb},
+        "agreement_rel": abs(numerical.fisher / closed.fisher - 1.0) if closed.fisher else None,
     }
-    if closed is not None:
-        payload["closed_form"] = {"fisher": closed.fisher, "crb": closed.crb}
-        payload["agreement_rel"] = (
-            abs(numerical.fisher / closed.fisher - 1.0) if closed.fisher else None
-        )
-    print(
-        f"fisher[{run.scenario}]: numerical={numerical.fisher:.9g}"
-        + (f" closed={closed.fisher:.9g}" if closed else "")
-    )
+    print(f"fisher[{run.scenario}]: numerical={numerical.fisher:.9g} closed={closed.fisher:.9g}")
     return {"fisher.json": payload}, True
 
 
@@ -264,11 +263,10 @@ def _cmd_scenario(args):
             artifacts[name] = (["m", "k", "p"], [mm.ravel(), kk.ravel(), dist.density.ravel()])
         records.append(record)
     summary = {"scenario": run.scenario, "params": params, "distributions": records}
+    summary["closed_form"] = {"fisher": run.closed_form.fisher, "crb": run.closed_form.crb}
     if run.gamma is not None:
         summary["tau_c"] = coherence_time(run.gamma)
         summary["wk_product"] = wk_product(run.gamma, run.family(0.0))
-    if run.closed_form is not None:
-        summary["closed_form"] = {"fisher": run.closed_form.fisher, "crb": run.closed_form.crb}
     artifacts["summary.json"] = summary
     print(f"scenario[{run.scenario}]: wrote {len(records)} distribution(s)")
     return artifacts, True
@@ -302,10 +300,7 @@ def _cmd_acceptance(args):
     for res in results:
         print(res.line())
     all_pass = all(r.passed for r in results)
-    criteria = [
-        {"index": r.index, "name": r.name, "passed": r.passed, "checks": r.checks}
-        for r in results
-    ]
+    criteria = [dataclasses.asdict(r) for r in results]
     return {"acceptance.json": {"all_pass": all_pass, "criteria": criteria}}, all_pass
 
 

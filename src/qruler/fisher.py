@@ -93,7 +93,7 @@ def fisher_from_family(
         raise StepTooLarge(
             f"Richardson residual {residual:.3e} exceeds {RESIDUAL_GATE}"
         )
-    ratio = None if qfi is None else f_r / qfi
+    ratio = f_r / qfi if qfi else None
     return _report(f_r, "numerical", scenario, qfi, ratio)
 
 

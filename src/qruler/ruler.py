@@ -38,7 +38,6 @@ class RulerSeed:
 
     grid: GeneratorGrid
     kernel: np.ndarray | None = None  # complex (n, n), units of 1/(g-spacing)
-    sigma_conjugate: float | None = None  # Gaussian width, None for custom/ideal
     symbol: np.ndarray | None = None  # complex (2n-1,), K(tau) on grid.tau_grid
 
     def __post_init__(self):
@@ -76,14 +75,14 @@ def make_gaussian_ruler(delta_phi_m: float, grid: GeneratorGrid) -> RulerSeed:
     tau = grid.tau_grid
     symbol = (FLAT_DIAGONAL * np.exp(-0.5 * delta_phi_m**2 * tau**2)).astype(complex)
     symbol.flags.writeable = False
-    return RulerSeed(grid, sigma_conjugate=delta_phi_m, symbol=symbol)
+    return RulerSeed(grid, symbol=symbol)
 
 
 def make_ideal_ruler(grid: GeneratorGrid) -> RulerSeed:
     """Projection-valued limit: flat symbol 1/(2*pi), no measurement blur."""
     symbol = np.full(2 * grid.n_points - 1, FLAT_DIAGONAL, dtype=complex)
     symbol.flags.writeable = False
-    return RulerSeed(grid, sigma_conjugate=0.0, symbol=symbol)
+    return RulerSeed(grid, symbol=symbol)
 
 
 def validate_ruler(seed: RulerSeed) -> ValidationReport:

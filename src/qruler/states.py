@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooNarrow, NonPositiveSigma, XiOutOfDisc
+from .errors import GridTooNarrow, InvalidGrid, NonPositiveSigma, XiOutOfDisc
 from .grids import GeneratorGrid, GeneratorKind, integer_grid
 
 SG_TAIL_TOLERANCE = 1e-12
+SG_MIN_NMAX = 64  # grid resolution floor of the sg phase axis
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class SGProbeSpec:
     """Normalizable geometric-series phase probe sum_n sqrt(1-|xi|^2) xi^n |n>."""
 
     xi: complex
-    n_max: int | None = None  # None: smallest n with |xi|^(2n) <= tail tol
+    n_max: int | None = None  # None: smallest n with |xi|^(2n) <= tail tol, at least 64
 
     def __post_init__(self):
         if abs(self.xi) >= 1.0:
@@ -108,10 +109,14 @@ def make_sg_probe(spec: SGProbeSpec) -> PureProbe:
 
     Amplitudes are used as stated, c_n = sqrt(1-|xi|^2) xi^n, not
     renormalized: the truncation rule keeps the missing tail mass below
-    1e-12, well inside the unit-norm invariant.
+    1e-12, well inside the unit-norm invariant.  An explicit ``n_max``
+    below the grid floor of 64 is refused, never raised to it.
     """
-    n_max = spec.n_max if spec.n_max is not None else sg_n_max(spec.xi)
-    n_max = max(n_max, 64)  # grid resolution floor
+    n_max = spec.n_max
+    if n_max is None:
+        n_max = max(sg_n_max(spec.xi), SG_MIN_NMAX)
+    elif n_max < SG_MIN_NMAX:
+        raise InvalidGrid(f"n_max={n_max} is below the grid floor {SG_MIN_NMAX}")
     tail = abs(spec.xi) ** (2 * (n_max + 1))
     if tail >= SG_TAIL_TOLERANCE:
         raise XiOutOfDisc(

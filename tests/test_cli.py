@@ -67,6 +67,14 @@ class TestWkCommand:
         lines = (out / "probe_state.csv").read_text().splitlines()
         assert len(lines) == 257
 
+    def test_grid_point_count_must_be_an_integer(self, tmp_path):
+        out = tmp_path / "x"
+        assert run_cli([
+            "wk", "--probe", "gaussian:sigma=1", "--ruler", "ideal",
+            "--grid", "gmin=-10,gmax=10,n=256.9", "--out", str(out),
+        ]) == 2
+        assert not (out / "probe_state.csv").exists()
+
     def test_too_narrow_grid_is_domain_error(self, tmp_path):
         code = run_cli([
             "wk", "--probe", "gaussian:sigma=2", "--ruler", "ideal",
@@ -86,11 +94,18 @@ class TestWkProbeSpec:
         assert len((out / "probe_state.csv").read_text().splitlines()) == 1 + 201
 
     def test_sg_nmax_too_short_for_xi_is_domain_error(self, tmp_path):
-        # n_max=50 (floored to 64 points) leaves tail mass 1e-6 at xi=0.9
+        # n_max=50 is below the sg grid floor of 64: InvalidGrid, not raised to 64
         assert run_cli([
             "wk", "--probe", "sg:xi=0.9,nmax=50", "--ruler", "ideal",
             "--out", str(tmp_path / "x"),
         ]) == 3
+
+    def test_sg_nmax_below_the_floor_is_domain_error(self, tmp_path):
+        out = tmp_path / "x"
+        assert run_cli([
+            "wk", "--probe", "sg:xi=0.5,nmax=5", "--ruler", "ideal", "--out", str(out),
+        ]) == 3
+        assert not (out / "probe_state.csv").exists()
 
     def test_sg_without_xi(self, tmp_path, capsys):
         assert run_cli([
@@ -160,6 +175,19 @@ class TestFisherCommand:
         payload = read_json(out / "fisher.json")
         assert payload["closed_form"]["fisher"] == pytest.approx(0.9, abs=1e-12)
         assert payload["agreement_rel"] < 1e-3
+
+    def test_symmetric_vacuum_has_zero_qfi(self, tmp_path):
+        # F = F_Q = 0: no ratio to the quantum bound, no relative agreement
+        out = tmp_path / "fvac"
+        assert run_cli([
+            "fisher", "--scenario", "phase-cs", "--vxs", "0.5", "--vxm", "0.5",
+            "--out", str(out),
+        ]) == 0
+        payload = read_json(out / "fisher.json")
+        assert payload["qfi"] == 0.0
+        assert payload["numerical"]["fisher"] == 0.0
+        assert payload["closed_form"]["fisher"] == 0.0
+        assert payload["agreement_rel"] is None
 
 
 class TestScenarioCommand:

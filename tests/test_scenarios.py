@@ -7,6 +7,7 @@ from test_coherence import trace_coherence
 
 from qruler.coherence import (
     CoherenceFunction,
+    _finalize_density,
     coherence_function,
     coherence_time,
     signal_uncertainty,
@@ -15,6 +16,7 @@ from qruler.coherence import (
 )
 from qruler.errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
 from qruler.fisher import fisher_from_family
+from qruler.grids import GeneratorGrid, GeneratorKind
 from qruler.ruler import make_ideal_ruler
 from qruler.scenarios import (
     CoherentSqueezedScenario,
@@ -37,6 +39,41 @@ from qruler.scenarios import (
 from qruler.states import SGProbeSpec, make_sg_probe
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def window_fourier_overlap(values, axis, spacing, window_sigma, centers, freqs):
+    """Oracle: the joint overlap with its window and phases rebuilt per call.
+
+    O[c, f] = N_w * sum_x e^{-(x - center_c)^2/(4 sw^2)} values(x) e^{i x freq_f} dx
+    with N_w = (window_sigma * sqrt(2*pi))^{-1/2}.
+    """
+    window = np.exp(-((axis[None, :] - centers[:, None]) ** 2) / (4.0 * window_sigma**2))
+    phases = np.exp(1j * np.outer(axis, freqs))
+    overlap = (window * values[None, :]) @ phases
+    overlap *= spacing / math.sqrt(window_sigma * math.sqrt(2.0 * math.pi))
+    return overlap
+
+
+def nonlinear_oracle(sc, run, lam, m_grid, k_grid):
+    """Momentum-space projection of e^{-i lam p^2} psi0: windows centered at -k."""
+    grid = run.probe.grid
+    psi = run.probe.amplitudes * np.exp(-1j * lam * grid.points**2)
+    overlap = window_fourier_overlap(
+        psi, grid.points, grid.spacing, 1.0 / (2.0 * math.sqrt(sc.vx_m)), -k_grid, m_grid
+    )
+    return _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
+
+
+def coherent_squeezed_oracle(sc, lam, m_grid, k_grid):
+    """Position-space projection of the rotated Gaussian: windows centered at m."""
+    sig_max = math.sqrt(max(sc.vx_s, 1.0 / (4.0 * sc.vx_s)))
+    half = 8.0 * sig_max + math.hypot(sc.x0, sc.p0)
+    grid = GeneratorGrid(-half, half, sc.n_points, GeneratorKind.N)
+    psi = rotate_gaussian(sc.vx_s, sc.x0, sc.p0, lam, grid.points)
+    overlap = window_fourier_overlap(
+        psi, grid.points, grid.spacing, math.sqrt(sc.vx_m), m_grid, k_grid
+    )
+    return _finalize_density(m_grid, np.abs(overlap) ** 2 / (2.0 * np.pi), k_grid=k_grid)
 
 
 class TestLinear:
@@ -243,6 +280,31 @@ class TestCoherentSqueezed:
         for lam in (0.0, 0.4, 1.3, math.pi):
             psi = rotate_gaussian(0.2, 1.0, -0.7, lam, x)
             assert np.trapezoid(np.abs(psi) ** 2, x) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestJointReadout:
+    """The once-built (m, k) readout is bit-identical to the per-call overlap."""
+
+    def test_nonlinear_matches_oracle(self):
+        sc = NonlinearScenario(vx_s=0.3, vx_m=0.5, x0=0.2, p0=0.6, lambda_pad=0.3)
+        run = run_nonlinear(sc)
+        for lam in (0.0, run.default_step, -run.default_step, 0.25):
+            dist = run.family(lam)
+            ref = nonlinear_oracle(sc, run, lam, dist.mu_grid, dist.k_grid)
+            assert np.array_equal(dist.density, ref.density)
+
+    def test_coherent_squeezed_matches_oracle(self):
+        sc = CoherentSqueezedScenario(vx_s=0.2, vx_m=0.5, x0=1.0, p0=0.5)
+        run = run_phase_coherent_squeezed(sc)
+        for lam in (0.0, run.default_step, -run.default_step, 0.7):
+            dist = run.family(lam)
+            ref = coherent_squeezed_oracle(sc, lam, dist.mu_grid, dist.k_grid)
+            assert np.array_equal(dist.density, ref.density)
+
+    def test_qfi_comes_from_the_closed_form(self):
+        run = run_phase_coherent_squeezed(CoherentSqueezedScenario(vx_s=0.2, vx_m=0.5, x0=1.0))
+        assert run.qfi == run.closed_form.qfi == pytest.approx(2 * (0.2**2 + 1.25**2) - 1 + 0.8)
+        assert run.closed_form.fisher <= run.qfi
 
 
 class TestPhaseDistribution:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qruler.errors import GridTooNarrow, NonPositiveSigma, XiOutOfDisc
+from qruler.errors import GridTooNarrow, InvalidGrid, NonPositiveSigma, XiOutOfDisc
 from qruler.grids import GeneratorGrid, grid_for_gaussian
 from qruler.states import (
+    SG_MIN_NMAX,
     GaussianProbeSpec,
     SGProbeSpec,
     make_gaussian_probe,
@@ -84,6 +85,13 @@ class TestSGProbe:
             brute += 1
         assert sg_n_max(0.99) == brute == 1375
 
+    def test_explicit_nmax_below_the_floor_is_refused(self):
+        with pytest.raises(InvalidGrid):
+            make_sg_probe(SGProbeSpec(xi=0.5, n_max=SG_MIN_NMAX - 1))
+        assert make_sg_probe(SGProbeSpec(xi=0.5, n_max=SG_MIN_NMAX)).grid.n_points == 65
+        # the automatic truncation (20 at xi=0.5) keeps its floor
+        assert make_sg_probe(SGProbeSpec(xi=0.5)).grid.n_points == 65
+
     def test_xi_out_of_disc(self):
         with pytest.raises(XiOutOfDisc):
             SGProbeSpec(xi=1.0)
@@ -96,7 +104,7 @@ class TestSGProbe:
         z = xi * complex(math.cos(phase), math.sin(phase))
         # the default 1e-12 tail rule leaves ~1e-8 variance error near
         # |xi| = 1; moment checks at 1e-9 need a deeper truncation
-        probe = make_sg_probe(SGProbeSpec(xi=z, n_max=sg_n_max(z, tail=1e-18)))
+        probe = make_sg_probe(SGProbeSpec(xi=z, n_max=max(sg_n_max(z, tail=1e-18), SG_MIN_NMAX)))
         x = abs(z) ** 2
         assert abs(probe.norm - 1.0) < 1e-10
         assert probe.moment(1) == pytest.approx(x / (1 - x), abs=1e-9)
