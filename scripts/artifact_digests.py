@@ -4,16 +4,22 @@
 Runs, through ``qruler.cli.main``, every ``qruler`` line of the README
 (the full acceptance suite included) plus ``fisher`` and ``scenario`` for
 each of the five scenario kinds, each into its own directory under a
-temporary working directory, and prints one ``example/file sha256`` line
-per artifact, sorted.  Output directories are relative, so manifests do
-not depend on where the run happens.  Exits 1 if any example fails.
+working directory, and prints one ``example/file sha256`` line per
+artifact, sorted.  The working directory is temporary unless ``--keep
+DIR`` names one, which then holds the artifacts afterwards.  Output
+directories are relative, so manifests do not depend on where the run
+happens.  Exits 1 if any example fails.
 
     PYTHONPATH=src python3 scripts/artifact_digests.py > digests.txt
+    PYTHONPATH=src python3 scripts/artifact_digests.py --keep /tmp/new > digests.txt
 
 Run it once per checkout (the README examples are this checkout's) and
 ``diff`` the two outputs: a behaviour-preserving change prints nothing.
+When digests differ, ``scripts/artifact_diff.py OLD NEW`` on two kept
+directories says by how much.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -66,21 +72,34 @@ def digests(workdir: str, name: str) -> list[str]:
     return lines
 
 
-def main() -> int:
+def run_examples(workdir: str) -> tuple[list[str], list[str]]:
+    """Run every example into ``workdir``; return digest lines and failures."""
     lines, failed = [], []
     home = os.getcwd()
-    with tempfile.TemporaryDirectory() as workdir:
-        os.chdir(workdir)
-        try:
-            for name, argv in readme_examples() + scenario_examples():
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = qruler_main(argv + ["--out", name])
-                if code != 0:
-                    failed.append(f"{name}: exit {code}")
-                if os.path.isdir(name):
-                    lines += digests(workdir, name)
-        finally:
-            os.chdir(home)
+    os.chdir(workdir)
+    try:
+        for name, argv in readme_examples() + scenario_examples():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = qruler_main(argv + ["--out", name])
+            if code != 0:
+                failed.append(f"{name}: exit {code}")
+            if os.path.isdir(name):
+                lines += digests(workdir, name)
+    finally:
+        os.chdir(home)
+    return lines, failed
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--keep", metavar="DIR", help="write the artifacts here and keep them")
+    args = ap.parse_args()
+    if args.keep is None:
+        with tempfile.TemporaryDirectory() as workdir:
+            lines, failed = run_examples(workdir)
+    else:
+        os.makedirs(args.keep, exist_ok=True)
+        lines, failed = run_examples(os.path.abspath(args.keep))
     print("\n".join(sorted(lines)))
     for reason in failed:
         print(reason, file=sys.stderr)

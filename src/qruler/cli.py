@@ -222,7 +222,8 @@ def _scenario_run(args, lambda_pad: float = 0.0):
 
 
 def _cmd_fisher(args):
-    run, params = _scenario_run(args)
+    # the stencil reaches lambda = +/- 2*step
+    run, params = _scenario_run(args, 0.0 if args.step is None else 2.0 * args.step)
     step = args.step if args.step is not None else run.default_step
     numerical = fisher_from_family(run.family, 0.0, step, qfi=run.qfi)
     closed = run.closed_form

@@ -70,6 +70,29 @@ class CoherenceFunction:
             self.gamma0,
         )
 
+    def padded(self) -> "CoherenceFunction":
+        """The same Gamma zero-padded to the smallest fast odd length M' >= M.
+
+        Gamma vanishes beyond the sampled lags, so the padding is exact: the
+        transform samples the same trigonometric polynomial on a finer
+        outcome grid over the same range pi/dtau, with the same
+        normalization and Parseval sums.  M' is odd, so tau = 0 stays the
+        centre, and a fixed point of ``scipy.fft.next_fast_len``, so the
+        transform never falls back to Bluestein's algorithm.  The original
+        lags and values are kept as they are; the grid grows by whole
+        steps at both ends.
+        """
+        size = len(self.values)
+        while (size := scipy.fft.next_fast_len(size)) % 2 == 0:
+            size += 1
+        pad = (size - len(self.values)) // 2
+        step = self.spacing * np.arange(1, pad + 1)
+        tau = np.concatenate([self.tau_grid[0] - step[::-1], self.tau_grid, self.tau_grid[-1] + step])
+        vals = np.pad(self.values, pad)
+        tau.flags.writeable = False
+        vals.flags.writeable = False
+        return CoherenceFunction(tau, vals, self.gamma0)
+
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:

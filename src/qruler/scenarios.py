@@ -14,11 +14,12 @@ Each ``run_*`` takes a frozen spec dataclass and returns a
 distribution on a fixed grid, ready for the finite-difference Fisher
 machinery.  The ruler's POVM does not depend on the signal, so each run
 builds its measurement once and the signal acts on the state only: the
-1-D runs build the coherence function Gamma once and shift it, the joint
-runs build the (m, k) projections once and apply them to the evolved
-state.  ``SCENARIOS`` names the five runnable kinds and, for each,
-its spec, its runner and the spec fields a caller may set; the command
-line derives its flags, required values and reported parameters from it.
+1-D runs build the coherence function Gamma once, zero-padded to a fast
+transform length, and shift it; the joint runs build the (m, k)
+projections once and apply them to the evolved state.  ``SCENARIOS``
+names the five runnable kinds and, for each, its spec, its runner and the
+spec fields a caller may set; the command line derives its flags, required
+values and reported parameters from it.
 """
 
 from __future__ import annotations
@@ -76,7 +77,15 @@ def _default_step(crb: float | None) -> float:
 def _shift_run(
     scenario: str, gamma: CoherenceFunction, probe: PureProbe, closed: FisherReport, step: float
 ) -> ScenarioRun:
-    """A 1-D run: Gamma is built once and a signal value only shifts it."""
+    """A 1-D run: Gamma is built once and a signal value only shifts it.
+
+    Gamma is zero-padded once to a fast odd length
+    (``CoherenceFunction.padded``), so every family call transforms on
+    that length: its outcome grid is the exact dual of the padded Gamma, a
+    finer sampling of the same p(mu) over the same range.  The run's
+    ``gamma`` is the padded Gamma.
+    """
+    gamma = gamma.padded()
 
     def family(lam: float) -> OutcomeDistribution:
         return statistics_from_coherence(gamma.shifted(lam))
@@ -200,19 +209,20 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
 
     Gamma is the generic route with the ideal ruler's flat symbol; the
     transform is a Fourier series over integer tau, and outcomes are the
-    M = 2*n_max + 1 phases phi_k = 2*pi*k/M on (-pi, pi).
+    M' phases phi_k = 2*pi*k/M' on (-pi, pi), M' >= 2*n_max + 1 the
+    padded length of ``_shift_run``.
     """
     probe = make_sg_probe(SGProbeSpec(xi=sc.xi, n_max=sc.n_max))
     var = sg_fisher_variance(sc.xi)
     fisher = 0.0 if math.isinf(var) else 1.0 / var
-    qfi = 2.0 * fisher if fisher > 0 else None  # QFI = 4 Var(N) = 2 F here
+    qfi = 2.0 * fisher  # QFI = 4 Var(N) = 2 F here, 0 for the vacuum
     closed = FisherReport(
         fisher=fisher,
         crb=var,
         method="closed_form",
         scenario="phase_sg",
         qfi=qfi,
-        ratio_to_qfi=None if qfi is None else fisher / qfi,
+        ratio_to_qfi=fisher / qfi if qfi else None,
     )
     step = _default_step(min(var, sg_wk_variance(sc.xi)) if math.isfinite(var) else None)
     gamma = coherence_function(probe, make_ideal_ruler(probe.grid))

@@ -125,6 +125,14 @@ class TestWkProbeSpec:
             "--grid", "gmin=0,gmax=100,n=101", "--out", str(tmp_path / "x"),
         ]) == 2
 
+    @pytest.mark.parametrize("probe, n", [("gaussian:sigma=1", 512), ("sg:xi=0.9", 133)])
+    def test_statistics_on_the_exact_dual_grid(self, tmp_path, probe, n):
+        # wk transforms Gamma on its own 2n-1 lags, without the shift runs' padding
+        out = tmp_path / "dual"
+        assert run_cli(["wk", "--probe", probe, "--ruler", "ideal", "--out", str(out)]) == 0
+        assert len((out / "probe_state.csv").read_text().splitlines()) == 1 + n
+        assert len((out / "statistics.csv").read_text().splitlines()) == 1 + 2 * n - 1
+
     def test_sg_under_gaussian_phase_blur(self, tmp_path):
         out = tmp_path / "blur"
         assert run_cli([
@@ -187,6 +195,33 @@ class TestFisherCommand:
         assert payload["qfi"] == 0.0
         assert payload["numerical"]["fisher"] == 0.0
         assert payload["closed_form"]["fisher"] == 0.0
+        assert payload["agreement_rel"] is None
+
+    def test_nonlinear_step_widens_the_sized_range(self, tmp_path):
+        # the stencil reaches 2*step = 0.06, beyond the default lambda_pad 0.05
+        out = tmp_path / "fnl"
+        assert run_cli([
+            "fisher", "--scenario", "nonlinear", "--vxs", "0.25", "--vxm", "0.25",
+            "--step", "0.03", "--out", str(out),
+        ]) == 0
+        payload = read_json(out / "fisher.json")
+        assert payload["step"] == 0.03
+        assert payload["numerical"]["fisher"] == pytest.approx(4.0, rel=1e-6)
+
+    def test_nonlinear_step_too_large_fails_richardson(self, tmp_path, capsys):
+        assert run_cli([
+            "fisher", "--scenario", "nonlinear", "--vxs", "0.25", "--vxm", "0.25",
+            "--step", "0.2", "--out", str(tmp_path / "fbig"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "Richardson residual" in err and "sized range" not in err
+
+    def test_sg_vacuum_has_zero_qfi(self, tmp_path):
+        out = tmp_path / "fsg0"
+        assert run_cli(["fisher", "--scenario", "sg", "--xi", "0", "--out", str(out)]) == 0
+        payload = read_json(out / "fisher.json")
+        assert payload["qfi"] == 0.0
+        assert payload["numerical"]["fisher"] == 0.0
         assert payload["agreement_rel"] is None
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -112,6 +113,49 @@ class TestCoherenceFunction:
             tracemalloc.stop()
         assert len(gamma.values) == 2 * grid.n_points - 1
         assert peak < 50e6
+
+
+class TestPadded:
+    """Zero-padding Gamma to the smallest fast odd transform length."""
+
+    @pytest.mark.parametrize("n", [64, 65, 133, 512, 1024, 13810])
+    def test_length_is_the_smallest_fast_odd_one(self, n):
+        tau = np.arange(-(n - 1), n) * 1.0
+        vals = np.zeros(2 * n - 1, complex)
+        vals[n - 1] = FLAT_DIAGONAL
+        size = len(CoherenceFunction(tau, vals, FLAT_DIAGONAL).padded().values)
+        assert size % 2 == 1 and size >= 2 * n - 1
+        assert scipy.fft.next_fast_len(size) == size
+        assert all(scipy.fft.next_fast_len(m) != m for m in range(2 * n - 1, size, 2))
+
+    @pytest.mark.parametrize("n", [100, 512])
+    def test_zeros_outside_the_original_lags(self, n):
+        grid = grid_for_gaussian(0.3, 1.1, n)
+        probe = make_gaussian_probe(GaussianProbeSpec(0.3, 1.1, 0.7), grid)
+        gamma = coherence_function(probe, make_gaussian_ruler(0.4, grid))
+        padded = gamma.padded()
+        m, size = len(gamma.values), len(padded.values)
+        assert size > m
+        pad = (size - m) // 2
+        assert np.array_equal(padded.values[pad:pad + m], gamma.values)
+        assert np.array_equal(padded.tau_grid[pad:pad + m], gamma.tau_grid)
+        assert not np.any(padded.values[:pad]) and not np.any(padded.values[pad + m:])
+        assert np.array_equal(padded.tau_grid, -padded.tau_grid[::-1])
+        np.testing.assert_allclose(np.diff(padded.tau_grid), grid.spacing, rtol=1e-12)
+        assert padded.gamma0 == gamma.gamma0
+        assert not padded.values.flags.writeable and not padded.tau_grid.flags.writeable
+
+    def test_same_density_on_a_finer_grid(self, unit_probe, half_ruler):
+        # the padded transform samples the same trigonometric polynomial
+        gamma = coherence_function(unit_probe, half_ruler)
+        p, q = statistics_from_coherence(gamma), statistics_from_coherence(gamma.padded())
+        assert len(q.mu_grid) > len(p.mu_grid)
+        assert q.mu_grid[-1] == pytest.approx(p.mu_grid[-1], rel=2.0 / len(p.mu_grid))
+        assert q.density[len(q.mu_grid) // 2] == pytest.approx(
+            p.density[len(p.mu_grid) // 2], rel=1e-12
+        )
+        assert signal_uncertainty(q) == pytest.approx(signal_uncertainty(p), rel=1e-12)
+        assert coherence_time(gamma.padded()) == pytest.approx(coherence_time(gamma), rel=1e-12)
 
 
 class TestStatisticsFromCoherence:

@@ -17,7 +17,7 @@ from qruler.coherence import (
 from qruler.errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
 from qruler.fisher import fisher_from_family
 from qruler.grids import GeneratorGrid, GeneratorKind
-from qruler.ruler import make_ideal_ruler
+from qruler.ruler import make_gaussian_ruler, make_ideal_ruler
 from qruler.scenarios import (
     CoherentSqueezedScenario,
     LinearScenario,
@@ -174,6 +174,14 @@ class TestSG:
         rep = fisher_from_family(run.family, 0.0, 1e-3)
         assert rep.fisher == pytest.approx(0.0, abs=1e-10)
 
+    def test_vacuum_qfi_is_zero(self):
+        # 4 Var(N) of the vacuum is 0; no ratio to a zero bound
+        run = run_phase_sg(SGScenario(xi=0.0))
+        assert run.qfi == 0.0
+        assert run.closed_form.ratio_to_qfi is None
+        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+        assert rep.fisher == 0.0 and rep.ratio_to_qfi is None
+
     def test_width_ratio_approaches_half_pi(self):
         deviations = []
         for xi in (0.5, 0.9, 0.99):
@@ -210,6 +218,62 @@ class TestSG:
             tracemalloc.stop()
         assert run.probe.grid.n_points == 13810
         assert peak < 50e6
+
+
+def direct_shift_density(gamma, lam, mu):
+    """Oracle: p(mu|lambda) = sum_tau Gamma(tau) e^{i tau (lambda - mu)} dtau, normalized.
+
+    Sums over the unpadded lags, O(len(mu) * 2n) work; the family divides
+    by its numerical norm, and so does the oracle.
+    """
+    raw = np.exp(1j * (lam - mu[:, None]) * gamma.tau_grid[None, :]) @ gamma.values
+    dens = raw.real * gamma.spacing
+    return dens / (np.sum(dens) * (mu[1] - mu[0]))
+
+
+SHIFT_RUNS = {
+    "linear": (lambda: run_linear(LinearScenario(0.5, 0.5, x0=0.3, n_points=64)),
+               lambda grid: make_gaussian_ruler(0.5, grid)),
+    "linear-ideal": (lambda: run_linear(LinearScenario(0.5, 0.0, n_points=100)),
+                     make_ideal_ruler),
+    "phase": (lambda: run_phase_gaussian(PhaseGaussianScenario(100.0, 5.0, 0.1, n_points=128)),
+              lambda grid: make_gaussian_ruler(0.1, grid)),
+    "sg-0.5": (lambda: run_phase_sg(SGScenario(xi=0.5)), make_ideal_ruler),
+    "sg-0.9": (lambda: run_phase_sg(SGScenario(xi=0.9)), make_ideal_ruler),
+}
+
+
+class TestShiftRunPadding:
+    """1-D runs transform Gamma zero-padded to a fast odd length."""
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_RUNS))
+    def test_family_matches_direct_sum(self, name):
+        build, ruler = SHIFT_RUNS[name]
+        run = build()
+        gamma = coherence_function(run.probe, ruler(run.probe.grid))  # unpadded
+        assert np.array_equal(run.gamma.values, gamma.padded().values)
+        assert np.array_equal(run.gamma.tau_grid, gamma.padded().tau_grid)
+        for lam in (0.0, 0.37, -1.1):
+            p = run.family(lam)
+            assert len(p.mu_grid) == len(run.gamma.values) > len(gamma.values)
+            # measured <= 2.6e-14 on densities up to 3
+            np.testing.assert_allclose(
+                p.density, direct_shift_density(gamma, lam, p.mu_grid), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("lam0", [0.0, 0.4])
+    def test_deep_sg_fisher_matches_unpadded_route(self, lam0):
+        run = run_phase_sg(SGScenario(xi=0.999))
+        assert len(run.gamma.values) == 27783  # 3^4 * 7^3; unpadded 27,619 = 71 * 389
+        gamma = coherence_function(run.probe, make_ideal_ruler(run.probe.grid))
+        assert len(gamma.values) == 27619
+        padded = fisher_from_family(run.family, lam0, run.default_step).fisher
+        unpadded = fisher_from_family(
+            lambda lam: statistics_from_coherence(gamma.shifted(lam)), lam0, run.default_step
+        ).fisher
+        # measured gap 6.0e-11 (lambda0 = 0) and 1.3e-11 (lambda0 = 0.4)
+        assert padded == pytest.approx(unpadded, rel=1e-9)
+        assert padded == pytest.approx(1.0 / sg_fisher_variance(0.999), rel=1e-8)
 
 
 class TestNonlinear:
