@@ -2,8 +2,9 @@
 """Print a sha256 digest of every CLI artifact, to compare two commits.
 
 Runs, through ``qruler.cli.main``, every ``qruler`` line of the README
-(the full acceptance suite included) plus ``fisher`` and ``scenario`` for
-each of the five scenario kinds, each into its own directory under a
+(the full acceptance suite included), ``fisher`` and ``scenario`` for
+each of the five scenario kinds, and ``wk`` and ``validate-ruler`` on an
+explicit ``--grid``, each into its own directory under a
 working directory, and prints one ``example/file sha256`` line per
 artifact, sorted.  The working directory is temporary unless ``--keep
 DIR`` names one, which then holds the artifacts afterwards.  Output
@@ -44,6 +45,11 @@ SCENARIO_EXAMPLES = {
 }
 LAMBDAS = {"linear": "0,0.5", "phase": "0,0.05", "sg": "0,1", "nonlinear": "0,0.02",
            "phase-cs": "0,0.3"}
+# user-built grids, which no README example passes
+GRID_EXAMPLES = {
+    "grid-wk": "wk --probe gaussian:sigma=1 --ruler ideal --grid gmin=-10,gmax=10,n=300",
+    "grid-validate-ruler": "validate-ruler --ruler ideal --grid gmin=-4,gmax=4,n=128",
+}
 
 
 def readme_examples() -> list[tuple[str, list[str]]]:
@@ -60,7 +66,7 @@ def scenario_examples() -> list[tuple[str, list[str]]]:
         base = ["--scenario", kind, *flags.split()]
         examples.append((f"fisher-{kind}", ["fisher", *base]))
         examples.append((f"scenario-{kind}", ["scenario", *base, "--lambdas", LAMBDAS[kind]]))
-    return examples
+    return examples + [(name, argv.split()) for name, argv in GRID_EXAMPLES.items()]
 
 
 def digests(workdir: str, name: str) -> list[str]:

@@ -9,7 +9,6 @@ resolution under a fixed coherence budget.
 
 from .budget import (
     BudgetSweep,
-    CoherenceBudget,
     LinearOptimum,
     NonlinearOptimum,
     golden_section,
@@ -53,7 +52,7 @@ from .fisher import (
     fisher_from_family,
     qfi_pure,
 )
-from .grids import GeneratorGrid, GeneratorKind, grid_for_gaussian, integer_grid
+from .grids import GeneratorGrid, grid_for_gaussian, integer_grid
 from .ruler import (
     RulerSeed,
     ValidationReport,
@@ -73,7 +72,6 @@ from .scenarios import (
     SGScenario,
     gaussian_number_qfi,
     phase_distribution_ws,
-    rotate_by_propagator,
     rotate_gaussian,
     run_linear,
     run_nonlinear,

@@ -23,26 +23,6 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SPLIT_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class CoherenceBudget:
-    total: float  # C, units of inverse variance
-    split: float  # s in (0, 1), probe share
-
-    def __post_init__(self):
-        if not self.total > 0:
-            raise NonPositiveBudget(f"budget must be > 0, got {self.total}")
-        if not 0.0 < self.split < 1.0:
-            raise NonPositiveBudget(f"split must be in (0, 1), got {self.split}")
-
-    @property
-    def probe_variance(self) -> float:
-        return 1.0 / (self.split * self.total)
-
-    @property
-    def ruler_variance(self) -> float:
-        return 1.0 / ((1.0 - self.split) * self.total)
-
-
 def golden_section(
     f: Callable[[float], float],
     a: float,
@@ -157,8 +137,6 @@ def optimize_nonlinear(c: float) -> NonlinearOptimum:
 
 @dataclass(frozen=True, eq=False)
 class BudgetSweep:
-    objective: str
-    budget: float
     splits: np.ndarray
     values: np.ndarray
     optimum_index: int  # argmin for linear, argmax otherwise
@@ -199,6 +177,4 @@ def sweep_budget(
     idx = int(np.argmin(values) if objective == "linear" else np.argmax(values))
     splits.flags.writeable = False
     values.flags.writeable = False
-    return BudgetSweep(
-        objective=objective, budget=c, splits=splits, values=values, optimum_index=idx
-    )
+    return BudgetSweep(splits=splits, values=values, optimum_index=idx)

@@ -33,7 +33,7 @@ from .errors import (
     NormalizationFailure,
     NotShiftInvariant,
 )
-from .ruler import FLAT_DIAGONAL, RulerSeed
+from .ruler import FLAT_DIAGONAL, RulerSeed, make_ideal_ruler
 from .states import PureProbe
 
 GAMMA0_TOL = 1e-8
@@ -49,7 +49,18 @@ class CoherenceFunction:
 
     tau_grid: np.ndarray
     values: np.ndarray
-    gamma0: float  # Gamma(0); 1/(2*pi) for detection-process functions
+
+    def __post_init__(self):
+        if len(self.values) % 2 != 1 or len(self.tau_grid) != len(self.values):
+            raise ValueError(
+                f"need an odd number of lags with one value each, got "
+                f"{len(self.tau_grid)} lags and {len(self.values)} values"
+            )
+
+    @property
+    def gamma0(self) -> float:
+        """Re Gamma(0), the middle lag; 1/(2*pi) for detection-process functions."""
+        return float(self.values[len(self.values) // 2].real)
 
     @property
     def spacing(self) -> float:
@@ -65,10 +76,7 @@ class CoherenceFunction:
         A signal shift lambda multiplies Gamma(tau) by exp(i tau lambda),
         translating p(mu) to p(mu - lambda).  Both invariants survive.
         """
-        return CoherenceFunction(
-            self.tau_grid, self.values * np.exp(1j * self.tau_grid * delta),
-            self.gamma0,
-        )
+        return CoherenceFunction(self.tau_grid, self.values * np.exp(1j * self.tau_grid * delta))
 
     def padded(self) -> "CoherenceFunction":
         """The same Gamma zero-padded to the smallest fast odd length M' >= M.
@@ -91,7 +99,7 @@ class CoherenceFunction:
         vals = np.pad(self.values, pad)
         tau.flags.writeable = False
         vals.flags.writeable = False
-        return CoherenceFunction(tau, vals, self.gamma0)
+        return CoherenceFunction(tau, vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +140,9 @@ class OutcomeDistribution:
         )
 
 
-def _check_coherence(values: np.ndarray, gamma0_expected: float | None) -> float:
-    n = len(values)
-    if n % 2 != 1:
-        raise ValueError("tau grid must be symmetric with odd length")
-    g0 = values[n // 2]
+def _check_coherence(gamma: CoherenceFunction, gamma0_expected: float | None) -> None:
+    values = gamma.values
+    g0 = values[len(values) // 2]
     if abs(g0.imag) > GAMMA0_TOL:
         raise NormalizationFailure(f"Gamma(0) has imaginary part {g0.imag:.3e}")
     if gamma0_expected is not None and abs(g0.real - gamma0_expected) > GAMMA0_TOL:
@@ -146,7 +152,6 @@ def _check_coherence(values: np.ndarray, gamma0_expected: float | None) -> float
     sym = float(np.max(np.abs(np.conj(values) - values[::-1])))
     if sym > SYMMETRY_TOL:
         raise NormalizationFailure(f"Gamma lacks Hermitian symmetry: {sym:.3e}")
-    return float(g0.real)
 
 
 def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
@@ -167,9 +172,10 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
     corr = scipy.fft.ifft(spec * np.conj(spec))  # corr[t] = sum_g psi(g+t) conj(psi(g))
     lags = np.concatenate([corr[size - n + 1:], corr[:n]])  # lag j at index j + n - 1
     vals = ruler.symbol * lags[::-1] * probe.grid.spacing  # Gamma(tau) reads corr at -tau
-    gamma0 = _check_coherence(vals, FLAT_DIAGONAL)
     vals.flags.writeable = False
-    return CoherenceFunction(probe.grid.tau_grid, vals, gamma0)
+    gamma = CoherenceFunction(probe.grid.tau_grid, vals)
+    _check_coherence(gamma, FLAT_DIAGONAL)
+    return gamma
 
 
 def _finalize_density(mu: np.ndarray, raw: np.ndarray, k_grid=None) -> OutcomeDistribution:
@@ -184,18 +190,15 @@ def _finalize_density(mu: np.ndarray, raw: np.ndarray, k_grid=None) -> OutcomeDi
             f"density negative beyond tolerance: min p = {np.min(dens):.3e}"
         )
     np.clip(dens, 0.0, None, out=dens)
-    if k_grid is None:
-        cell = float(mu[1] - mu[0])
-    else:
-        cell = float(mu[1] - mu[0]) * float(k_grid[1] - k_grid[0])
-    norm = float(np.sum(dens) * cell)
+    dist = OutcomeDistribution(mu_grid=mu, density=dens, k_grid=k_grid)
+    norm = dist.total_mass()
     if abs(norm - 1.0) > NORM_HARD_TOL:
         raise NormalizationFailure(
             f"density norm {norm!r} deviates by more than {NORM_HARD_TOL}"
         )
     dens /= norm
     dens.flags.writeable = False
-    return OutcomeDistribution(mu_grid=mu, density=dens, k_grid=k_grid)
+    return dist
 
 
 def statistics_from_coherence(gamma: CoherenceFunction) -> OutcomeDistribution:
@@ -286,19 +289,16 @@ class GaussianModel:
         return self.ruler_sigma**2
 
     @property
-    def total_phi2(self) -> float:
+    def delta2_lambda(self) -> float:
+        """Squared signal uncertainty, the total conjugate variance phi_s2 + phi_m2."""
         return self.phi_s2 + self.phi_m2
 
     def gamma(self, tau: np.ndarray) -> np.ndarray:
-        return FLAT_DIAGONAL * np.exp(-0.5 * self.total_phi2 * np.asarray(tau) ** 2)
+        return FLAT_DIAGONAL * np.exp(-0.5 * self.delta2_lambda * np.asarray(tau) ** 2)
 
     @property
     def tau_c(self) -> float:
-        return math.sqrt(math.pi / self.total_phi2)
-
-    @property
-    def delta2_lambda(self) -> float:
-        return self.total_phi2
+        return math.sqrt(math.pi / self.delta2_lambda)
 
 
 def appendix_coherence(
@@ -313,50 +313,52 @@ def appendix_coherence(
                 the primed range keeping p^2 + tau >= 0.
 
     No ruler factor is included, so Gamma(0) = 1 rather than 1/(2*pi).
-    Values for tau < 0 are obtained from the Hermitian symmetry
-    Gamma(-tau) = conj(Gamma(tau)); for "G2" the raw negative-tau
-    integral would break that symmetry, which every coherence function
-    must satisfy.  Off-grid amplitudes come from a cubic spline of the
-    sampled probe, clamped to zero outside the grid.
+    Gamma1 is the probe autocorrelation: 2*pi times the coherence function
+    with the ideal ruler, on the grid lags, or spline-interpolated from
+    them (zero beyond them) when ``tau_grid`` is given.  Gamma2 is a
+    quadrature with off-grid amplitudes from a cubic spline of the sampled
+    probe, clamped to zero outside the grid.  Values for tau < 0 are
+    obtained from the Hermitian symmetry Gamma(-tau) = conj(Gamma(tau));
+    for "G2" the raw negative-tau integral would break that symmetry,
+    which every coherence function must satisfy.
     """
     if power not in ("G", "G2"):
         raise ValueError("power must be 'G' or 'G2'")
     grid = probe.grid
-    p = grid.points
-    sigma = math.sqrt(probe.variance())
-    if tau_grid is None:
-        if power == "G":
-            half = max(16.0 * sigma, 4.5 * sigma**2)
-        else:
-            half = max(40.0 * sigma**2, 16.0 * sigma)
-        n_half = 1024
-        tau_grid = np.linspace(-half, half, 2 * n_half + 1)
-    tau = np.asarray(tau_grid, dtype=float)
-    mid_tol = 1e-12 * max(float(tau[-1] - tau[0]), 1.0)
-    if len(tau) % 2 != 1 or abs(tau[len(tau) // 2]) > mid_tol:
-        raise ValueError("tau_grid must be symmetric around 0 with odd length")
-
-    re = CubicSpline(p, probe.amplitudes.real, extrapolate=False)
-    im = CubicSpline(p, probe.amplitudes.imag, extrapolate=False)
-
-    def psi_at(points: np.ndarray) -> np.ndarray:
-        out = re(points) + 1j * im(points)
-        return np.nan_to_num(out, nan=0.0)
-
-    half_tau = tau[len(tau) // 2 :]
     if power == "G":
-        shifted = psi_at(p[None, :] + half_tau[:, None])
-        vals_half = np.sum(probe.amplitudes[None, :] * np.conj(shifted), axis=1)
+        lags = coherence_function(probe, make_ideal_ruler(grid))
+        vals = 2.0 * np.pi * lags.values
+        vals.flags.writeable = False
+        gamma1 = CoherenceFunction(lags.tau_grid, vals)
+        if tau_grid is None:
+            return gamma1
+    elif tau_grid is None:
+        sigma = math.sqrt(probe.variance())
+        half = max(40.0 * sigma**2, 16.0 * sigma)
+        tau_grid = np.linspace(-half, half, 2049)
+    tau = np.asarray(tau_grid, dtype=float)
+    if abs(tau[len(tau) // 2]) > 1e-12 * max(float(tau[-1] - tau[0]), 1.0):
+        raise ValueError("tau_grid must be symmetric around 0")
+    half_tau = tau[len(tau) // 2 :]
+
+    def spline(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
+        re = CubicSpline(x, y.real, extrapolate=False)
+        im = CubicSpline(x, y.imag, extrapolate=False)
+        return np.nan_to_num(re(at) + 1j * im(at), nan=0.0)
+
+    if power == "G":
+        vals_half = spline(gamma1.tau_grid, gamma1.values, half_tau)
     else:
+        p = grid.points
         arg = p[None, :] ** 2 + half_tau[:, None]
         inside = arg >= 0.0
-        shifted = psi_at(np.sqrt(np.where(inside, arg, 0.0)))
+        shifted = spline(p, probe.amplitudes, np.sqrt(np.where(inside, arg, 0.0)))
         shifted[~inside] = 0.0
-        vals_half = np.sum(probe.amplitudes[None, :] * np.conj(shifted), axis=1)
-    vals_half *= grid.spacing
+        vals_half = np.sum(probe.amplitudes[None, :] * np.conj(shifted), axis=1) * grid.spacing
     vals = np.concatenate([np.conj(vals_half[:0:-1]), vals_half])
-    gamma0 = _check_coherence(vals, None)
     vals.flags.writeable = False
     tau = tau.copy()
     tau.flags.writeable = False
-    return CoherenceFunction(tau, vals, gamma0)
+    gamma = CoherenceFunction(tau, vals)
+    _check_coherence(gamma, None)
+    return gamma

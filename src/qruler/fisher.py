@@ -2,9 +2,11 @@
 
 The numerical route differentiates a lambda-parameterized family of
 outcome densities with a 4-point central-difference stencil plus
-Richardson extrapolation, then integrates (dp/dlambda)^2 / p.  Closed
-forms for the linear, phase, rotation and quadratic-generator scenarios
-are provided alongside for cross-checking.
+Richardson extrapolation, then integrates (dp/dlambda)^2 / p over the
+outcome grid each family member carries.  Closed forms for the linear,
+phase, rotation and quadratic-generator scenarios are provided alongside
+for cross-checking.  Every route returns a :class:`FisherReport`, which
+stores F and the quantum bound and derives the rest.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from .coherence import OutcomeDistribution
 from .errors import GridMismatch, NonPositiveSigma, StepTooLarge
-from .grids import GeneratorKind
 from .states import PureProbe
 
 DENSITY_FLOOR = 1e-12       # relative floor excluding 0/0 quadrature noise
@@ -27,29 +28,28 @@ QFI_SLACK = 1e-6            # numerical headroom on F <= F_Q
 
 @dataclass(frozen=True)
 class FisherReport:
+    """Fisher information F and, when known, the quantum bound F_Q >= F."""
+
     fisher: float
-    crb: float
-    method: str  # "numerical" or "closed_form"
-    scenario: str = ""
     qfi: float | None = None
-    ratio_to_qfi: float | None = None
 
     def __post_init__(self):
         if self.fisher < 0:
             raise ValueError(f"Fisher information must be >= 0, got {self.fisher}")
-        if self.fisher > 0 and abs(self.crb * self.fisher - 1.0) > 1e-12:
-            raise ValueError("crb must be the inverse of fisher")
         if self.qfi is not None and self.fisher > self.qfi * (1.0 + QFI_SLACK):
             raise ValueError(
                 f"Fisher {self.fisher} exceeds quantum bound {self.qfi}"
             )
 
+    @property
+    def crb(self) -> float:
+        """Cramér-Rao variance bound 1/F; infinite when F = 0."""
+        return math.inf if self.fisher == 0 else 1.0 / self.fisher
 
-def _report(fisher: float, method: str, scenario: str, qfi: float | None = None,
-            ratio: float | None = None) -> FisherReport:
-    crb = math.inf if fisher == 0 else 1.0 / fisher
-    return FisherReport(fisher=fisher, crb=crb, method=method,
-                        scenario=scenario, qfi=qfi, ratio_to_qfi=ratio)
+    @property
+    def ratio_to_qfi(self) -> float | None:
+        """F / F_Q, or None when the quantum bound is unknown or zero."""
+        return self.fisher / self.qfi if self.qfi else None
 
 
 def _quadrature(deriv: np.ndarray, p0: np.ndarray, cell: float) -> float:
@@ -61,7 +61,6 @@ def fisher_from_family(
     p_family: Callable[[float], OutcomeDistribution],
     lambda0: float,
     step: float,
-    scenario: str = "",
     qfi: float | None = None,
 ) -> FisherReport:
     """F = integral (d p/d lambda)^2 / p at lambda0, by finite differences.
@@ -93,19 +92,20 @@ def fisher_from_family(
         raise StepTooLarge(
             f"Richardson residual {residual:.3e} exceeds {RESIDUAL_GATE}"
         )
-    ratio = f_r / qfi if qfi else None
-    return _report(f_r, "numerical", scenario, qfi, ratio)
+    return FisherReport(f_r, qfi)
 
 
-def qfi_pure(probe: PureProbe, generator_kind: GeneratorKind) -> float:
+def qfi_pure(probe: PureProbe, power: str) -> float:
     """Quantum Fisher information 4*Var(G) of a pure probe.
 
     On a grid of generator eigenvalues g the operator acts by
-    multiplication: by g for P and N, by g**2 when the generator is the
-    square of the grid variable (P2).
+    multiplication: by g for power="G", by g**2 for power="G2", the
+    square of the grid variable.
     """
+    if power not in ("G", "G2"):
+        raise ValueError("power must be 'G' or 'G2'")
     g = probe.grid.points
-    op = g**2 if generator_kind == GeneratorKind.P2 else g
+    op = g**2 if power == "G2" else g
     w = np.abs(probe.amplitudes) ** 2 * probe.grid.spacing
     m1 = float(np.sum(op * w))
     m2 = float(np.sum(op**2 * w))
@@ -124,7 +124,7 @@ def closed_form_linear(dx_s: float, dx_m: float) -> FisherReport:
         raise NonPositiveSigma("dx_m must be >= 0")
     var = dx_s**2 + dx_m**2
     qfi = 1.0 / dx_s**2
-    return _report(1.0 / var, "closed_form", "linear", qfi, (1.0 / var) / qfi)
+    return FisherReport(1.0 / var, qfi)
 
 
 def closed_form_phase(dphi_s: float, dphi_m: float) -> FisherReport:
@@ -140,7 +140,7 @@ def closed_form_phase(dphi_s: float, dphi_m: float) -> FisherReport:
         raise NonPositiveSigma("dphi_m must be >= 0")
     var = dphi_s**2 + dphi_m**2
     qfi = 1.0 / dphi_s**2  # 4*Var(N) = 1/dphi_s^2
-    return _report(1.0 / var, "closed_form", "phase", qfi, (1.0 / var) / qfi)
+    return FisherReport(1.0 / var, qfi)
 
 
 def closed_form_fn(
@@ -160,7 +160,7 @@ def closed_form_fn(
     a = vx_s + vx_m
     b = vp_s + vp_m
     f = (vx_s - vp_s) ** 2 / (a * b) + x0**2 / b + p0**2 / a
-    return _report(f, "closed_form", "phase_rotation_joint")
+    return FisherReport(f)
 
 
 def closed_form_fp2(vx_s: float, vx_m: float, p0: float) -> FisherReport:
@@ -185,4 +185,4 @@ def closed_form_fp2(vx_s: float, vx_m: float, p0: float) -> FisherReport:
     f = (vx_m / vx_s) * f_p**2 + 4.0 * p0**2 * f_p
     vp_s = 1.0 / (4.0 * vx_s)
     qfi = 8.0 * vp_s**2 + 16.0 * p0**2 * vp_s  # 4*Var(P^2), Gaussian probe
-    return _report(f, "closed_form", "quadratic_joint", qfi, f / qfi)
+    return FisherReport(f, qfi)

@@ -1,16 +1,15 @@
-"""Uniform grids on the generator eigenvalue axis and their Fourier duals.
+"""Uniform grids on the generator eigenvalue axis and their offset axes.
 
 All densities in this package are sampled on a uniform grid of generator
-eigenvalues g.  Offset (tau) and outcome (mu) axes are derived from that
-grid so that the discrete transform between them is exactly unitary up to
-spacing factors: the tau grid is the grid of pairwise differences and the
-mu grid has spacing 2*pi/(M*dg) for the M = 2n-1 tau points.
+eigenvalues g.  The offset (tau) axis is the grid of pairwise differences
+g' - g.  The outcome (mu) axis is not a property of the grid: it is the
+exact Fourier dual of whatever tau axis a coherence function is sampled
+on, and ``coherence.statistics_from_coherence`` alone derives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -18,14 +17,9 @@ import numpy as np
 from .errors import InvalidGrid
 
 MIN_POINTS = 64  # resolution floor for quadrature accuracy
-
-
-class GeneratorKind(str, Enum):
-    """Which generator the grid axis discretizes."""
-
-    P = "P"    # momentum-like generator, linear shifts
-    N = "N"    # number operator on its continuum approximation
-    P2 = "P2"  # axis is still p, but the generator acts as p**2
+# Gaussian half-span in standard deviations: tail mass below 1e-14, which
+# keeps all quadratures in this package well under their test tolerances
+SPAN_SIGMAS = 8.0
 
 
 @dataclass(frozen=True)
@@ -33,7 +27,6 @@ class GeneratorGrid:
     g_min: float
     g_max: float
     n_points: int
-    kind: GeneratorKind = GeneratorKind.P
 
     def __post_init__(self):
         if self.n_points < MIN_POINTS:
@@ -63,41 +56,17 @@ class GeneratorGrid:
         tau.flags.writeable = False
         return tau
 
-    @cached_property
-    def mu_grid(self) -> np.ndarray:
-        """Outcome axis dual to ``tau_grid`` under the plain transform.
-
-        With M = 2n-1 tau points of spacing dg, mu spacing 2*pi/(M*dg)
-        makes sum_k exp(-i*tau_j*mu_k) = M*delta_j0 exactly, so the
-        discrete transform preserves normalization and Parseval sums.
-        """
-        m = 2 * self.n_points - 1
-        dmu = 2.0 * np.pi / (m * self.spacing)
-        mu = np.arange(-(self.n_points - 1), self.n_points) * dmu
-        mu.flags.writeable = False
-        return mu
-
     def covers(self, lo: float, hi: float) -> bool:
         slack = 1e-12 * (self.g_max - self.g_min)
         return self.g_min <= lo + slack and self.g_max >= hi - slack
 
 
-def grid_for_gaussian(
-    center: float,
-    sigma: float,
-    n_points: int = 512,
-    span_sigmas: float = 8.0,
-    kind: GeneratorKind = GeneratorKind.P,
-) -> GeneratorGrid:
-    """Grid covering ``center`` +/- ``span_sigmas`` standard deviations.
-
-    The 8-sigma default keeps Gaussian tail mass below 1e-14, which keeps
-    all quadratures in this package well under their test tolerances.
-    """
-    half = span_sigmas * sigma
-    return GeneratorGrid(center - half, center + half, n_points, kind)
+def grid_for_gaussian(center: float, sigma: float, n_points: int = 512) -> GeneratorGrid:
+    """Grid covering ``center`` +/- ``SPAN_SIGMAS`` standard deviations."""
+    half = SPAN_SIGMAS * sigma
+    return GeneratorGrid(center - half, center + half, n_points)
 
 
-def integer_grid(n_max: int, kind: GeneratorKind = GeneratorKind.N) -> GeneratorGrid:
+def integer_grid(n_max: int) -> GeneratorGrid:
     """Integer-spaced grid 0..n_max for discrete number-basis states."""
-    return GeneratorGrid(0.0, float(n_max), n_max + 1, kind)
+    return GeneratorGrid(0.0, float(n_max), n_max + 1)

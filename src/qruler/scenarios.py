@@ -25,7 +25,7 @@ values and reported parameters from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -39,11 +39,9 @@ from .coherence import (
 )
 from .errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
 from .fisher import FisherReport, closed_form_fn, closed_form_fp2, closed_form_linear, closed_form_phase
-from .grids import GeneratorGrid, GeneratorKind, grid_for_gaussian
+from .grids import SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
 from .ruler import make_gaussian_ruler, make_ideal_ruler
 from .states import GaussianProbeSpec, PureProbe, SGProbeSpec, make_gaussian_probe, make_sg_probe
-
-SPAN_SIGMAS = 8.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +117,7 @@ def run_linear(sc: LinearScenario) -> ScenarioRun:
     multiplies the coherence function by exp(i*tau*lambda).
     """
     sigma_p = 1.0 / (2.0 * sc.dx_s)
-    grid = grid_for_gaussian(sc.p0, sigma_p, sc.n_points, SPAN_SIGMAS, GeneratorKind.P)
+    grid = grid_for_gaussian(sc.p0, sigma_p, sc.n_points)
     # phase slope -x0 puts the outcome distribution's center at +x0
     probe = make_gaussian_probe(
         GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid
@@ -160,7 +158,7 @@ def run_phase_gaussian(sc: PhaseGaussianScenario) -> ScenarioRun:
             f"need n_mean >= 5*dn_s for the continuum approximation, "
             f"got n_mean={sc.n_mean}, dn_s={sc.dn_s}"
         )
-    grid = grid_for_gaussian(sc.n_mean, sc.dn_s, sc.n_points, SPAN_SIGMAS, GeneratorKind.N)
+    grid = grid_for_gaussian(sc.n_mean, sc.dn_s, sc.n_points)
     probe = make_gaussian_probe(GaussianProbeSpec(center=sc.n_mean, sigma=sc.dn_s), grid)
     ruler = (
         make_gaussian_ruler(sc.dphi_m, grid) if sc.dphi_m > 0 else make_ideal_ruler(grid)
@@ -216,14 +214,7 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
     var = sg_fisher_variance(sc.xi)
     fisher = 0.0 if math.isinf(var) else 1.0 / var
     qfi = 2.0 * fisher  # QFI = 4 Var(N) = 2 F here, 0 for the vacuum
-    closed = FisherReport(
-        fisher=fisher,
-        crb=var,
-        method="closed_form",
-        scenario="phase_sg",
-        qfi=qfi,
-        ratio_to_qfi=fisher / qfi if qfi else None,
-    )
+    closed = FisherReport(fisher, qfi)
     step = _default_step(min(var, sg_wk_variance(sc.xi)) if math.isfinite(var) else None)
     gamma = coherence_function(probe, make_ideal_ruler(probe.grid))
     return _shift_run("phase_sg", gamma, probe, closed, step)
@@ -302,7 +293,7 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     sigma_p = math.sqrt(vp_s)
     dx_m = math.sqrt(sc.vx_m)
     vp_m = 1.0 / (4.0 * sc.vx_m)
-    grid = grid_for_gaussian(sc.p0, sigma_p, sc.n_points, SPAN_SIGMAS, GeneratorKind.P2)
+    grid = grid_for_gaussian(sc.p0, sigma_p, sc.n_points)
     probe = make_gaussian_probe(
         GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid
     )
@@ -366,26 +357,6 @@ def rotate_gaussian(
     return psi
 
 
-def rotate_by_propagator(
-    psi0: np.ndarray, grid: GeneratorGrid, lam: float
-) -> np.ndarray:
-    """Grid-based rotation through the harmonic propagator, for cross-checks.
-
-    psi_lam(x) = integral dx' K(x, x') psi0(x') with the oscillator kernel
-    K = (2 pi i sin lam)^{-1/2} exp(i[(x^2+x'^2) cos lam - 2 x x']/(2 sin lam)).
-    Accurate for moderate angles; useless as sin(lam) -> 0 where the kernel
-    degenerates to a delta.  Result carries an arbitrary global phase.
-    """
-    s = math.sin(lam)
-    if abs(s) < 1e-3:
-        raise ValueError("propagator route degenerates for small angles")
-    x = grid.points
-    c = math.cos(lam)
-    kernel = np.exp(1j * ((x[:, None] ** 2 + x[None, :] ** 2) * c - 2.0 * np.outer(x, x)) / (2.0 * s))
-    kernel = kernel / np.sqrt(2.0j * np.pi * s)
-    return (kernel @ psi0) * grid.spacing
-
-
 def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     """Joint (m, k) statistics of a rotating Gaussian probe.
 
@@ -400,7 +371,7 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     sig_max = math.sqrt(max(sc.vx_s, vp_s))
     half_state = SPAN_SIGMAS * sig_max + radius
     n_pts = sc.n_points
-    grid = GeneratorGrid(-half_state, half_state, n_pts, GeneratorKind.N)
+    grid = GeneratorGrid(-half_state, half_state, n_pts)
     m_grid = _outcome_axis(0.0, SPAN_SIGMAS * math.sqrt(sig_max**2 + sc.vx_m) + radius, sc.m_points)
     k_grid = _outcome_axis(0.0, SPAN_SIGMAS * math.sqrt(sig_max**2 + vp_m) + radius, sc.k_points)
     readout = _joint_readout(grid, dx_m, m_grid, k_grid, momentum=False)
@@ -410,10 +381,8 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
         return readout(rotate_gaussian(sc.vx_s, sc.x0, sc.p0, lam, x_axis))
 
     # F_N <= 4 Var(N) term by term for pure Gaussians, so the report accepts it
-    closed = replace(
-        closed_form_fn(sc.vx_s, vp_s, sc.vx_m, vp_m, sc.x0, sc.p0),
-        qfi=gaussian_number_qfi(sc.vx_s, vp_s, sc.x0, sc.p0),
-    )
+    fisher = closed_form_fn(sc.vx_s, vp_s, sc.vx_m, vp_m, sc.x0, sc.p0).fisher
+    closed = FisherReport(fisher, gaussian_number_qfi(sc.vx_s, vp_s, sc.x0, sc.p0))
     step = _default_step(closed.crb)
     return ScenarioRun("phase_coherent_squeezed", family, closed, step)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooNarrow, InvalidGrid, NonPositiveSigma, XiOutOfDisc
-from .grids import GeneratorGrid, GeneratorKind, integer_grid
+from .grids import SPAN_SIGMAS, GeneratorGrid, integer_grid
 
 SG_TAIL_TOLERANCE = 1e-12
 SG_MIN_NMAX = 64  # grid resolution floor of the sg phase axis
@@ -74,13 +74,14 @@ class PureProbe:
 def make_gaussian_probe(spec: GaussianProbeSpec, grid: GeneratorGrid) -> PureProbe:
     """Sample psi(g) = (sigma*sqrt(2pi))^{-1/2} e^{-(g-g0)^2/(4 sigma^2)} e^{i k0 g}.
 
-    Requires the grid to cover center +/- 8 sigma; the result is
+    Requires the grid to cover center +/- ``SPAN_SIGMAS`` sigma; the result is
     renormalized on the grid so its density norm is exactly 1.
     """
-    if not grid.covers(spec.center - 8 * spec.sigma, spec.center + 8 * spec.sigma):
+    half = SPAN_SIGMAS * spec.sigma
+    if not grid.covers(spec.center - half, spec.center + half):
         raise GridTooNarrow(
             f"grid [{grid.g_min}, {grid.g_max}] does not cover "
-            f"{spec.center} +/- 8*{spec.sigma}"
+            f"{spec.center} +/- {SPAN_SIGMAS:g}*{spec.sigma}"
         )
     g = grid.points
     envelope = np.exp(-((g - spec.center) ** 2) / (4.0 * spec.sigma**2))
@@ -125,4 +126,4 @@ def make_sg_probe(spec: SGProbeSpec) -> PureProbe:
     n = np.arange(n_max + 1)
     c = math.sqrt(1.0 - abs(spec.xi) ** 2) * np.asarray(spec.xi, complex) ** n
     c.flags.writeable = False
-    return PureProbe(integer_grid(n_max, GeneratorKind.N), c)
+    return PureProbe(integer_grid(n_max), c)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qruler.budget import (
-    CoherenceBudget,
     golden_section,
     linear_objective,
     nonlinear_objective,
@@ -103,13 +102,3 @@ class TestSweep:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             sweep_budget(4.0, "linear", 8)
-
-
-def test_budget_dataclass():
-    budget = CoherenceBudget(total=8.0, split=0.5)
-    assert budget.probe_variance == pytest.approx(0.25)
-    assert budget.ruler_variance == pytest.approx(0.25)
-    with pytest.raises(NonPositiveBudget):
-        CoherenceBudget(total=8.0, split=1.0)
-    with pytest.raises(NonPositiveBudget):
-        CoherenceBudget(total=-1.0, split=0.5)

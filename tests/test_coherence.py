@@ -72,6 +72,15 @@ class TestCoherenceFunction:
             np.conj(gamma.values), gamma.values[::-1], atol=1e-14
         )
 
+    def test_lags_odd_and_one_value_each(self):
+        # Gamma(0) is the middle lag, so an even count has none
+        with pytest.raises(ValueError):
+            CoherenceFunction(np.arange(-4.0, 4.0), np.full(8, FLAT_DIAGONAL, dtype=complex))
+        with pytest.raises(ValueError):
+            CoherenceFunction(np.arange(-4.0, 5.0), np.full(8, FLAT_DIAGONAL, dtype=complex))
+        gamma = CoherenceFunction(np.arange(-4.0, 5.0), np.linspace(0.0, 1.0, 9) + 0.5j)
+        assert gamma.gamma0 == 0.5
+
     def test_grid_mismatch(self, unit_probe):
         other = make_gaussian_ruler(0.5, grid_for_gaussian(0.0, 1.0, 256))
         with pytest.raises(GridMismatch):
@@ -123,7 +132,7 @@ class TestPadded:
         tau = np.arange(-(n - 1), n) * 1.0
         vals = np.zeros(2 * n - 1, complex)
         vals[n - 1] = FLAT_DIAGONAL
-        size = len(CoherenceFunction(tau, vals, FLAT_DIAGONAL).padded().values)
+        size = len(CoherenceFunction(tau, vals).padded().values)
         assert size % 2 == 1 and size >= 2 * n - 1
         assert scipy.fft.next_fast_len(size) == size
         assert all(scipy.fft.next_fast_len(m) != m for m in range(2 * n - 1, size, 2))
@@ -169,7 +178,7 @@ class TestStatisticsFromCoherence:
 
     def test_flat_coherence_gives_point_mass(self, unit_grid):
         tau = unit_grid.tau_grid
-        flat = CoherenceFunction(tau, np.full(len(tau), FLAT_DIAGONAL, dtype=complex), FLAT_DIAGONAL)
+        flat = CoherenceFunction(tau, np.full(len(tau), FLAT_DIAGONAL, dtype=complex))
         p = statistics_from_coherence(flat)
         center = len(p.mu_grid) // 2
         assert p.density[center] * p.spacing == pytest.approx(1.0, abs=1e-10)
@@ -182,7 +191,7 @@ class TestStatisticsFromCoherence:
         freq = 1.37 * 2 * np.pi / (len(tau) * unit_grid.spacing)  # off the dual grid
         vals = FLAT_DIAGONAL * np.cos(freq * tau) + 0j
         with pytest.raises(NormalizationFailure):
-            statistics_from_coherence(CoherenceFunction(tau, vals, FLAT_DIAGONAL))
+            statistics_from_coherence(CoherenceFunction(tau, vals))
 
 
 class TestDirectStatistics:
@@ -198,7 +207,7 @@ class TestDirectStatistics:
         moved = make_gaussian_probe(
             GaussianProbeSpec(0.0, 1.0, conjugate_center=1.0 - delta), unit_grid
         )
-        mu = unit_grid.mu_grid
+        mu = statistics_from_coherence(coherence_function(base, half_ruler)).mu_grid
         p_base = direct_statistics(base, half_ruler, mu)
         p_moved = direct_statistics(moved, half_ruler, mu + delta)
         np.testing.assert_allclose(p_moved.density, p_base.density, atol=1e-12)
@@ -206,7 +215,7 @@ class TestDirectStatistics:
     def test_ideal_ruler_gives_conjugate_density(self, unit_grid):
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 0.7, conjugate_center=-1.3), unit_grid)
         ideal = make_ideal_ruler(unit_grid)
-        mu = unit_grid.mu_grid
+        mu = statistics_from_coherence(coherence_function(probe, ideal)).mu_grid
         p = direct_statistics(probe, ideal, mu)
         # conjugate-representation wavefunction by explicit quadrature,
         # in the sign convention that centers p(mu) at -conjugate_center

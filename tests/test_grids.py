@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from qruler.coherence import coherence_function, statistics_from_coherence
 from qruler.errors import InvalidGrid
-from qruler.grids import GeneratorGrid, GeneratorKind, grid_for_gaussian, integer_grid
+from qruler.grids import GeneratorGrid, grid_for_gaussian, integer_grid
+from qruler.ruler import make_ideal_ruler
+from qruler.states import GaussianProbeSpec, make_gaussian_probe
 
 
 def test_spacing_and_points():
@@ -34,14 +37,19 @@ def test_tau_grid_is_difference_set():
 
 
 def test_mu_grid_duality():
-    # sum_k exp(-i tau_j mu_k) must vanish for every j != 0: the choice
-    # dmu = 2*pi/(M*dg) makes the discrete transform exactly unitary
+    # sum_k exp(-i tau_j mu_k) must vanish for every j != 0: the outcome
+    # axis statistics_from_coherence returns for M lags, dmu = 2*pi/(M*dtau),
+    # makes the discrete transform exactly unitary, padded or not
     grid = GeneratorGrid(-3.0, 3.0, 64)
-    tau, mu = grid.tau_grid, grid.mu_grid
-    kernel = np.exp(-1j * np.outer(tau, mu)).sum(axis=1)
-    expected = np.zeros(len(tau))
-    expected[len(tau) // 2] = len(tau)
-    np.testing.assert_allclose(kernel, expected, atol=1e-9)
+    probe = make_gaussian_probe(GaussianProbeSpec(0.0, 0.3), grid)
+    gamma = coherence_function(probe, make_ideal_ruler(grid))
+    for g in (gamma, gamma.padded()):
+        tau, mu = g.tau_grid, statistics_from_coherence(g).mu_grid
+        assert len(mu) == len(tau)
+        kernel = np.exp(-1j * np.outer(tau, mu)).sum(axis=1)
+        expected = np.zeros(len(tau))
+        expected[len(tau) // 2] = len(tau)
+        np.testing.assert_allclose(kernel, expected, atol=1e-9)
 
 
 def test_grid_for_gaussian_covers():
@@ -53,5 +61,4 @@ def test_grid_for_gaussian_covers():
 def test_integer_grid():
     grid = integer_grid(100)
     assert grid.spacing == 1.0
-    assert grid.kind is GeneratorKind.N
     assert grid.n_points == 101

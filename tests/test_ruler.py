@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qruler.errors import GridMismatch, NonPositiveSigma
-from qruler.grids import GeneratorGrid, GeneratorKind, grid_for_gaussian
+from qruler.grids import GeneratorGrid, grid_for_gaussian
 from qruler.ruler import (
     FLAT_DIAGONAL,
     RulerSeed,
@@ -33,7 +33,7 @@ def test_gaussian_kernel_values():
     [
         (grid_for_gaussian(0.0, 1.0, 512), 0.5),
         (grid_for_gaussian(0.7, 1.9, 301), 1.4),
-        (grid_for_gaussian(100.0, 5.0, 1024, kind=GeneratorKind.N), 0.1),
+        (grid_for_gaussian(100.0, 5.0, 1024), 0.1),
     ],
 )
 def test_kernel_matches_dense_construction(grid, dphi):

@@ -16,7 +16,7 @@ from qruler.coherence import (
 )
 from qruler.errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
 from qruler.fisher import fisher_from_family
-from qruler.grids import GeneratorGrid, GeneratorKind
+from qruler.grids import GeneratorGrid
 from qruler.ruler import make_gaussian_ruler, make_ideal_ruler
 from qruler.scenarios import (
     CoherentSqueezedScenario,
@@ -25,7 +25,6 @@ from qruler.scenarios import (
     PhaseGaussianScenario,
     SGScenario,
     phase_distribution_ws,
-    rotate_by_propagator,
     rotate_gaussian,
     run_linear,
     run_nonlinear,
@@ -39,6 +38,26 @@ from qruler.scenarios import (
 from qruler.states import SGProbeSpec, make_sg_probe
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def rotate_by_propagator(
+    psi0: np.ndarray, grid: GeneratorGrid, lam: float
+) -> np.ndarray:
+    """Grid-based rotation through the harmonic propagator, for cross-checks.
+
+    psi_lam(x) = integral dx' K(x, x') psi0(x') with the oscillator kernel
+    K = (2 pi i sin lam)^{-1/2} exp(i[(x^2+x'^2) cos lam - 2 x x']/(2 sin lam)).
+    Accurate for moderate angles; useless as sin(lam) -> 0 where the kernel
+    degenerates to a delta.  Result carries an arbitrary global phase.
+    """
+    s = math.sin(lam)
+    if abs(s) < 1e-3:
+        raise ValueError("propagator route degenerates for small angles")
+    x = grid.points
+    c = math.cos(lam)
+    kernel = np.exp(1j * ((x[:, None] ** 2 + x[None, :] ** 2) * c - 2.0 * np.outer(x, x)) / (2.0 * s))
+    kernel = kernel / np.sqrt(2.0j * np.pi * s)
+    return (kernel @ psi0) * grid.spacing
 
 
 def window_fourier_overlap(values, axis, spacing, window_sigma, centers, freqs):
@@ -68,7 +87,7 @@ def coherent_squeezed_oracle(sc, lam, m_grid, k_grid):
     """Position-space projection of the rotated Gaussian: windows centered at m."""
     sig_max = math.sqrt(max(sc.vx_s, 1.0 / (4.0 * sc.vx_s)))
     half = 8.0 * sig_max + math.hypot(sc.x0, sc.p0)
-    grid = GeneratorGrid(-half, half, sc.n_points, GeneratorKind.N)
+    grid = GeneratorGrid(-half, half, sc.n_points)
     psi = rotate_gaussian(sc.vx_s, sc.x0, sc.p0, lam, grid.points)
     overlap = window_fourier_overlap(
         psi, grid.points, grid.spacing, math.sqrt(sc.vx_m), m_grid, k_grid
@@ -205,7 +224,7 @@ class TestSG:
         dense = trace_coherence(probe, ideal)
         np.testing.assert_allclose(generic.values, dense, atol=1e-14)
         p_g = statistics_from_coherence(generic)
-        p_d = statistics_from_coherence(CoherenceFunction(generic.tau_grid, dense, generic.gamma0))
+        p_d = statistics_from_coherence(CoherenceFunction(generic.tau_grid, dense))
         np.testing.assert_allclose(p_d.density, p_g.density, atol=1e-12)
 
     def test_large_axis_allocates_no_dense_kernel(self):
@@ -328,9 +347,7 @@ class TestCoherentSqueezed:
         np.testing.assert_allclose(pq, p0[:, ::-1].T, atol=1e-8)
 
     def test_rotation_against_propagator(self):
-        from qruler.grids import GeneratorGrid, GeneratorKind
-
-        grid = GeneratorGrid(-12.0, 12.0, 1024, GeneratorKind.N)
+        grid = GeneratorGrid(-12.0, 12.0, 1024)
         psi0 = rotate_gaussian(0.2, 1.0, 0.5, 0.0, grid.points)
         lam = 0.7
         exact = rotate_gaussian(0.2, 1.0, 0.5, lam, grid.points)
@@ -369,6 +386,13 @@ class TestJointReadout:
         run = run_phase_coherent_squeezed(CoherentSqueezedScenario(vx_s=0.2, vx_m=0.5, x0=1.0))
         assert run.qfi == run.closed_form.qfi == pytest.approx(2 * (0.2**2 + 1.25**2) - 1 + 0.8)
         assert run.closed_form.fisher <= run.qfi
+
+    def test_closed_form_ratio_uses_the_number_qfi(self):
+        # F / F_Q is derived from the stored values, so it cannot go stale
+        run = run_phase_coherent_squeezed(CoherentSqueezedScenario(0.2, 0.5, 1.0, 0.5))
+        closed = run.closed_form
+        assert closed.qfi == pytest.approx(4.255)
+        assert closed.ratio_to_qfi == closed.fisher / closed.qfi
 
 
 class TestPhaseDistribution:
