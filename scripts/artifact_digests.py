@@ -3,10 +3,10 @@
 
 Runs, through ``qruler.cli.main``, every ``qruler`` line of the README
 (the full acceptance suite included), ``fisher`` and ``scenario`` for
-each of the five scenario kinds, and ``wk`` and ``validate-ruler`` on an
-explicit ``--grid``, each into its own directory under a
-working directory, and prints one ``example/file sha256`` line per
-artifact, sorted.  The working directory is temporary unless ``--keep
+each of the five scenario kinds, ``wk`` and ``validate-ruler`` on an
+explicit ``--grid``, and ``fisher`` with an explicit ``--step``, each
+into its own directory under a working directory, and prints one
+``example/file sha256`` line per artifact, sorted.  The working directory is temporary unless ``--keep
 DIR`` names one, which then holds the artifacts afterwards.  Output
 directories are relative, so manifests do not depend on where the run
 happens.  Exits 1 if any example fails.
@@ -45,10 +45,13 @@ SCENARIO_EXAMPLES = {
 }
 LAMBDAS = {"linear": "0,0.5", "phase": "0,0.05", "sg": "0,1", "nonlinear": "0,0.02",
            "phase-cs": "0,0.3"}
-# user-built grids, which no README example passes
-GRID_EXAMPLES = {
+# flags no README example passes: user-built grids and an explicit step,
+# which for nonlinear widens lambda_pad
+FLAG_EXAMPLES = {
     "grid-wk": "wk --probe gaussian:sigma=1 --ruler ideal --grid gmin=-10,gmax=10,n=300",
     "grid-validate-ruler": "validate-ruler --ruler ideal --grid gmin=-4,gmax=4,n=128",
+    "step-fisher-linear": "fisher --scenario linear --dxs 0.5 --dxm 0.5 --step 1e-3",
+    "step-fisher-nonlinear": "fisher --scenario nonlinear --vxs 0.25 --vxm 0.25 --step 0.03",
 }
 
 
@@ -66,7 +69,7 @@ def scenario_examples() -> list[tuple[str, list[str]]]:
         base = ["--scenario", kind, *flags.split()]
         examples.append((f"fisher-{kind}", ["fisher", *base]))
         examples.append((f"scenario-{kind}", ["scenario", *base, "--lambdas", LAMBDAS[kind]]))
-    return examples + [(name, argv.split()) for name, argv in GRID_EXAMPLES.items()]
+    return examples + [(name, argv.split()) for name, argv in FLAG_EXAMPLES.items()]
 
 
 def digests(workdir: str, name: str) -> list[str]:

@@ -24,24 +24,10 @@ from .coherence import (
     statistics_from_coherence,
     wk_product,
 )
-from .fisher import closed_form_fn, fisher_from_family
+from .fisher import closed_form_fn
 from .grids import grid_for_gaussian
 from .ruler import FLAT_DIAGONAL, RulerSeed, make_gaussian_ruler, validate_ruler
-from .scenarios import (
-    CoherentSqueezedScenario,
-    LinearScenario,
-    NonlinearScenario,
-    PhaseGaussianScenario,
-    SGScenario,
-    phase_distribution_ws,
-    run_linear,
-    run_nonlinear,
-    run_phase_coherent_squeezed,
-    run_phase_gaussian,
-    run_phase_sg,
-    sg_fisher_variance,
-    sg_wk_variance,
-)
+from .scenarios import SCENARIOS, ScenarioRun, phase_distribution_ws, sg_fisher_variance, sg_wk_variance
 from .states import GaussianProbeSpec, make_gaussian_probe
 
 SEED = 20240917
@@ -73,6 +59,12 @@ class _Recorder:
         self.checks.append(f"info: {message}")
 
 
+def _run(kind: str, **fields) -> ScenarioRun:
+    """The run of the ``SCENARIOS`` kind ``kind`` on a spec with ``fields``."""
+    entry = SCENARIOS[kind]
+    return entry.run(entry.spec(**fields))
+
+
 def criterion_1_wk_pair() -> CriterionResult:
     """Transform and direct-trace statistics agree; tau_c * dlam = sqrt(pi)."""
     rec = _Recorder()
@@ -101,11 +93,11 @@ def criterion_2_gaussian_resolution() -> CriterionResult:
     """Sampled squared signal uncertainty matches the additive closed forms."""
     rec = _Recorder()
     for dphi_m, expected in ((0.0, 0.01), (0.1, 0.02)):
-        run = run_phase_gaussian(PhaseGaussianScenario(n_mean=100.0, dn_s=5.0, dphi_m=dphi_m))
+        run = _run("phase", n_mean=100.0, dn_s=5.0, dphi_m=dphi_m)
         got = signal_uncertainty(run.family(0.0)) ** 2
         rel = abs(got / expected - 1.0)
         rec.require(rel <= 1e-6, f"phase dphi_m={dphi_m}: d2lam={got:.12e} vs {expected} (rel {rel:.2e})")
-    run = run_linear(LinearScenario(dx_s=0.5, dx_m=0.5))
+    run = _run("linear", dx_s=0.5, dx_m=0.5)
     got = signal_uncertainty(run.family(0.0)) ** 2
     rel = abs(got / 0.5 - 1.0)
     rec.require(rel <= 1e-6, f"linear dx_s=dx_m=0.5: d2lam={got:.12e} vs 0.5 (rel {rel:.2e})")
@@ -115,17 +107,11 @@ def criterion_2_gaussian_resolution() -> CriterionResult:
 def criterion_3_crb_coincidence() -> CriterionResult:
     """Numerical Fisher of the linear family equals the additive CRB."""
     rec = _Recorder()
-    run = run_linear(LinearScenario(dx_s=0.5, dx_m=0.5))
-    rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
-    rel = abs(rep.fisher / 2.0 - 1.0)
-    rec.require(rel <= 1e-4, f"blurred: F={rep.fisher:.10f} vs 2 (rel {rel:.2e})")
-    run_ideal = run_linear(LinearScenario(dx_s=0.5, dx_m=0.0))
-    rep_ideal = fisher_from_family(run_ideal.family, 0.0, run_ideal.default_step, qfi=run_ideal.qfi)
-    rel_ideal = abs(rep_ideal.fisher / 4.0 - 1.0)
-    rec.require(
-        rel_ideal <= 1e-4,
-        f"ideal: F={rep_ideal.fisher:.10f} vs 4*Var(P)=4 (rel {rel_ideal:.2e})",
-    )
+    cases = (("blurred", 0.5, 2.0, "2"), ("ideal", 0.0, 4.0, "4*Var(P)=4"))
+    for label, dx_m, expected, target in cases:
+        fisher = _run("linear", dx_s=0.5, dx_m=dx_m).fisher().fisher
+        rel = abs(fisher / expected - 1.0)
+        rec.require(rel <= 1e-4, f"{label}: F={fisher:.10f} vs {target} (rel {rel:.2e})")
     return CriterionResult(3, "cramer-rao coincidence, linear scenario", rec.ok, rec.checks)
 
 
@@ -133,31 +119,18 @@ def criterion_4_joint_fisher() -> CriterionResult:
     """Joint (m, k) Fisher reproduces the rotation and quadratic closed forms."""
     rec = _Recorder()
     rng = np.random.default_rng(SEED + 4)
-    worst_rot = 0.0
-    for _ in range(10):
-        sc = CoherentSqueezedScenario(
-            vx_s=rng.uniform(0.2, 1.0),
-            vx_m=rng.uniform(0.2, 1.0),
-            x0=rng.uniform(-1.5, 1.5),
-            p0=rng.uniform(-1.5, 1.5),
-        )
-        run = run_phase_coherent_squeezed(sc)
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
-        worst_rot = max(worst_rot, abs(rep.fisher / run.closed_form.fisher - 1.0))
-    rec.require(worst_rot <= 1e-3, f"rotation generator, 10 draws: worst rel {worst_rot:.2e}")
-
-    worst_q = 0.0
-    for _ in range(10):
-        sc = NonlinearScenario(
-            vx_s=rng.uniform(0.2, 1.0),
-            vx_m=rng.uniform(0.2, 1.0),
-            x0=rng.uniform(-1.0, 1.0),
-            p0=rng.uniform(-1.5, 1.5),
-        )
-        run = run_nonlinear(sc)
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
-        worst_q = max(worst_q, abs(rep.fisher / run.closed_form.fisher - 1.0))
-    rec.require(worst_q <= 1e-3, f"quadratic generator, 10 draws: worst rel {worst_q:.2e}")
+    for kind, x0_max, generator in (("phase-cs", 1.5, "rotation"), ("nonlinear", 1.0, "quadratic")):
+        worst = 0.0
+        for _ in range(10):
+            run = _run(
+                kind,
+                vx_s=rng.uniform(0.2, 1.0),
+                vx_m=rng.uniform(0.2, 1.0),
+                x0=rng.uniform(-x0_max, x0_max),
+                p0=rng.uniform(-1.5, 1.5),
+            )
+            worst = max(worst, abs(run.fisher().fisher / run.closed_form.fisher - 1.0))
+        rec.require(worst <= 1e-3, f"{generator} generator, 10 draws: worst rel {worst:.2e}")
 
     # worked examples; sub-Heisenberg variance quartets are realized through
     # the uncertainty-consistent doubling, which leaves every term intact
@@ -170,22 +143,17 @@ def criterion_4_joint_fisher() -> CriterionResult:
     f3 = closed_form_fn(0.1, 0.625, 0.25, 0.25, 0.0, 0.0).fisher
     rec.require(abs(f3 - 0.9) < 1e-12, f"closed form: squeezed quartet gives F={f3} = 0.9")
 
-    sym = run_phase_coherent_squeezed(CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5))
-    rep_sym = fisher_from_family(sym.family, 0.0, sym.default_step)
-    rec.require(rep_sym.fisher <= 1e-6, f"numerical: symmetric vacuum F={rep_sym.fisher:.2e} ~ 0")
-    disp = run_phase_coherent_squeezed(
-        CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5, x0=math.sqrt(2.0))
-    )
-    rep_disp = fisher_from_family(disp.family, 0.0, disp.default_step, qfi=disp.qfi)
+    f_sym = _run("phase-cs", vx_s=0.5, vx_m=0.5).fisher().fisher
+    rec.require(f_sym <= 1e-6, f"numerical: symmetric vacuum F={f_sym:.2e} ~ 0")
+    f_disp = _run("phase-cs", vx_s=0.5, vx_m=0.5, x0=math.sqrt(2.0)).fisher().fisher
     rec.require(
-        abs(rep_disp.fisher / 2.0 - 1.0) <= 1e-3,
-        f"numerical: displaced vacuum F={rep_disp.fisher:.8f} vs 2",
+        abs(f_disp / 2.0 - 1.0) <= 1e-3,
+        f"numerical: displaced vacuum F={f_disp:.8f} vs 2",
     )
-    sq = run_phase_coherent_squeezed(CoherentSqueezedScenario(vx_s=0.2, vx_m=0.5))
-    rep_sq = fisher_from_family(sq.family, 0.0, sq.default_step, qfi=sq.qfi)
+    f_sq = _run("phase-cs", vx_s=0.2, vx_m=0.5).fisher().fisher
     rec.require(
-        abs(rep_sq.fisher / 0.9 - 1.0) <= 1e-3,
-        f"numerical: squeezed vacuum F={rep_sq.fisher:.8f} vs 0.9",
+        abs(f_sq / 0.9 - 1.0) <= 1e-3,
+        f"numerical: squeezed vacuum F={f_sq:.8f} vs 0.9",
     )
     return CriterionResult(4, "joint-readout fisher closed forms", rec.ok, rec.checks)
 
@@ -210,18 +178,16 @@ def criterion_6_sg_scenario() -> CriterionResult:
     """Geometric-series probe: both width routes and their limiting ratio."""
     rec = _Recorder()
     for xi in (0.5, 0.9, 0.99):
-        run = run_phase_sg(SGScenario(xi=xi))
+        run = _run("sg", xi=xi)
         d2_wk = signal_uncertainty(run.family(0.0)) ** 2
         rel_wk = abs(d2_wk / sg_wk_variance(xi) - 1.0)
         rec.require(rel_wk <= 1e-6, f"xi={xi}: sampled d2lam rel err {rel_wk:.2e}")
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
-        rel_f = abs(rep.crb / sg_fisher_variance(xi) - 1.0)
+        rel_f = abs(run.fisher().crb / sg_fisher_variance(xi) - 1.0)
         rec.require(rel_f <= 1e-4, f"xi={xi}: fisher crb rel err {rel_f:.2e}")
     xi = 0.999
-    run = run_phase_sg(SGScenario(xi=xi))
+    run = _run("sg", xi=xi)
     d2_wk = signal_uncertainty(run.family(0.0)) ** 2
-    rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
-    ratio = d2_wk / rep.crb
+    ratio = d2_wk / run.fisher().crb
     rec.require(
         abs(ratio / (math.pi / 2.0) - 1.0) <= 0.02,
         f"xi={xi}: width ratio {ratio:.6f} vs pi/2 = {math.pi/2:.6f} within 2%",

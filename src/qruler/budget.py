@@ -21,15 +21,11 @@ from .fisher import closed_form_fn
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SPLIT_EPS = 1e-6
+BRACKET_TOL = 1e-10
 
 
-def golden_section(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Minimize a unimodal f on [a, b] to bracket width ``tol``.
+def golden_section(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Minimize a unimodal f on [a, b] to bracket width ``BRACKET_TOL``.
 
     Pure golden-section stalls once function differences drop into
     floating-point noise, so the converged bracket is polished with one
@@ -40,7 +36,7 @@ def golden_section(
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > BRACKET_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
@@ -51,7 +47,7 @@ def golden_section(
             f2 = f(x2)
     xm = 0.5 * (a + b)
     fm = f(xm)
-    step = max(1e-5 * (b0 - a0), 16.0 * tol)
+    step = max(1e-5 * (b0 - a0), 16.0 * BRACKET_TOL)
     lo, hi = xm - step, xm + step
     if lo > a0 and hi < b0:
         fl, fh = f(lo), f(hi)

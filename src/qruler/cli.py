@@ -42,7 +42,6 @@ from .coherence import (
     wk_product,
 )
 from .errors import ConfigError, DomainError
-from .fisher import fisher_from_family
 from .grids import GeneratorGrid, grid_for_gaussian
 from .output import write_csv, write_json, write_manifest
 from .ruler import make_gaussian_ruler, make_ideal_ruler, validate_ruler
@@ -222,10 +221,12 @@ def _scenario_run(args, lambda_pad: float = 0.0):
 
 
 def _cmd_fisher(args):
+    if args.step is not None and not args.step > 0:
+        raise ConfigError(f"--step must be > 0, got {args.step}")
     # the stencil reaches lambda = +/- 2*step
     run, params = _scenario_run(args, 0.0 if args.step is None else 2.0 * args.step)
     step = args.step if args.step is not None else run.default_step
-    numerical = fisher_from_family(run.family, 0.0, step, qfi=run.qfi)
+    numerical = run.fisher(step=step)
     closed = run.closed_form
     payload = {
         "scenario": run.scenario,

@@ -128,19 +128,13 @@ def closed_form_linear(dx_s: float, dx_m: float) -> FisherReport:
 
 
 def closed_form_phase(dphi_s: float, dphi_m: float) -> FisherReport:
-    """Phase shifts: Delta^2 lambda = dphi_m^2 + dphi_s^2.
+    """Phase shifts: the additive law of :func:`closed_form_linear` in phase variables.
 
     dphi_s is the probe's phase width 1/(2*dn_s) for a number-basis
-    Gaussian of width dn_s; the ideal measurement dphi_m = 0 saturates
-    the quantum bound.
+    Gaussian of width dn_s, so F_Q = 4*Var(N) = 1/dphi_s^2; the ideal
+    measurement dphi_m = 0 saturates the quantum bound.
     """
-    if not dphi_s > 0:
-        raise NonPositiveSigma("dphi_s must be > 0")
-    if dphi_m < 0:
-        raise NonPositiveSigma("dphi_m must be >= 0")
-    var = dphi_s**2 + dphi_m**2
-    qfi = 1.0 / dphi_s**2  # 4*Var(N) = 1/dphi_s^2
-    return FisherReport(1.0 / var, qfi)
+    return closed_form_linear(dphi_s, dphi_m)
 
 
 def closed_form_fn(

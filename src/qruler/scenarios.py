@@ -11,15 +11,16 @@ Four families:
 
 Each ``run_*`` takes a frozen spec dataclass and returns a
 :class:`ScenarioRun` whose ``family`` maps a signal value to an outcome
-distribution on a fixed grid, ready for the finite-difference Fisher
-machinery.  The ruler's POVM does not depend on the signal, so each run
-builds its measurement once and the signal acts on the state only: the
-1-D runs build the coherence function Gamma once, zero-padded to a fast
-transform length, and shift it; the joint runs build the (m, k)
-projections once and apply them to the evolved state.  ``SCENARIOS``
-names the five runnable kinds and, for each, its spec, its runner and the
-spec fields a caller may set; the command line derives its flags, required
-values and reported parameters from it.
+distribution on a fixed grid, and whose ``fisher`` method is the one
+route from a run to its finite-difference Fisher information.  The
+ruler's POVM does not depend on the signal, so each run builds its
+measurement once and the signal acts on the state only: the 1-D runs
+build the coherence function Gamma once, zero-padded to a fast transform
+length, and shift it; the joint runs build the (m, k) projections once
+and apply them to the evolved state.  ``SCENARIOS`` names the five
+runnable kinds and, for each, its spec, its runner and the spec fields a
+caller may set; the command line derives its flags, required values and
+reported parameters from it, and acceptance builds its runs through it.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .coherence import (
     statistics_from_coherence,
 )
 from .errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
-from .fisher import FisherReport, closed_form_fn, closed_form_fp2, closed_form_linear, closed_form_phase
+from .fisher import FisherReport, closed_form_fn, closed_form_fp2, closed_form_linear, closed_form_phase, fisher_from_family
 from .grids import SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
 from .ruler import make_gaussian_ruler, make_ideal_ruler
-from .states import GaussianProbeSpec, PureProbe, SGProbeSpec, make_gaussian_probe, make_sg_probe
+from .states import GaussianProbeSpec, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,12 +54,16 @@ class ScenarioRun:
     closed_form: FisherReport
     default_step: float
     gamma: CoherenceFunction | None = None
-    probe: PureProbe | None = None
 
     @property
     def qfi(self) -> float | None:
         """The probe's quantum Fisher information, from the closed form."""
         return self.closed_form.qfi
+
+    def fisher(self, lambda0: float = 0.0, step: float | None = None) -> FisherReport:
+        """Numerical Fisher information at ``lambda0``; ``step`` defaults to ``default_step``."""
+        step = self.default_step if step is None else step
+        return fisher_from_family(self.family, lambda0, step, qfi=self.qfi)
 
 
 def _default_step(crb: float | None) -> float:
@@ -73,7 +78,7 @@ def _default_step(crb: float | None) -> float:
 
 
 def _shift_run(
-    scenario: str, gamma: CoherenceFunction, probe: PureProbe, closed: FisherReport, step: float
+    scenario: str, gamma: CoherenceFunction, closed: FisherReport, step: float
 ) -> ScenarioRun:
     """A 1-D run: Gamma is built once and a signal value only shifts it.
 
@@ -88,7 +93,17 @@ def _shift_run(
     def family(lam: float) -> OutcomeDistribution:
         return statistics_from_coherence(gamma.shifted(lam))
 
-    return ScenarioRun(scenario, family, closed, step, gamma=gamma, probe=probe)
+    return ScenarioRun(scenario, family, closed, step, gamma=gamma)
+
+
+def _gaussian_shift_run(
+    scenario: str, spec: GaussianProbeSpec, n_points: int, width_m: float, closed: FisherReport
+) -> ScenarioRun:
+    """A Gaussian probe read out by a Gaussian ruler of width ``width_m``, ideal at 0."""
+    grid = grid_for_gaussian(spec.center, spec.sigma, n_points)
+    ruler = make_gaussian_ruler(width_m, grid) if width_m > 0 else make_ideal_ruler(grid)
+    gamma = coherence_function(make_gaussian_probe(spec, grid), ruler)
+    return _shift_run(scenario, gamma, closed, _default_step(closed.crb))
 
 
 @dataclass(frozen=True)
@@ -116,17 +131,10 @@ def run_linear(sc: LinearScenario) -> ScenarioRun:
     ruler kernel is exp(-dx_m^2 (p-p')^2 / 2)/(2*pi).  A signal value
     multiplies the coherence function by exp(i*tau*lambda).
     """
-    sigma_p = 1.0 / (2.0 * sc.dx_s)
-    grid = grid_for_gaussian(sc.p0, sigma_p, sc.n_points)
     # phase slope -x0 puts the outcome distribution's center at +x0
-    probe = make_gaussian_probe(
-        GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid
-    )
-    ruler = make_gaussian_ruler(sc.dx_m, grid) if sc.dx_m > 0 else make_ideal_ruler(grid)
+    spec = GaussianProbeSpec(center=sc.p0, sigma=1.0 / (2.0 * sc.dx_s), conjugate_center=-sc.x0)
     closed = closed_form_linear(sc.dx_s, sc.dx_m)
-    return _shift_run(
-        "linear", coherence_function(probe, ruler), probe, closed, _default_step(closed.crb)
-    )
+    return _gaussian_shift_run("linear", spec, sc.n_points, sc.dx_m, closed)
 
 
 @dataclass(frozen=True)
@@ -158,15 +166,9 @@ def run_phase_gaussian(sc: PhaseGaussianScenario) -> ScenarioRun:
             f"need n_mean >= 5*dn_s for the continuum approximation, "
             f"got n_mean={sc.n_mean}, dn_s={sc.dn_s}"
         )
-    grid = grid_for_gaussian(sc.n_mean, sc.dn_s, sc.n_points)
-    probe = make_gaussian_probe(GaussianProbeSpec(center=sc.n_mean, sigma=sc.dn_s), grid)
-    ruler = (
-        make_gaussian_ruler(sc.dphi_m, grid) if sc.dphi_m > 0 else make_ideal_ruler(grid)
-    )
+    spec = GaussianProbeSpec(center=sc.n_mean, sigma=sc.dn_s)
     closed = closed_form_phase(1.0 / (2.0 * sc.dn_s), sc.dphi_m)
-    return _shift_run(
-        "phase_gaussian", coherence_function(probe, ruler), probe, closed, _default_step(closed.crb)
-    )
+    return _gaussian_shift_run("phase_gaussian", spec, sc.n_points, sc.dphi_m, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,7 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
     closed = FisherReport(fisher, qfi)
     step = _default_step(min(var, sg_wk_variance(sc.xi)) if math.isfinite(var) else None)
     gamma = coherence_function(probe, make_ideal_ruler(probe.grid))
-    return _shift_run("phase_sg", gamma, probe, closed, step)
+    return _shift_run("phase_sg", gamma, closed, step)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,7 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
         return readout(probe.amplitudes * np.exp(-1j * lam * p_axis**2))
 
     closed = closed_form_fp2(sc.vx_s, sc.vx_m, sc.p0)
-    return ScenarioRun("nonlinear", family, closed, _default_step(closed.crb), probe=probe)
+    return ScenarioRun("nonlinear", family, closed, _default_step(closed.crb))
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,16 @@ class TestFisherCommand:
         err = capsys.readouterr().err
         assert "Richardson residual" in err and "sized range" not in err
 
+    @pytest.mark.parametrize("step", ["--step=0", "--step=-0.01"])
+    def test_non_positive_step_is_config_error(self, step, tmp_path, capsys):
+        out = tmp_path / "fstep"
+        assert run_cli([
+            "fisher", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", step,
+            "--out", str(out),
+        ]) == 2
+        assert "--step must be > 0" in capsys.readouterr().err
+        assert not (out / "fisher.json").exists()
+
     def test_sg_vacuum_has_zero_qfi(self, tmp_path):
         out = tmp_path / "fsg0"
         assert run_cli(["fisher", "--scenario", "sg", "--xi", "0", "--out", str(out)]) == 0

@@ -16,9 +16,10 @@ from qruler.coherence import (
 )
 from qruler.errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
 from qruler.fisher import fisher_from_family
-from qruler.grids import GeneratorGrid
+from qruler.grids import GeneratorGrid, grid_for_gaussian
 from qruler.ruler import make_gaussian_ruler, make_ideal_ruler
 from qruler.scenarios import (
+    SCENARIOS,
     CoherentSqueezedScenario,
     LinearScenario,
     NonlinearScenario,
@@ -35,7 +36,7 @@ from qruler.scenarios import (
     sg_fisher_variance,
     sg_wk_variance,
 )
-from qruler.states import SGProbeSpec, make_sg_probe
+from qruler.states import GaussianProbeSpec, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -73,10 +74,17 @@ def window_fourier_overlap(values, axis, spacing, window_sigma, centers, freqs):
     return overlap
 
 
-def nonlinear_oracle(sc, run, lam, m_grid, k_grid):
+def gaussian_probe(center, sigma, n_points, conjugate_center=0.0):
+    """The Gaussian probe a 1-D or nonlinear spec describes, on its own grid."""
+    grid = grid_for_gaussian(center, sigma, n_points)
+    return make_gaussian_probe(GaussianProbeSpec(center, sigma, conjugate_center), grid)
+
+
+def nonlinear_oracle(sc, lam, m_grid, k_grid):
     """Momentum-space projection of e^{-i lam p^2} psi0: windows centered at -k."""
-    grid = run.probe.grid
-    psi = run.probe.amplitudes * np.exp(-1j * lam * grid.points**2)
+    probe = gaussian_probe(sc.p0, math.sqrt(1.0 / (4.0 * sc.vx_s)), sc.n_points, -sc.x0)
+    grid = probe.grid
+    psi = probe.amplitudes * np.exp(-1j * lam * grid.points**2)
     overlap = window_fourier_overlap(
         psi, grid.points, grid.spacing, 1.0 / (2.0 * math.sqrt(sc.vx_m)), -k_grid, m_grid
     )
@@ -93,6 +101,27 @@ def coherent_squeezed_oracle(sc, lam, m_grid, k_grid):
         psi, grid.points, grid.spacing, math.sqrt(sc.vx_m), m_grid, k_grid
     )
     return _finalize_density(m_grid, np.abs(overlap) ** 2 / (2.0 * np.pi), k_grid=k_grid)
+
+
+# small specs of every SCENARIOS kind, each valid at lambda0 = 0.3
+KIND_FIELDS = {
+    "linear": {"dx_s": 0.5, "dx_m": 0.5},
+    "phase": {"n_mean": 100.0, "dn_s": 5.0, "dphi_m": 0.1},
+    "sg": {"xi": 0.9},
+    "nonlinear": {"vx_s": 0.25, "vx_m": 0.25, "n_points": 256, "m_points": 64,
+                  "k_points": 64, "lambda_pad": 0.32},
+    "phase-cs": {"vx_s": 0.2, "vx_m": 0.5, "x0": 1.0, "n_points": 256, "m_points": 64,
+                 "k_points": 64},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIOS))
+def test_run_fisher_is_fisher_from_family(kind):
+    entry = SCENARIOS[kind]
+    run = entry.run(entry.spec(**KIND_FIELDS[kind]))
+    assert run.fisher() == fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+    step = 2.0 * run.default_step
+    assert run.fisher(0.3, step=step) == fisher_from_family(run.family, 0.3, step, qfi=run.qfi)
 
 
 class TestLinear:
@@ -116,7 +145,7 @@ class TestLinear:
 
     def test_fisher_matches_additive_variances(self):
         run = run_linear(LinearScenario(dx_s=0.5, dx_m=0.5))
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+        rep = run.fisher()
         assert rep.fisher == pytest.approx(2.0, rel=1e-6)
 
     def test_parameter_validation(self):
@@ -151,7 +180,7 @@ class TestPhaseGaussian:
 
     def test_numerical_fisher_matches_closed_form(self):
         run = run_phase_gaussian(PhaseGaussianScenario(100.0, 5.0, dphi_m=0.1))
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+        rep = run.fisher()
         assert rep.fisher == pytest.approx(run.closed_form.fisher, rel=1e-4)
 
 
@@ -176,7 +205,7 @@ class TestSG:
         run = run_phase_sg(SGScenario(xi=0.9))
         d2_wk = signal_uncertainty(run.family(0.0)) ** 2
         assert d2_wk == pytest.approx(sg_wk_variance(0.9), rel=1e-8)
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+        rep = run.fisher()
         assert rep.crb == pytest.approx(sg_fisher_variance(0.9), rel=1e-6)
 
     def test_product_law_periodic(self):
@@ -190,7 +219,7 @@ class TestSG:
         run = run_phase_sg(SGScenario(xi=0.0))
         p = run.family(0.0)
         np.testing.assert_allclose(p.density, 1.0 / (2 * math.pi), atol=1e-14)
-        rep = fisher_from_family(run.family, 0.0, 1e-3)
+        rep = run.fisher(step=1e-3)
         assert rep.fisher == pytest.approx(0.0, abs=1e-10)
 
     def test_vacuum_qfi_is_zero(self):
@@ -198,7 +227,7 @@ class TestSG:
         run = run_phase_sg(SGScenario(xi=0.0))
         assert run.qfi == 0.0
         assert run.closed_form.ratio_to_qfi is None
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+        rep = run.fisher()
         assert rep.fisher == 0.0 and rep.ratio_to_qfi is None
 
     def test_width_ratio_approaches_half_pi(self):
@@ -235,8 +264,8 @@ class TestSG:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert run.probe.grid.n_points == 13810
         assert peak < 50e6
+        assert make_sg_probe(SGProbeSpec(xi=0.999)).grid.n_points == 13810
 
 
 def direct_shift_density(gamma, lam, mu):
@@ -250,15 +279,22 @@ def direct_shift_density(gamma, lam, mu):
     return dens / (np.sum(dens) * (mu[1] - mu[0]))
 
 
+# (run, its probe built from the spec, its ruler on the probe's grid);
+# a linear probe has momentum width 1/(2*dx_s) and phase slope -x0
 SHIFT_RUNS = {
     "linear": (lambda: run_linear(LinearScenario(0.5, 0.5, x0=0.3, n_points=64)),
+               lambda: gaussian_probe(0.0, 1.0, 64, -0.3),
                lambda grid: make_gaussian_ruler(0.5, grid)),
     "linear-ideal": (lambda: run_linear(LinearScenario(0.5, 0.0, n_points=100)),
+                     lambda: gaussian_probe(0.0, 1.0, 100),
                      make_ideal_ruler),
     "phase": (lambda: run_phase_gaussian(PhaseGaussianScenario(100.0, 5.0, 0.1, n_points=128)),
+              lambda: gaussian_probe(100.0, 5.0, 128),
               lambda grid: make_gaussian_ruler(0.1, grid)),
-    "sg-0.5": (lambda: run_phase_sg(SGScenario(xi=0.5)), make_ideal_ruler),
-    "sg-0.9": (lambda: run_phase_sg(SGScenario(xi=0.9)), make_ideal_ruler),
+    "sg-0.5": (lambda: run_phase_sg(SGScenario(xi=0.5)),
+               lambda: make_sg_probe(SGProbeSpec(xi=0.5)), make_ideal_ruler),
+    "sg-0.9": (lambda: run_phase_sg(SGScenario(xi=0.9)),
+               lambda: make_sg_probe(SGProbeSpec(xi=0.9)), make_ideal_ruler),
 }
 
 
@@ -267,9 +303,9 @@ class TestShiftRunPadding:
 
     @pytest.mark.parametrize("name", sorted(SHIFT_RUNS))
     def test_family_matches_direct_sum(self, name):
-        build, ruler = SHIFT_RUNS[name]
-        run = build()
-        gamma = coherence_function(run.probe, ruler(run.probe.grid))  # unpadded
+        build, build_probe, ruler = SHIFT_RUNS[name]
+        run, probe = build(), build_probe()
+        gamma = coherence_function(probe, ruler(probe.grid))  # unpadded
         assert np.array_equal(run.gamma.values, gamma.padded().values)
         assert np.array_equal(run.gamma.tau_grid, gamma.padded().tau_grid)
         for lam in (0.0, 0.37, -1.1):
@@ -284,9 +320,10 @@ class TestShiftRunPadding:
     def test_deep_sg_fisher_matches_unpadded_route(self, lam0):
         run = run_phase_sg(SGScenario(xi=0.999))
         assert len(run.gamma.values) == 27783  # 3^4 * 7^3; unpadded 27,619 = 71 * 389
-        gamma = coherence_function(run.probe, make_ideal_ruler(run.probe.grid))
+        probe = make_sg_probe(SGProbeSpec(xi=0.999))
+        gamma = coherence_function(probe, make_ideal_ruler(probe.grid))
         assert len(gamma.values) == 27619
-        padded = fisher_from_family(run.family, lam0, run.default_step).fisher
+        padded = run.fisher(lam0).fisher
         unpadded = fisher_from_family(
             lambda lam: statistics_from_coherence(gamma.shifted(lam)), lam0, run.default_step
         ).fisher
@@ -302,12 +339,12 @@ class TestNonlinear:
 
     def test_balanced_fisher(self):
         run = run_nonlinear(NonlinearScenario(vx_s=0.25, vx_m=0.25))
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+        rep = run.fisher()
         assert rep.fisher == pytest.approx(4.0, rel=1e-3)
 
     def test_near_ideal_displaced_limit(self):
         run = run_nonlinear(NonlinearScenario(vx_s=0.25, vx_m=0.001, p0=2.0))
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+        rep = run.fisher()
         assert rep.fisher == pytest.approx(run.closed_form.fisher, rel=1e-3)
         assert run.closed_form.fisher == pytest.approx(16.0 * 2.0**2 * 1.0, rel=1e-2)
 
@@ -320,19 +357,19 @@ class TestNonlinear:
 class TestCoherentSqueezed:
     def test_symmetric_probe_carries_no_information(self):
         run = run_phase_coherent_squeezed(CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5))
-        rep = fisher_from_family(run.family, 0.0, run.default_step)
+        rep = run.fisher()
         assert rep.fisher == pytest.approx(0.0, abs=1e-8)
 
     def test_displaced_vacuum(self):
         run = run_phase_coherent_squeezed(
             CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5, x0=math.sqrt(2.0))
         )
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+        rep = run.fisher()
         assert rep.fisher == pytest.approx(2.0, rel=1e-3)
 
     def test_squeezed_vacuum(self):
         run = run_phase_coherent_squeezed(CoherentSqueezedScenario(vx_s=0.2, vx_m=0.5))
-        rep = fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+        rep = run.fisher()
         assert rep.fisher == pytest.approx(0.9, rel=1e-3)
 
     def test_quarter_turn_permutes_outcomes(self):
@@ -371,7 +408,7 @@ class TestJointReadout:
         run = run_nonlinear(sc)
         for lam in (0.0, run.default_step, -run.default_step, 0.25):
             dist = run.family(lam)
-            ref = nonlinear_oracle(sc, run, lam, dist.mu_grid, dist.k_grid)
+            ref = nonlinear_oracle(sc, lam, dist.mu_grid, dist.k_grid)
             assert np.array_equal(dist.density, ref.density)
 
     def test_coherent_squeezed_matches_oracle(self):
