@@ -4,7 +4,9 @@
 Runs, through ``qruler.cli.main``, every ``qruler`` line of the README
 (the full acceptance suite included), ``fisher`` and ``scenario`` for
 each of the five scenario kinds, ``wk`` and ``validate-ruler`` on an
-explicit ``--grid``, and ``fisher`` with an explicit ``--step``, each
+explicit ``--grid``, ``wk`` on the deep ``sg:xi=0.999`` probe,
+``validate-ruler`` on a narrow Gaussian seed, and ``fisher`` with an
+explicit ``--step``, each
 into its own directory under a working directory, and prints one
 ``example/file sha256`` line per artifact, sorted.  The working directory is temporary unless ``--keep
 DIR`` names one, which then holds the artifacts afterwards.  Output
@@ -45,11 +47,14 @@ SCENARIO_EXAMPLES = {
 }
 LAMBDAS = {"linear": "0,0.5", "phase": "0,0.05", "sg": "0,1", "nonlinear": "0,0.02",
            "phase-cs": "0,0.3"}
-# flags no README example passes: user-built grids and an explicit step,
-# which for nonlinear widens lambda_pad
+# flags no README example passes: user-built grids, an explicit step
+# (which for nonlinear widens lambda_pad), the deep sg probe (13,810 number
+# states) and a narrow seed
 FLAG_EXAMPLES = {
     "grid-wk": "wk --probe gaussian:sigma=1 --ruler ideal --grid gmin=-10,gmax=10,n=300",
     "grid-validate-ruler": "validate-ruler --ruler ideal --grid gmin=-4,gmax=4,n=128",
+    "deep-sg-wk": "wk --probe sg:xi=0.999 --ruler ideal",
+    "narrow-validate-ruler": "validate-ruler --ruler gaussian:dphi=0.05",
     "step-fisher-linear": "fisher --scenario linear --dxs 0.5 --dxm 0.5 --step 1e-3",
     "step-fisher-nonlinear": "fisher --scenario nonlinear --vxs 0.25 --vxm 0.25 --step 0.03",
 }

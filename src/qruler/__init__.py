@@ -39,7 +39,6 @@ from .errors import (
     NonPositiveBudget,
     NonPositiveSigma,
     NormalizationFailure,
-    NotShiftInvariant,
     StepTooLarge,
     XiOutOfDisc,
 )

@@ -240,15 +240,16 @@ def criterion_8_ruler_legitimacy() -> CriterionResult:
             rep.all_pass and rep.diagonal_residual < 1e-10,
             f"gaussian seed dphi={dphi}: all pass, diag residual {rep.diagonal_residual:.2e}",
         )
-    doubled = RulerSeed(grid, make_gaussian_ruler(0.5, grid).kernel * 2.0)
+    doubled = RulerSeed(grid, make_gaussian_ruler(0.5, grid).symbol * 2.0)
     rep_d = validate_ruler(doubled)
     rec.require(
         not rep_d.flat_diagonal and abs(rep_d.diagonal_residual - FLAT_DIAGONAL) < 1e-12,
         f"doubled kernel: diagonal check fails with residual {rep_d.diagonal_residual:.12e}",
     )
     rng = np.random.default_rng(SEED + 8)
-    rand = rng.normal(size=(grid.n_points, grid.n_points))
-    indefinite = RulerSeed(grid, ((rand + rand.T) / 2.0).astype(complex))
+    half = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)  # K(tau >= 0)
+    half[0] = FLAT_DIAGONAL
+    indefinite = RulerSeed(grid, np.concatenate([half[:0:-1].conj(), half]))
     rep_i = validate_ruler(indefinite)
     rec.require(not rep_i.positive, f"random hermitian kernel: positivity fails (min eig {rep_i.min_eigenvalue:.3e})")
     return CriterionResult(8, "ruler legitimacy validation", rec.ok, rec.checks)

@@ -244,7 +244,10 @@ def _cmd_fisher(args):
 def _parse_lambdas(raw: str | None) -> list[float]:
     if raw is None:
         return [0.0]
-    return [_number(tok, f"--lambdas {raw}") for tok in raw.split(",") if tok.strip()]
+    lambdas = [_number(tok, f"--lambdas {raw}") for tok in raw.split(",") if tok.strip()]
+    if not lambdas:
+        raise ConfigError(f"--lambdas {raw!r} gives no signal value")
+    return lambdas
 
 
 def _cmd_scenario(args):

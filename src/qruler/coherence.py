@@ -12,9 +12,9 @@ density and a coherence function.  The primed range drops g where g+tau
 falls off the grid.  For a shift-invariant ruler the seed enters only
 through its symbol K(tau), and the probe only through its autocorrelation
 (psi * psi)(tau) = integral' dg psi(g) conj(psi(g+tau)), computed by one
-FFT.  Two independent routes to p(mu) are provided: the transform of Gamma
-and a brute-force double sum over the dense kernel, used to cross-check
-each other.
+FFT, and Gamma is stored on its transform length.  Two independent routes
+to p(mu) are provided: the transform of Gamma and a brute-force double sum
+over the dense kernel, used to cross-check each other.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft  # numpy.fft's pocketfft algorithm, less scratch per call on Bluestein lengths
+import scipy.fft  # for next_fast_len; the same pocketfft transforms as numpy.fft
 from scipy.interpolate import CubicSpline
 
 from .errors import (
@@ -31,7 +31,6 @@ from .errors import (
     GridMismatch,
     NonPositiveSigma,
     NormalizationFailure,
-    NotShiftInvariant,
 )
 from .ruler import FLAT_DIAGONAL, RulerSeed, make_ideal_ruler
 from .states import PureProbe
@@ -77,29 +76,6 @@ class CoherenceFunction:
         translating p(mu) to p(mu - lambda).  Both invariants survive.
         """
         return CoherenceFunction(self.tau_grid, self.values * np.exp(1j * self.tau_grid * delta))
-
-    def padded(self) -> "CoherenceFunction":
-        """The same Gamma zero-padded to the smallest fast odd length M' >= M.
-
-        Gamma vanishes beyond the sampled lags, so the padding is exact: the
-        transform samples the same trigonometric polynomial on a finer
-        outcome grid over the same range pi/dtau, with the same
-        normalization and Parseval sums.  M' is odd, so tau = 0 stays the
-        centre, and a fixed point of ``scipy.fft.next_fast_len``, so the
-        transform never falls back to Bluestein's algorithm.  The original
-        lags and values are kept as they are; the grid grows by whole
-        steps at both ends.
-        """
-        size = len(self.values)
-        while (size := scipy.fft.next_fast_len(size)) % 2 == 0:
-            size += 1
-        pad = (size - len(self.values)) // 2
-        step = self.spacing * np.arange(1, pad + 1)
-        tau = np.concatenate([self.tau_grid[0] - step[::-1], self.tau_grid, self.tau_grid[-1] + step])
-        vals = np.pad(self.values, pad)
-        tau.flags.writeable = False
-        vals.flags.writeable = False
-        return CoherenceFunction(tau, vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,21 +135,32 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
 
     The autocorrelation is one zero-padded FFT of the amplitudes, padded to
     the next power of two >= 2n-1 so no lag wraps; O(n log n) time and O(n)
-    memory.  Only seeds stored by their symbol qualify.
+    memory.  Gamma is returned on its transform length, the smallest odd
+    M' >= 2n-1 that ``scipy.fft.next_fast_len`` keeps (tau = 0 stays the
+    middle lag, and no transform runs Bluestein's algorithm).  Lags beyond
+    the 2n-1 grid lags hold exact zeros, so the transform samples the same
+    p(mu) on a finer grid over the same range pi/dtau.
     """
     if probe.grid != ruler.grid:
         raise GridMismatch("probe and ruler must share a grid")
-    if ruler.symbol is None:
-        raise NotShiftInvariant("coherence_function needs a ruler seed stored by its symbol")
     psi = probe.amplitudes
     n = len(psi)
     size = 1 << (2 * n - 2).bit_length()
     spec = scipy.fft.fft(psi, size)
     corr = scipy.fft.ifft(spec * np.conj(spec))  # corr[t] = sum_g psi(g+t) conj(psi(g))
     lags = np.concatenate([corr[size - n + 1:], corr[:n]])  # lag j at index j + n - 1
-    vals = ruler.symbol * lags[::-1] * probe.grid.spacing  # Gamma(tau) reads corr at -tau
+    m = length = 2 * n - 1
+    while (length := scipy.fft.next_fast_len(length)) % 2 == 0:
+        length += 1
+    pad = (length - m) // 2
+    vals = np.zeros(length, dtype=complex)
+    vals[pad:pad + m] = ruler.symbol * lags[::-1] * probe.grid.spacing  # Gamma(tau) reads corr at -tau
+    lag_tau = probe.grid.tau_grid
+    step = float(lag_tau[1] - lag_tau[0]) * np.arange(1, pad + 1)
+    tau = np.concatenate([lag_tau[0] - step[::-1], lag_tau, lag_tau[-1] + step])
     vals.flags.writeable = False
-    gamma = CoherenceFunction(probe.grid.tau_grid, vals)
+    tau.flags.writeable = False
+    gamma = CoherenceFunction(tau, vals)
     _check_coherence(gamma, FLAT_DIAGONAL)
     return gamma
 
@@ -314,8 +301,8 @@ def appendix_coherence(
 
     No ruler factor is included, so Gamma(0) = 1 rather than 1/(2*pi).
     Gamma1 is the probe autocorrelation: 2*pi times the coherence function
-    with the ideal ruler, on the grid lags, or spline-interpolated from
-    them (zero beyond them) when ``tau_grid`` is given.  Gamma2 is a
+    with the ideal ruler, on its transform-length lags, or spline-interpolated
+    from them when ``tau_grid`` is given.  Gamma2 is a
     quadrature with off-grid amplitudes from a cubic spline of the sampled
     probe, clamped to zero outside the grid.  Values for tau < 0 are
     obtained from the Hermitian symmetry Gamma(-tau) = conj(Gamma(tau));

@@ -67,7 +67,8 @@ def fisher_from_family(
 
     The derivative uses the 4-point stencil at lambda0 +/- step and
     lambda0 +/- 2*step, Richardson-combined to fourth order.  If the
-    extrapolation correction changes F by more than 0.1% the step is
+    extrapolation correction changes F by more than 0.1%, or F exceeds
+    the quantum bound ``qfi`` by more than ``QFI_SLACK``, the step is
     rejected as too large (or too small, drowned in roundoff).
     """
     if not step > 0:
@@ -92,6 +93,8 @@ def fisher_from_family(
         raise StepTooLarge(
             f"Richardson residual {residual:.3e} exceeds {RESIDUAL_GATE}"
         )
+    if qfi is not None and f_r > qfi * (1.0 + QFI_SLACK):
+        raise StepTooLarge(f"Fisher {f_r} exceeds quantum bound {qfi} at step {step}")
     return FisherReport(f_r, qfi)
 
 

@@ -15,8 +15,8 @@ distribution on a fixed grid, and whose ``fisher`` method is the one
 route from a run to its finite-difference Fisher information.  The
 ruler's POVM does not depend on the signal, so each run builds its
 measurement once and the signal acts on the state only: the 1-D runs
-build the coherence function Gamma once, zero-padded to a fast transform
-length, and shift it; the joint runs build the (m, k) projections once
+build the coherence function Gamma once, on its fast transform length,
+and shift it; the joint runs build the (m, k) projections once
 and apply them to the evolved state.  ``SCENARIOS`` names the five
 runnable kinds and, for each, its spec, its runner and the spec fields a
 caller may set; the command line derives its flags, required values and
@@ -80,16 +80,8 @@ def _default_step(crb: float | None) -> float:
 def _shift_run(
     scenario: str, gamma: CoherenceFunction, closed: FisherReport, step: float
 ) -> ScenarioRun:
-    """A 1-D run: Gamma is built once and a signal value only shifts it.
-
-    Gamma is zero-padded once to a fast odd length
-    (``CoherenceFunction.padded``), so every family call transforms on
-    that length: its outcome grid is the exact dual of the padded Gamma, a
-    finer sampling of the same p(mu) over the same range.  The run's
-    ``gamma`` is the padded Gamma.
-    """
-    gamma = gamma.padded()
-
+    """A 1-D run: Gamma, on its fast transform length, is built once and a
+    signal value only shifts it; the outcome grid is the dual of its lags."""
     def family(lam: float) -> OutcomeDistribution:
         return statistics_from_coherence(gamma.shifted(lam))
 
@@ -210,7 +202,7 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
     Gamma is the generic route with the ideal ruler's flat symbol; the
     transform is a Fourier series over integer tau, and outcomes are the
     M' phases phi_k = 2*pi*k/M' on (-pi, pi), M' >= 2*n_max + 1 the
-    padded length of ``_shift_run``.
+    transform length of ``coherence_function``.
     """
     probe = make_sg_probe(SGProbeSpec(xi=sc.xi, n_max=sc.n_max))
     var = sg_fisher_variance(sc.xi)

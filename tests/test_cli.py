@@ -3,6 +3,7 @@ import math
 import os
 
 import pytest
+import scipy.fft
 
 from qruler import cli
 from qruler.acceptance import CriterionResult
@@ -127,11 +128,14 @@ class TestWkProbeSpec:
 
     @pytest.mark.parametrize("probe, n", [("gaussian:sigma=1", 512), ("sg:xi=0.9", 133)])
     def test_statistics_on_the_exact_dual_grid(self, tmp_path, probe, n):
-        # wk transforms Gamma on its own 2n-1 lags, without the shift runs' padding
+        # wk transforms Gamma on its transform length, the smallest fast odd
+        # one >= 2n-1, like the shift runs, and writes one outcome per lag
         out = tmp_path / "dual"
         assert run_cli(["wk", "--probe", probe, "--ruler", "ideal", "--out", str(out)]) == 0
         assert len((out / "probe_state.csv").read_text().splitlines()) == 1 + n
-        assert len((out / "statistics.csv").read_text().splitlines()) == 1 + 2 * n - 1
+        rows = len((out / "coherence.csv").read_text().splitlines()) - 1
+        assert rows % 2 == 1 and rows >= 2 * n - 1 and scipy.fft.next_fast_len(rows) == rows
+        assert len((out / "statistics.csv").read_text().splitlines()) == 1 + rows
 
     def test_sg_under_gaussian_phase_blur(self, tmp_path):
         out = tmp_path / "blur"
@@ -226,6 +230,18 @@ class TestFisherCommand:
         assert "--step must be > 0" in capsys.readouterr().err
         assert not (out / "fisher.json").exists()
 
+    @pytest.mark.parametrize("step", ["0.12", "0.13"])
+    def test_fisher_above_the_quantum_bound_is_domain_error(self, step, tmp_path, capsys):
+        # the ideal linear readout saturates F_Q = 4; these steps pass the
+        # Richardson gate but overshoot the bound by more than QFI_SLACK
+        out = tmp_path / "fq"
+        assert run_cli([
+            "fisher", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0", "--step", step,
+            "--out", str(out),
+        ]) == 3
+        assert "exceeds quantum bound 4.0" in capsys.readouterr().err
+        assert not (out / "fisher.json").exists()
+
     def test_sg_vacuum_has_zero_qfi(self, tmp_path):
         out = tmp_path / "fsg0"
         assert run_cli(["fisher", "--scenario", "sg", "--xi", "0", "--out", str(out)]) == 0
@@ -265,6 +281,24 @@ class TestScenarioCommand:
             "--out", str(tmp_path / "bad"),
         ])
         assert code == 3
+
+
+class TestEmptyLambdas:
+    """A --lambdas value that names no signal value is a config error."""
+
+    @pytest.mark.parametrize("lambdas", ["--lambdas=,", "--lambdas="])
+    def test_flag(self, lambdas, tmp_path, capsys):
+        out = tmp_path / "empty"
+        assert run_cli(["scenario", "--scenario", "sg", "--xi", "0.9", lambdas, "--out", str(out)]) == 2
+        assert "gives no signal value" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_config_file_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "sg", "xi": 0.9, "lambdas": ","}))
+        out = tmp_path / "empty"
+        assert run_cli(["scenario", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
 
 
 class TestScenarioFlags:

@@ -22,13 +22,11 @@ from qruler.coherence import (
 )
 from qruler.errors import (
     DegenerateDistribution,
-    DomainError,
     GridMismatch,
     NormalizationFailure,
-    NotShiftInvariant,
 )
 from qruler.grids import GeneratorGrid, grid_for_gaussian
-from qruler.ruler import FLAT_DIAGONAL, RulerSeed, make_gaussian_ruler, make_ideal_ruler
+from qruler.ruler import FLAT_DIAGONAL, make_gaussian_ruler, make_ideal_ruler
 from qruler.states import GaussianProbeSpec, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
 SQRT_PI = math.sqrt(math.pi)
@@ -44,6 +42,13 @@ def trace_coherence(probe, ruler):
     b = np.outer(psi, np.conj(psi)) * ruler.kernel.T
     n = len(psi)
     return np.array([np.trace(b, offset=j) for j in range(-(n - 1), n)]) * probe.grid.spacing
+
+
+def grid_lags(gamma, n):
+    """Gamma on the 2n-1 lags of an n-point grid: the middle of its transform-length lags."""
+    pad = (len(gamma.values) - (2 * n - 1)) // 2
+    middle = slice(pad, len(gamma.values) - pad)
+    return CoherenceFunction(gamma.tau_grid[middle], gamma.values[middle])
 
 
 class TestCoherenceFunction:
@@ -86,12 +91,6 @@ class TestCoherenceFunction:
         with pytest.raises(GridMismatch):
             coherence_function(unit_probe, other)
 
-    def test_dense_kernel_seed_is_domain_error(self, unit_probe, half_ruler):
-        dense = RulerSeed(unit_probe.grid, np.array(half_ruler.kernel))
-        with pytest.raises(NotShiftInvariant):
-            coherence_function(unit_probe, dense)
-        assert issubclass(NotShiftInvariant, DomainError)
-
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(64, 300),
@@ -105,8 +104,8 @@ class TestCoherenceFunction:
         grid = grid_for_gaussian(center, sigma, n)
         probe = make_gaussian_probe(GaussianProbeSpec(center, sigma, k0), grid)
         ruler = make_ideal_ruler(grid) if ideal else make_gaussian_ruler(dphi, grid)
-        gamma = coherence_function(probe, ruler)
-        np.testing.assert_allclose(gamma.values, trace_coherence(probe, ruler), rtol=0, atol=1e-15)
+        lags = grid_lags(coherence_function(probe, ruler), n).values
+        np.testing.assert_allclose(lags, trace_coherence(probe, ruler), rtol=0, atol=1e-15)
 
     def test_no_dense_allocation_on_large_axis(self):
         # the xi = 0.999 phase axis: 13,810 points, a dense kernel would be 3 GB
@@ -120,19 +119,18 @@ class TestCoherenceFunction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(gamma.values) == 2 * grid.n_points - 1
+        assert len(gamma.values) == 27783  # 3^4 * 7^3; the 2n-1 = 27,619 = 71 * 389 grid lags
         assert peak < 50e6
 
 
 class TestPadded:
-    """Zero-padding Gamma to the smallest fast odd transform length."""
+    """Gamma on its transform length: the grid lags zero-padded to the smallest fast odd length."""
 
     @pytest.mark.parametrize("n", [64, 65, 133, 512, 1024, 13810])
     def test_length_is_the_smallest_fast_odd_one(self, n):
-        tau = np.arange(-(n - 1), n) * 1.0
-        vals = np.zeros(2 * n - 1, complex)
-        vals[n - 1] = FLAT_DIAGONAL
-        size = len(CoherenceFunction(tau, vals).padded().values)
+        grid = grid_for_gaussian(0.0, 1.0, n)
+        probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid)
+        size = len(coherence_function(probe, make_ideal_ruler(grid)).values)
         assert size % 2 == 1 and size >= 2 * n - 1
         assert scipy.fft.next_fast_len(size) == size
         assert all(scipy.fft.next_fast_len(m) != m for m in range(2 * n - 1, size, 2))
@@ -141,30 +139,35 @@ class TestPadded:
     def test_zeros_outside_the_original_lags(self, n):
         grid = grid_for_gaussian(0.3, 1.1, n)
         probe = make_gaussian_probe(GaussianProbeSpec(0.3, 1.1, 0.7), grid)
-        gamma = coherence_function(probe, make_gaussian_ruler(0.4, grid))
-        padded = gamma.padded()
-        m, size = len(gamma.values), len(padded.values)
+        ruler = make_gaussian_ruler(0.4, grid)
+        gamma = coherence_function(probe, ruler)
+        m, size = 2 * n - 1, len(gamma.values)
         assert size > m
         pad = (size - m) // 2
-        assert np.array_equal(padded.values[pad:pad + m], gamma.values)
-        assert np.array_equal(padded.tau_grid[pad:pad + m], gamma.tau_grid)
-        assert not np.any(padded.values[:pad]) and not np.any(padded.values[pad + m:])
-        assert np.array_equal(padded.tau_grid, -padded.tau_grid[::-1])
-        np.testing.assert_allclose(np.diff(padded.tau_grid), grid.spacing, rtol=1e-12)
-        assert padded.gamma0 == gamma.gamma0
-        assert not padded.values.flags.writeable and not padded.tau_grid.flags.writeable
+        np.testing.assert_allclose(
+            gamma.values[pad:pad + m], trace_coherence(probe, ruler), rtol=0, atol=1e-15
+        )
+        assert np.array_equal(gamma.tau_grid[pad:pad + m], grid.tau_grid)
+        assert not np.any(gamma.values[:pad]) and not np.any(gamma.values[pad + m:])
+        assert np.array_equal(gamma.tau_grid, -gamma.tau_grid[::-1])
+        np.testing.assert_allclose(np.diff(gamma.tau_grid), grid.spacing, rtol=1e-12)
+        assert gamma.gamma0 == gamma.values[pad + n - 1].real
+        assert not gamma.values.flags.writeable and not gamma.tau_grid.flags.writeable
 
     def test_same_density_on_a_finer_grid(self, unit_probe, half_ruler):
         # the padded transform samples the same trigonometric polynomial
+        # as the transform on the grid's own 2n-1 lags
         gamma = coherence_function(unit_probe, half_ruler)
-        p, q = statistics_from_coherence(gamma), statistics_from_coherence(gamma.padded())
+        unpadded = grid_lags(gamma, unit_probe.grid.n_points)
+        assert np.array_equal(unpadded.tau_grid, unit_probe.grid.tau_grid)
+        p, q = statistics_from_coherence(unpadded), statistics_from_coherence(gamma)
         assert len(q.mu_grid) > len(p.mu_grid)
         assert q.mu_grid[-1] == pytest.approx(p.mu_grid[-1], rel=2.0 / len(p.mu_grid))
         assert q.density[len(q.mu_grid) // 2] == pytest.approx(
             p.density[len(p.mu_grid) // 2], rel=1e-12
         )
         assert signal_uncertainty(q) == pytest.approx(signal_uncertainty(p), rel=1e-12)
-        assert coherence_time(gamma.padded()) == pytest.approx(coherence_time(gamma), rel=1e-12)
+        assert coherence_time(gamma) == pytest.approx(coherence_time(unpadded), rel=1e-12)
 
 
 class TestStatisticsFromCoherence:

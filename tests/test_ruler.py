@@ -8,12 +8,42 @@ from hypothesis import strategies as st
 from qruler.errors import GridMismatch, NonPositiveSigma
 from qruler.grids import GeneratorGrid, grid_for_gaussian
 from qruler.ruler import (
+    DIAGONAL_TOL,
     FLAT_DIAGONAL,
+    HERMITICITY_TOL,
+    POSITIVITY_REL_TOL,
     RulerSeed,
+    ValidationReport,
     make_gaussian_ruler,
     make_ideal_ruler,
     validate_ruler,
 )
+
+
+def random_hermitian_symbol(rng, n):
+    """K(tau) with K(-tau) = conj K(tau), normal entries, K(0) = 1/(2*pi)."""
+    half = rng.normal(size=n) + 1j * rng.normal(size=n)
+    half[0] = FLAT_DIAGONAL
+    return np.concatenate([half[:0:-1].conj(), half])
+
+
+def dense_report(seed):
+    """Oracle: every check read from the dense n x n kernel, O(n^2) and O(n^3)."""
+    k = np.array(seed.kernel)
+    herm_res = float(np.max(np.abs(k - k.conj().T)))
+    diag_res = float(np.max(np.abs(np.diagonal(k).real - FLAT_DIAGONAL)))
+    diag_imag = float(np.max(np.abs(np.diagonal(k).imag)))
+    eigvals = np.linalg.eigvalsh(0.5 * (k + k.conj().T) * seed.grid.spacing)
+    lo, hi = float(eigvals[0]), float(eigvals[-1])
+    return ValidationReport(
+        hermitian=herm_res <= HERMITICITY_TOL,
+        hermiticity_residual=herm_res,
+        flat_diagonal=max(diag_res, diag_imag) <= DIAGONAL_TOL,
+        diagonal_residual=max(diag_res, diag_imag),
+        positive=lo >= -POSITIVITY_REL_TOL * max(hi, 0.0),
+        min_eigenvalue=lo,
+        max_eigenvalue=hi,
+    )
 
 
 def test_gaussian_kernel_values():
@@ -46,15 +76,13 @@ def test_kernel_matches_dense_construction(grid, dphi):
     np.testing.assert_array_equal(make_ideal_ruler(grid).kernel, np.full_like(dense, FLAT_DIAGONAL))
 
 
-def test_seed_needs_kernel_or_symbol():
+def test_symbol_length_must_match_grid():
     grid = GeneratorGrid(-8.0, 8.0, 128)
     seed = make_gaussian_ruler(0.5, grid)
-    with pytest.raises(ValueError):
-        RulerSeed(grid)
-    with pytest.raises(ValueError):
-        RulerSeed(grid, np.array(seed.kernel), symbol=seed.symbol)
     with pytest.raises(GridMismatch):
-        RulerSeed(grid, symbol=seed.symbol[1:-1])
+        RulerSeed(grid, seed.symbol[1:-1])
+    with pytest.raises(GridMismatch):
+        RulerSeed(grid, np.array(seed.kernel))
 
 
 def test_vanishing_width_is_flat():
@@ -79,7 +107,7 @@ def test_ideal_ruler_passes_validation():
 
 def test_wrong_diagonal_detected():
     grid = GeneratorGrid(-8.0, 8.0, 128)
-    seed = RulerSeed(grid, make_gaussian_ruler(0.5, grid).kernel * 2.0)
+    seed = RulerSeed(grid, make_gaussian_ruler(0.5, grid).symbol * 2.0)
     report = validate_ruler(seed)
     assert not report.flat_diagonal
     assert report.diagonal_residual == pytest.approx(1.0 / (2 * math.pi), abs=1e-14)
@@ -88,19 +116,45 @@ def test_wrong_diagonal_detected():
 
 def test_negative_eigenvalue_detected(rng):
     grid = GeneratorGrid(-8.0, 8.0, 128)
-    rand = rng.normal(size=(128, 128))
-    seed = RulerSeed(grid, ((rand + rand.T) / 2).astype(complex))
-    report = validate_ruler(seed)
+    report = validate_ruler(RulerSeed(grid, random_hermitian_symbol(rng, 128)))
     assert not report.positive
     assert report.min_eigenvalue < 0
+    assert report.hermitian and report.flat_diagonal
 
 
 def test_hermiticity_violation_detected():
+    # K(tau) perturbed on one side only, so K(-tau) != conj K(tau) at tau = -2 dg
     grid = GeneratorGrid(-8.0, 8.0, 128)
-    kernel = np.array(make_gaussian_ruler(0.5, grid).kernel)
-    kernel[3, 5] += 1e-6j
-    report = validate_ruler(RulerSeed(grid, kernel))
+    symbol = np.array(make_gaussian_ruler(0.5, grid).symbol)
+    symbol[127 - 2] += 1e-6j
+    report = validate_ruler(RulerSeed(grid, symbol))
     assert not report.hermitian
+    assert report.hermiticity_residual == pytest.approx(1e-6, rel=1e-9)
+
+
+def one_sided_symbol(grid):
+    symbol = np.array(make_gaussian_ruler(0.5, grid).symbol)
+    symbol[grid.n_points + 4] += 1e-6j
+    return symbol
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda grid: make_gaussian_ruler(0.7, grid).symbol,
+        lambda grid: make_ideal_ruler(grid).symbol,
+        lambda grid: make_gaussian_ruler(0.5, grid).symbol * 2.0,
+        lambda grid: random_hermitian_symbol(np.random.default_rng(7), grid.n_points),
+        one_sided_symbol,
+    ],
+    ids=["gaussian", "ideal", "doubled", "random-hermitian", "one-sided"],
+)
+def test_symbol_report_equals_dense_report(build):
+    # the O(n) symbol checks and the one Toeplitz section give the dense
+    # route's values bit for bit
+    grid = grid_for_gaussian(0.3, 1.2, 160)
+    seed = RulerSeed(grid, build(grid))
+    assert validate_ruler(seed) == dense_report(seed)
 
 
 def test_non_positive_width():

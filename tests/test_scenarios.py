@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_coherence import trace_coherence
+from test_coherence import grid_lags, trace_coherence
 
 from qruler.coherence import (
     CoherenceFunction,
@@ -242,14 +242,15 @@ class TestSG:
         gamma = coherence_function(probe, make_ideal_ruler(probe.grid))
         c = probe.amplitudes
         n = len(c)
+        lags = grid_lags(gamma, n).values
         for tau in (-5, -1, 0, 1, 2, 17):
             ref = sum(c[i] * np.conj(c[i + tau]) for i in range(n) if 0 <= i + tau < n)
-            assert gamma.values[tau + n - 1] == pytest.approx(ref / (2 * math.pi), abs=1e-15)
+            assert lags[tau + n - 1] == pytest.approx(ref / (2 * math.pi), abs=1e-15)
 
     def test_matches_generic_kernel_route(self):
         probe = make_sg_probe(SGProbeSpec(xi=0.5))
         ideal = make_ideal_ruler(probe.grid)
-        generic = coherence_function(probe, ideal)
+        generic = grid_lags(coherence_function(probe, ideal), probe.grid.n_points)
         dense = trace_coherence(probe, ideal)
         np.testing.assert_allclose(generic.values, dense, atol=1e-14)
         p_g = statistics_from_coherence(generic)
@@ -299,15 +300,16 @@ SHIFT_RUNS = {
 
 
 class TestShiftRunPadding:
-    """1-D runs transform Gamma zero-padded to a fast odd length."""
+    """1-D runs transform Gamma on its transform length, zero-padded to a fast odd one."""
 
     @pytest.mark.parametrize("name", sorted(SHIFT_RUNS))
     def test_family_matches_direct_sum(self, name):
         build, build_probe, ruler = SHIFT_RUNS[name]
         run, probe = build(), build_probe()
-        gamma = coherence_function(probe, ruler(probe.grid))  # unpadded
-        assert np.array_equal(run.gamma.values, gamma.padded().values)
-        assert np.array_equal(run.gamma.tau_grid, gamma.padded().tau_grid)
+        padded = coherence_function(probe, ruler(probe.grid))
+        assert np.array_equal(run.gamma.values, padded.values)
+        assert np.array_equal(run.gamma.tau_grid, padded.tau_grid)
+        gamma = grid_lags(padded, probe.grid.n_points)  # the grid's own 2n-1 lags
         for lam in (0.0, 0.37, -1.1):
             p = run.family(lam)
             assert len(p.mu_grid) == len(run.gamma.values) > len(gamma.values)
@@ -321,7 +323,7 @@ class TestShiftRunPadding:
         run = run_phase_sg(SGScenario(xi=0.999))
         assert len(run.gamma.values) == 27783  # 3^4 * 7^3; unpadded 27,619 = 71 * 389
         probe = make_sg_probe(SGProbeSpec(xi=0.999))
-        gamma = coherence_function(probe, make_ideal_ruler(probe.grid))
+        gamma = grid_lags(coherence_function(probe, make_ideal_ruler(probe.grid)), probe.grid.n_points)
         assert len(gamma.values) == 27619
         padded = run.fisher(lam0).fisher
         unpadded = fisher_from_family(
