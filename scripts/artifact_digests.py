@@ -6,9 +6,11 @@ Runs, through ``qruler.cli.main``, every ``qruler`` line of the README
 each of the five scenario kinds, ``wk`` and ``validate-ruler`` on an
 explicit ``--grid``, ``wk`` on the deep ``sg:xi=0.999`` probe,
 ``validate-ruler`` on a narrow Gaussian seed, and ``fisher`` with an
-explicit ``--step``, each
-into its own directory under a working directory, and prints one
-``example/file sha256`` line per artifact, sorted.  The working directory is temporary unless ``--keep
+explicit ``--step``, then the three experiment scripts (``wk_demo.py``,
+``budget_curves.py``, ``generator_power_widths.py``, in process with
+their default arguments), each into its own directory under a working
+directory, and prints one ``example/file sha256`` line per artifact,
+sorted.  The working directory is temporary unless ``--keep
 DIR`` names one, which then holds the artifacts afterwards.  Output
 directories are relative, so manifests do not depend on where the run
 happens.  Exits 1 if any example fails.
@@ -28,13 +30,17 @@ import hashlib
 import io
 import os
 import re
+import runpy
 import shlex
 import sys
 import tempfile
 
 from qruler.cli import main as qruler_main
 
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+HERE = os.path.dirname(os.path.abspath(__file__))
+README = os.path.join(HERE, os.pardir, "README.md")
+# experiment scripts that write CSVs into the current directory
+SCRIPTS = ("wk_demo.py", "budget_curves.py", "generator_power_widths.py")
 
 # (name, argv) for fisher and scenario on every scenario kind, with the
 # optional displacements and, for scenario, more than one signal value
@@ -86,6 +92,20 @@ def digests(workdir: str, name: str) -> list[str]:
     return lines
 
 
+def run_script(script: str, outdir: str) -> None:
+    """Run ``scripts/<script>`` as ``__main__`` with no arguments inside ``outdir``."""
+    os.makedirs(outdir, exist_ok=True)
+    home, argv = os.getcwd(), sys.argv
+    os.chdir(outdir)
+    sys.argv = [script]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(os.path.join(HERE, script), run_name="__main__")
+    finally:
+        sys.argv = argv
+        os.chdir(home)
+
+
 def run_examples(workdir: str) -> tuple[list[str], list[str]]:
     """Run every example into ``workdir``; return digest lines and failures."""
     lines, failed = [], []
@@ -99,6 +119,10 @@ def run_examples(workdir: str) -> tuple[list[str], list[str]]:
                 failed.append(f"{name}: exit {code}")
             if os.path.isdir(name):
                 lines += digests(workdir, name)
+        for script in SCRIPTS:  # a failing script raises, which exits 1 too
+            name = f"script-{os.path.splitext(script)[0]}"
+            run_script(script, name)
+            lines += digests(workdir, name)
     finally:
         os.chdir(home)
     return lines, failed

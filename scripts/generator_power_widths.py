@@ -4,7 +4,9 @@
 A probe can be perfectly coherent for detecting shifts generated by g yet
 carry a different coherence budget for g^2, even though both operators
 are diagonal in the same basis: the coherence time grows linearly with
-the probe width in the first case and quadratically in the second.
+the probe width in the first case and quadratically in the second.  The
+coherence function of g is ``coherence_function`` with the ideal ruler;
+that of g^2 is the appendix quadrature ``appendix_coherence``.
 """
 
 import numpy as np
@@ -12,9 +14,11 @@ import numpy as np
 from qruler import (
     GaussianProbeSpec,
     appendix_coherence,
+    coherence_function,
     coherence_time,
     grid_for_gaussian,
     make_gaussian_probe,
+    make_ideal_ruler,
 )
 from qruler.output import write_csv
 
@@ -23,11 +27,10 @@ def main():
     widths = np.array([0.5, 0.7, 1.0, 1.4, 2.0, 2.8, 4.0])
     tc_linear, tc_squared = [], []
     for sigma in widths:
-        probe = make_gaussian_probe(
-            GaussianProbeSpec(0.0, sigma), grid_for_gaussian(0.0, sigma, 1024)
-        )
-        tc_linear.append(coherence_time(appendix_coherence(probe, "G")))
-        tc_squared.append(coherence_time(appendix_coherence(probe, "G2")))
+        grid = grid_for_gaussian(0.0, sigma, 1024)
+        probe = make_gaussian_probe(GaussianProbeSpec(0.0, sigma), grid)
+        tc_linear.append(coherence_time(coherence_function(probe, make_ideal_ruler(grid))))
+        tc_squared.append(coherence_time(appendix_coherence(probe)))
 
     slope1 = np.polyfit(np.log(widths), np.log(tc_linear), 1)[0]
     slope2 = np.polyfit(np.log(widths), np.log(tc_squared), 1)[0]

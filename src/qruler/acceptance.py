@@ -26,7 +26,7 @@ from .coherence import (
 )
 from .fisher import closed_form_fn
 from .grids import grid_for_gaussian
-from .ruler import FLAT_DIAGONAL, RulerSeed, make_gaussian_ruler, validate_ruler
+from .ruler import FLAT_DIAGONAL, RulerSeed, make_gaussian_ruler, make_ideal_ruler, validate_ruler
 from .scenarios import SCENARIOS, ScenarioRun, phase_distribution_ws, sg_fisher_variance, sg_wk_variance
 from .states import GaussianProbeSpec, make_gaussian_probe
 
@@ -201,11 +201,13 @@ def criterion_7_appendix() -> CriterionResult:
     dp = 1.0
     grid = grid_for_gaussian(0.0, dp, 1024)
     probe = make_gaussian_probe(GaussianProbeSpec(0.0, dp), grid)
-    tau = np.linspace(-4.0 * dp**2, 4.0 * dp**2, 801)
-    g1 = appendix_coherence(probe, "G", tau)
-    err1 = float(np.max(np.abs(g1.values - np.exp(-(tau**2) / (8.0 * dp**2)))))
+    g1 = coherence_function(probe, make_ideal_ruler(grid))  # Gamma1 / (2*pi), on its own lags
+    near = np.abs(g1.tau_grid) <= 4.0 * dp**2  # the 8-sigma grid truncates Gamma1 beyond
+    form1 = np.exp(-(g1.tau_grid[near] ** 2) / (8.0 * dp**2))
+    err1 = float(np.max(np.abs(2.0 * np.pi * g1.values[near] - form1)))
     rec.require(err1 <= 1e-6, f"linear-generator coherence matches gaussian form: {err1:.2e}")
-    g2 = appendix_coherence(probe, "G2", tau)
+    tau = np.linspace(-4.0 * dp**2, 4.0 * dp**2, 801)
+    g2 = appendix_coherence(probe, tau)
     err2 = float(np.max(np.abs(g2.values - np.exp(-np.abs(tau) / (4.0 * dp**2)))))
     rec.require(err2 <= 1e-6, f"squared-generator coherence matches laplace form: {err2:.2e}")
 
@@ -213,19 +215,20 @@ def criterion_7_appendix() -> CriterionResult:
     tc1, tc2 = [], []
     for s in dps:
         pr = make_gaussian_probe(GaussianProbeSpec(0.0, s), grid_for_gaussian(0.0, s, 1024))
-        tc1.append(coherence_time(appendix_coherence(pr, "G")))
-        tc2.append(coherence_time(appendix_coherence(pr, "G2")))
+        tc1.append(coherence_time(coherence_function(pr, make_ideal_ruler(pr.grid))))
+        tc2.append(coherence_time(appendix_coherence(pr)))
     slope1 = float(np.polyfit(np.log(dps), np.log(tc1), 1)[0])
     slope2 = float(np.polyfit(np.log(dps), np.log(tc2), 1)[0])
     rec.require(abs(slope1 - 1.0) <= 0.01, f"coherence-time slope vs width: {slope1:.6f} vs 1")
     rec.require(abs(slope2 - 2.0) <= 0.01, f"squared-generator slope: {slope2:.6f} vs 2")
 
     shifted = make_gaussian_probe(GaussianProbeSpec(2.0, dp), grid_for_gaussian(2.0, dp, 1024))
-    g2_shift = appendix_coherence(shifted, "G2", tau)
+    g2_shift = appendix_coherence(shifted, tau)
     dev2 = float(np.max(np.abs(g2_shift.values - g2.values)))
     rec.require(dev2 > 1e-3, f"squared-generator coherence depends on the center: dev {dev2:.3e}")
-    g1_shift = appendix_coherence(shifted, "G", tau)
-    dev1 = float(np.max(np.abs(np.abs(g1_shift.values) - np.abs(g1.values))))
+    # same spacing and length, so both coherence functions share their lags
+    g1_shift = coherence_function(shifted, make_ideal_ruler(shifted.grid))
+    dev1 = 2.0 * np.pi * float(np.max(np.abs(np.abs(g1_shift.values) - np.abs(g1.values))))
     rec.require(dev1 < 1e-10, f"|linear-generator coherence| center-independent: dev {dev1:.3e}")
     return CriterionResult(7, "generator-power coherence functions", rec.ok, rec.checks)
 

@@ -32,7 +32,7 @@ from .errors import (
     NonPositiveSigma,
     NormalizationFailure,
 )
-from .ruler import FLAT_DIAGONAL, RulerSeed, make_ideal_ruler
+from .ruler import FLAT_DIAGONAL, RulerSeed
 from .states import PureProbe
 
 GAMMA0_TOL = 1e-8
@@ -290,36 +290,23 @@ class GaussianModel:
 
 def appendix_coherence(
     probe: PureProbe,
-    power: str,
     tau_grid: np.ndarray | None = None,
 ) -> CoherenceFunction:
-    """Probe-only coherence function for the generator g or g^2.
+    """Probe-only coherence function for the squared generator g^2,
 
-    power="G":  Gamma1(tau) = integral dp psi(p) conj(psi(p+tau)),
-    power="G2": Gamma2(tau) = integral' dp psi(p) conj(psi(sqrt(p^2+tau))),
-                the primed range keeping p^2 + tau >= 0.
+        Gamma2(tau) = integral' dp psi(p) conj(psi(sqrt(p^2+tau))),
 
-    No ruler factor is included, so Gamma(0) = 1 rather than 1/(2*pi).
-    Gamma1 is the probe autocorrelation: 2*pi times the coherence function
-    with the ideal ruler, on its transform-length lags, or spline-interpolated
-    from them when ``tau_grid`` is given.  Gamma2 is a
-    quadrature with off-grid amplitudes from a cubic spline of the sampled
-    probe, clamped to zero outside the grid.  Values for tau < 0 are
-    obtained from the Hermitian symmetry Gamma(-tau) = conj(Gamma(tau));
-    for "G2" the raw negative-tau integral would break that symmetry,
-    which every coherence function must satisfy.
+    the primed range keeping p^2 + tau >= 0.  No ruler factor is included,
+    so Gamma(0) = 1 rather than 1/(2*pi).  For g itself the probe-only
+    Gamma1 is 2*pi times ``coherence_function`` with the ideal ruler.
+    The quadrature takes off-grid amplitudes from a cubic spline of the
+    sampled probe, clamped to zero outside the grid.  Values for tau < 0
+    are obtained from the Hermitian symmetry Gamma(-tau) = conj(Gamma(tau));
+    the raw negative-tau integral would break that symmetry, which every
+    coherence function must satisfy.
     """
-    if power not in ("G", "G2"):
-        raise ValueError("power must be 'G' or 'G2'")
     grid = probe.grid
-    if power == "G":
-        lags = coherence_function(probe, make_ideal_ruler(grid))
-        vals = 2.0 * np.pi * lags.values
-        vals.flags.writeable = False
-        gamma1 = CoherenceFunction(lags.tau_grid, vals)
-        if tau_grid is None:
-            return gamma1
-    elif tau_grid is None:
+    if tau_grid is None:
         sigma = math.sqrt(probe.variance())
         half = max(40.0 * sigma**2, 16.0 * sigma)
         tau_grid = np.linspace(-half, half, 2049)
@@ -327,21 +314,15 @@ def appendix_coherence(
     if abs(tau[len(tau) // 2]) > 1e-12 * max(float(tau[-1] - tau[0]), 1.0):
         raise ValueError("tau_grid must be symmetric around 0")
     half_tau = tau[len(tau) // 2 :]
-
-    def spline(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
-        re = CubicSpline(x, y.real, extrapolate=False)
-        im = CubicSpline(x, y.imag, extrapolate=False)
-        return np.nan_to_num(re(at) + 1j * im(at), nan=0.0)
-
-    if power == "G":
-        vals_half = spline(gamma1.tau_grid, gamma1.values, half_tau)
-    else:
-        p = grid.points
-        arg = p[None, :] ** 2 + half_tau[:, None]
-        inside = arg >= 0.0
-        shifted = spline(p, probe.amplitudes, np.sqrt(np.where(inside, arg, 0.0)))
-        shifted[~inside] = 0.0
-        vals_half = np.sum(probe.amplitudes[None, :] * np.conj(shifted), axis=1) * grid.spacing
+    p = grid.points
+    arg = p[None, :] ** 2 + half_tau[:, None]
+    inside = arg >= 0.0
+    at = np.sqrt(np.where(inside, arg, 0.0))
+    re = CubicSpline(p, probe.amplitudes.real, extrapolate=False)
+    im = CubicSpline(p, probe.amplitudes.imag, extrapolate=False)
+    shifted = np.nan_to_num(re(at) + 1j * im(at), nan=0.0)
+    shifted[~inside] = 0.0
+    vals_half = np.sum(probe.amplitudes[None, :] * np.conj(shifted), axis=1) * grid.spacing
     vals = np.concatenate([np.conj(vals_half[:0:-1]), vals_half])
     vals.flags.writeable = False
     tau = tau.copy()

@@ -76,8 +76,11 @@ def fisher_from_family(
     center = p_family(lambda0)
     offsets = {d: p_family(lambda0 + d * step) for d in (-2, -1, 1, 2)}
     for dist in offsets.values():
-        if dist.density.shape != center.density.shape or not np.array_equal(
-            dist.mu_grid, center.mu_grid
+        # k_grid is None for 1-D members, and array_equal(None, axis) fails
+        if (
+            dist.density.shape != center.density.shape
+            or not np.array_equal(dist.mu_grid, center.mu_grid)
+            or (dist.k_grid is not center.k_grid and not np.array_equal(dist.k_grid, center.k_grid))
         ):
             raise GridMismatch("family members must share an outcome grid")
     d1 = (offsets[1].density - offsets[-1].density) / (2.0 * step)

@@ -255,8 +255,8 @@ def _outcome_axis(center: float, half_width: float, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NonlinearScenario:
-    """Generator p^2 on a Gaussian probe, squeezed-coherent (m, k) readout.
+class _JointSpec:
+    """Fields shared by the joint (m, k) scenarios.
 
     ``vx_s`` and ``vx_m`` are X-quadrature variances of probe and ruler;
     the conjugate variances follow the minimum-uncertainty link of pure
@@ -270,11 +270,17 @@ class NonlinearScenario:
     n_points: int = 1024
     m_points: int = 256
     k_points: int = 256
-    lambda_pad: float = 0.05  # largest |lambda| the outcome grids must absorb
 
     def __post_init__(self):
         if not self.vx_s > 0 or not self.vx_m > 0:
             raise NonPositiveSigma("variances must be > 0")
+
+
+@dataclass(frozen=True)
+class NonlinearScenario(_JointSpec):
+    """Generator p^2 on a Gaussian probe, squeezed-coherent (m, k) readout."""
+
+    lambda_pad: float = 0.05  # largest |lambda| the outcome grids must absorb
 
 
 def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
@@ -310,24 +316,8 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
 
 
 @dataclass(frozen=True)
-class CoherentSqueezedScenario:
-    """Phase rotations of a displaced (possibly squeezed) Gaussian probe.
-
-    Variances as in :class:`NonlinearScenario`; the probe is centered at
-    (x0, p0) in phase space and read out by squeezed-coherent projections.
-    """
-
-    vx_s: float
-    vx_m: float
-    x0: float = 0.0
-    p0: float = 0.0
-    n_points: int = 1024
-    m_points: int = 256
-    k_points: int = 256
-
-    def __post_init__(self):
-        if not self.vx_s > 0 or not self.vx_m > 0:
-            raise NonPositiveSigma("variances must be > 0")
+class CoherentSqueezedScenario(_JointSpec):
+    """Phase rotations of a Gaussian probe centered at (x0, p0), squeezed-coherent (m, k) readout."""
 
 
 def rotate_gaussian(
@@ -417,6 +407,10 @@ SCENARIOS = {
 # ---------------------------------------------------------------------------
 
 
+PHASE_POINTS = 2049   # polar-angle samples on [-pi, pi)
+RADIAL_POINTS = 4097  # radial trapezoid nodes on [0, 12 sigma_max]
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseDistribution:
     phi_grid: np.ndarray
@@ -430,9 +424,7 @@ class PhaseDistribution:
         return math.isinf(self.delta2_phi0)
 
 
-def phase_distribution_ws(
-    vx_eff: float, vp_eff: float, n_phi: int = 2049, n_r: int = 4097
-) -> PhaseDistribution:
+def phase_distribution_ws(vx_eff: float, vp_eff: float) -> PhaseDistribution:
     """Polar-angle distribution of a centered Gaussian phase-space function.
 
     ``vx_eff`` and ``vp_eff`` are blurred variances (probe plus detector).
@@ -447,15 +439,15 @@ def phase_distribution_ws(
     """
     if not vx_eff > 0 or not vp_eff > 0:
         raise NonPositiveSigma("effective variances must be > 0")
-    phi = np.linspace(-np.pi, np.pi, n_phi, endpoint=False)
+    phi = np.linspace(-np.pi, np.pi, PHASE_POINTS, endpoint=False)
     r_max = 12.0 * math.sqrt(max(vx_eff, vp_eff))
-    r = np.linspace(0.0, r_max, n_r)
+    r = np.linspace(0.0, r_max, RADIAL_POINTS)
     quad = (np.cos(phi) ** 2 / vx_eff + np.sin(phi) ** 2 / vp_eff)[:, None]
     wigner = np.exp(-0.5 * quad * r[None, :] ** 2) / (
         2.0 * np.pi * math.sqrt(vx_eff * vp_eff)
     )
     dens = np.trapezoid(wigner * r[None, :], r, axis=1)
-    dens /= np.sum(dens) * (2.0 * np.pi / n_phi)
+    dens /= np.sum(dens) * (2.0 * np.pi / PHASE_POINTS)
 
     kappa = vx_eff / vp_eff - 1.0
     profile = math.sqrt(1.0 + kappa) / (2.0 * np.pi) / (1.0 + kappa * np.sin(phi) ** 2)

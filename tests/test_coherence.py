@@ -301,19 +301,24 @@ class TestGaussianClosedForms:
         )
 
 
+def linear_generator_coherence(probe):
+    """Probe-only Gamma1 of g: 2*pi times the ideal-ruler coherence function, on its lags."""
+    gamma = coherence_function(probe, make_ideal_ruler(probe.grid))
+    return gamma.tau_grid, 2.0 * np.pi * gamma.values
+
+
 class TestAppendixCoherence:
     def test_linear_power_value(self):
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
-        tau = np.linspace(-4.0, 4.0, 401)
-        g1 = appendix_coherence(probe, "G", tau)
-        assert g1.gamma0 == pytest.approx(1.0, abs=1e-10)
+        tau, g1 = linear_generator_coherence(probe)
+        assert g1[len(g1) // 2].real == pytest.approx(1.0, abs=1e-10)
         idx = np.argmin(np.abs(tau - 2.0))
-        assert g1.values[idx].real == pytest.approx(math.exp(-0.5), abs=1e-8)
+        assert g1[idx].real == pytest.approx(math.exp(-tau[idx] ** 2 / 8.0), abs=1e-8)
 
     def test_squared_power_value(self):
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
         tau = np.linspace(-4.0, 4.0, 401)
-        g2 = appendix_coherence(probe, "G2", tau)
+        g2 = appendix_coherence(probe, tau)
         idx = np.argmin(np.abs(tau - 2.0))
         assert g2.values[idx].real == pytest.approx(math.exp(-0.5), abs=1e-8)
         # negative branch is the Hermitian reflection of the positive one
@@ -322,13 +327,15 @@ class TestAppendixCoherence:
     def test_independent_quadrature_oracle(self):
         # adaptive quadrature of the defining integrals at a few tau values
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
+        lags, g1 = linear_generator_coherence(probe)
+        picks = len(lags) // 2 + np.arange(-192, 193, 16)  # 25 lags, |tau| up to 3.003
         tau = np.linspace(-3.0, 3.0, 25)
-        g1 = appendix_coherence(probe, "G", tau)
-        g2 = appendix_coherence(probe, "G2", tau)
+        g2 = appendix_coherence(probe, tau)
         psi = lambda p: (2 * math.pi) ** (-0.25) * math.exp(-p * p / 4.0)
-        for i, t in enumerate(tau):
+        for i, t in zip(picks, lags[picks]):
             ref1 = quad(lambda p: psi(p) * psi(p + t), -30, 30)[0]
-            assert g1.values[i].real == pytest.approx(ref1, abs=1e-8)
+            assert g1[i].real == pytest.approx(ref1, abs=1e-8)
+        for i, t in enumerate(tau):
             if t >= 0:
                 ref2 = quad(lambda p: psi(p) * psi(math.sqrt(p * p + t)), -30, 30)[0]
                 assert g2.values[i].real == pytest.approx(ref2, abs=1e-8)
@@ -337,13 +344,11 @@ class TestAppendixCoherence:
         tau = np.linspace(-4.0, 4.0, 401)
         p0 = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
         p2 = make_gaussian_probe(GaussianProbeSpec(2.0, 1.0), grid_for_gaussian(2.0, 1.0, 1024))
-        g2_0 = appendix_coherence(p0, "G2", tau)
-        g2_2 = appendix_coherence(p2, "G2", tau)
+        g2_0 = appendix_coherence(p0, tau)
+        g2_2 = appendix_coherence(p2, tau)
         assert np.max(np.abs(g2_0.values - g2_2.values)) > 1e-3
-        g1_0 = appendix_coherence(p0, "G", tau)
-        g1_2 = appendix_coherence(p2, "G", tau)
-        assert np.max(np.abs(np.abs(g1_0.values) - np.abs(g1_2.values))) < 1e-10
-
-    def test_bad_power_rejected(self, unit_probe):
-        with pytest.raises(ValueError):
-            appendix_coherence(unit_probe, "G3")
+        # equal spacing and length: both probes' coherence functions share their lags
+        lags_0, g1_0 = linear_generator_coherence(p0)
+        lags_2, g1_2 = linear_generator_coherence(p2)
+        np.testing.assert_array_equal(lags_0, lags_2)
+        assert np.max(np.abs(np.abs(g1_0) - np.abs(g1_2))) < 1e-10

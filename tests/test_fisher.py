@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qruler.coherence import OutcomeDistribution
-from qruler.errors import NonPositiveSigma, StepTooLarge
+from qruler.errors import GridMismatch, NonPositiveSigma, StepTooLarge
 from qruler.fisher import (
     FisherReport,
     closed_form_fn,
@@ -68,6 +68,20 @@ class TestFisherFromFamily:
 
         rep = fisher_from_family(family, 0.0, 1e-3 * sm)
         assert rep.fisher == pytest.approx(1.0 / sm**2, rel=1e-6)
+
+    def test_joint_members_on_different_k_axes(self):
+        # the k axis moves by 10*lambda: members live on different outcome grids
+        m = np.linspace(-10, 10, 201)
+        sm, sk = 0.9, 1.7
+
+        def family(lam):
+            k = np.linspace(-14, 14, 201) + 10.0 * lam
+            dm = np.exp(-((m - lam) ** 2) / (2 * sm**2)) / (sm * math.sqrt(2 * math.pi))
+            dk = np.exp(-(k**2) / (2 * sk**2)) / (sk * math.sqrt(2 * math.pi))
+            return OutcomeDistribution(m, np.outer(dm, dk), k_grid=k)
+
+        with pytest.raises(GridMismatch):
+            fisher_from_family(family, 0.0, 1e-3 * sm)
 
 
 class TestQfiPure:
