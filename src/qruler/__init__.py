@@ -65,7 +65,6 @@ from .scenarios import (
     NonlinearScenario,
     PhaseDistribution,
     PhaseGaussianScenario,
-    ScenarioKind,
     ScenarioRun,
     SCENARIOS,
     SGScenario,

@@ -1,7 +1,9 @@
 """Acceptance suite: the package's end-to-end exit criteria.
 
 Each criterion is a deterministic function returning a
-:class:`CriterionResult`; randomized parameter draws use a fixed seed.
+:class:`CriterionResult`, which records its checks as they run;
+randomized parameter draws use a fixed seed.  Scenario runs are built
+through ``scenarios.SCENARIOS``.
 ``run_all`` executes every criterion in order.  The pytest module
 ``tests/test_acceptance.py`` and the ``qruler acceptance`` CLI command
 both drive these functions.
@@ -27,7 +29,7 @@ from .coherence import (
 from .fisher import closed_form_fn
 from .grids import grid_for_gaussian
 from .ruler import FLAT_DIAGONAL, RulerSeed, make_gaussian_ruler, make_ideal_ruler, validate_ruler
-from .scenarios import SCENARIOS, ScenarioRun, phase_distribution_ws, sg_fisher_variance, sg_wk_variance
+from .scenarios import SCENARIOS, phase_distribution_ws, sg_fisher_variance, sg_wk_variance
 from .states import GaussianProbeSpec, make_gaussian_probe
 
 SEED = 20240917
@@ -36,38 +38,28 @@ SQRT_PI = math.sqrt(math.pi)
 
 @dataclass
 class CriterionResult:
+    """A criterion's outcome: it passes until a ``require`` fails."""
+
     index: int
     name: str
-    passed: bool
+    passed: bool = True
     checks: list[str] = field(default_factory=list)
+
+    def require(self, condition: bool, message: str) -> None:
+        self.passed &= bool(condition)
+        self.checks.append(f"{'ok' if condition else 'FAIL'}: {message}")
+
+    def note(self, message: str) -> None:
+        self.checks.append(f"info: {message}")
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] criterion {self.index}: {self.name}"
 
 
-class _Recorder:
-    def __init__(self):
-        self.checks: list[str] = []
-        self.ok = True
-
-    def require(self, condition: bool, message: str) -> None:
-        self.ok &= bool(condition)
-        self.checks.append(f"{'ok' if condition else 'FAIL'}: {message}")
-
-    def note(self, message: str) -> None:
-        self.checks.append(f"info: {message}")
-
-
-def _run(kind: str, **fields) -> ScenarioRun:
-    """The run of the ``SCENARIOS`` kind ``kind`` on a spec with ``fields``."""
-    entry = SCENARIOS[kind]
-    return entry.run(entry.spec(**fields))
-
-
 def criterion_1_wk_pair() -> CriterionResult:
     """Transform and direct-trace statistics agree; tau_c * dlam = sqrt(pi)."""
-    rec = _Recorder()
+    rec = CriterionResult(1, "wiener-kintchine pair and product law")
     rng = np.random.default_rng(SEED)
     worst_gap = 0.0
     worst_product = 0.0
@@ -86,49 +78,48 @@ def criterion_1_wk_pair() -> CriterionResult:
         worst_product = max(worst_product, abs(wk_product(gamma, p_t) - SQRT_PI))
     rec.require(worst_gap <= 1e-8, f"100 pairs: max |p_transform - p_direct| = {worst_gap:.3e} <= 1e-8")
     rec.require(worst_product <= 1e-5, f"100 pairs: max |tau_c*dlam - sqrt(pi)| = {worst_product:.3e} <= 1e-5")
-    return CriterionResult(1, "wiener-kintchine pair and product law", rec.ok, rec.checks)
+    return rec
 
 
 def criterion_2_gaussian_resolution() -> CriterionResult:
     """Sampled squared signal uncertainty matches the additive closed forms."""
-    rec = _Recorder()
+    rec = CriterionResult(2, "gaussian resolution closed forms")
     for dphi_m, expected in ((0.0, 0.01), (0.1, 0.02)):
-        run = _run("phase", n_mean=100.0, dn_s=5.0, dphi_m=dphi_m)
+        run = SCENARIOS["phase"](n_mean=100.0, dn_s=5.0, dphi_m=dphi_m).run()
         got = signal_uncertainty(run.family(0.0)) ** 2
         rel = abs(got / expected - 1.0)
         rec.require(rel <= 1e-6, f"phase dphi_m={dphi_m}: d2lam={got:.12e} vs {expected} (rel {rel:.2e})")
-    run = _run("linear", dx_s=0.5, dx_m=0.5)
+    run = SCENARIOS["linear"](dx_s=0.5, dx_m=0.5).run()
     got = signal_uncertainty(run.family(0.0)) ** 2
     rel = abs(got / 0.5 - 1.0)
     rec.require(rel <= 1e-6, f"linear dx_s=dx_m=0.5: d2lam={got:.12e} vs 0.5 (rel {rel:.2e})")
-    return CriterionResult(2, "gaussian resolution closed forms", rec.ok, rec.checks)
+    return rec
 
 
 def criterion_3_crb_coincidence() -> CriterionResult:
     """Numerical Fisher of the linear family equals the additive CRB."""
-    rec = _Recorder()
+    rec = CriterionResult(3, "cramer-rao coincidence, linear scenario")
     cases = (("blurred", 0.5, 2.0, "2"), ("ideal", 0.0, 4.0, "4*Var(P)=4"))
     for label, dx_m, expected, target in cases:
-        fisher = _run("linear", dx_s=0.5, dx_m=dx_m).fisher().fisher
+        fisher = SCENARIOS["linear"](dx_s=0.5, dx_m=dx_m).run().fisher().fisher
         rel = abs(fisher / expected - 1.0)
         rec.require(rel <= 1e-4, f"{label}: F={fisher:.10f} vs {target} (rel {rel:.2e})")
-    return CriterionResult(3, "cramer-rao coincidence, linear scenario", rec.ok, rec.checks)
+    return rec
 
 
 def criterion_4_joint_fisher() -> CriterionResult:
     """Joint (m, k) Fisher reproduces the rotation and quadratic closed forms."""
-    rec = _Recorder()
+    rec = CriterionResult(4, "joint-readout fisher closed forms")
     rng = np.random.default_rng(SEED + 4)
     for kind, x0_max, generator in (("phase-cs", 1.5, "rotation"), ("nonlinear", 1.0, "quadratic")):
         worst = 0.0
         for _ in range(10):
-            run = _run(
-                kind,
+            run = SCENARIOS[kind](
                 vx_s=rng.uniform(0.2, 1.0),
                 vx_m=rng.uniform(0.2, 1.0),
                 x0=rng.uniform(-x0_max, x0_max),
                 p0=rng.uniform(-1.5, 1.5),
-            )
+            ).run()
             worst = max(worst, abs(run.fisher().fisher / run.closed_form.fisher - 1.0))
         rec.require(worst <= 1e-3, f"{generator} generator, 10 draws: worst rel {worst:.2e}")
 
@@ -143,24 +134,24 @@ def criterion_4_joint_fisher() -> CriterionResult:
     f3 = closed_form_fn(0.1, 0.625, 0.25, 0.25, 0.0, 0.0).fisher
     rec.require(abs(f3 - 0.9) < 1e-12, f"closed form: squeezed quartet gives F={f3} = 0.9")
 
-    f_sym = _run("phase-cs", vx_s=0.5, vx_m=0.5).fisher().fisher
+    f_sym = SCENARIOS["phase-cs"](vx_s=0.5, vx_m=0.5).run().fisher().fisher
     rec.require(f_sym <= 1e-6, f"numerical: symmetric vacuum F={f_sym:.2e} ~ 0")
-    f_disp = _run("phase-cs", vx_s=0.5, vx_m=0.5, x0=math.sqrt(2.0)).fisher().fisher
+    f_disp = SCENARIOS["phase-cs"](vx_s=0.5, vx_m=0.5, x0=math.sqrt(2.0)).run().fisher().fisher
     rec.require(
         abs(f_disp / 2.0 - 1.0) <= 1e-3,
         f"numerical: displaced vacuum F={f_disp:.8f} vs 2",
     )
-    f_sq = _run("phase-cs", vx_s=0.2, vx_m=0.5).fisher().fisher
+    f_sq = SCENARIOS["phase-cs"](vx_s=0.2, vx_m=0.5).run().fisher().fisher
     rec.require(
         abs(f_sq / 0.9 - 1.0) <= 1e-3,
         f"numerical: squeezed vacuum F={f_sq:.8f} vs 0.9",
     )
-    return CriterionResult(4, "joint-readout fisher closed forms", rec.ok, rec.checks)
+    return rec
 
 
 def criterion_5_optima() -> CriterionResult:
     """Budget optima: balanced linear split, 1:3 quadratic split."""
-    rec = _Recorder()
+    rec = CriterionResult(5, "coherence-budget optima")
     lin = optimize_linear(8.0)
     rec.require(abs(lin.split_numeric - 0.5) <= 1e-8, f"linear split {lin.split_numeric!r} vs 0.5")
     rec.require(
@@ -171,33 +162,33 @@ def criterion_5_optima() -> CriterionResult:
     rec.require(abs(non.split_numeric - 0.75) <= 1e-8, f"nonlinear split {non.split_numeric!r} vs 0.75")
     ratio_num = non.fisher_numeric / non.qfi
     rec.require(abs(ratio_num - 0.375) <= 1e-8, f"nonlinear F*/QF = {ratio_num!r} vs 3/8")
-    return CriterionResult(5, "coherence-budget optima", rec.ok, rec.checks)
+    return rec
 
 
 def criterion_6_sg_scenario() -> CriterionResult:
     """Geometric-series probe: both width routes and their limiting ratio."""
-    rec = _Recorder()
+    rec = CriterionResult(6, "non-gaussian phase probe widths")
     for xi in (0.5, 0.9, 0.99):
-        run = _run("sg", xi=xi)
+        run = SCENARIOS["sg"](xi=xi).run()
         d2_wk = signal_uncertainty(run.family(0.0)) ** 2
         rel_wk = abs(d2_wk / sg_wk_variance(xi) - 1.0)
         rec.require(rel_wk <= 1e-6, f"xi={xi}: sampled d2lam rel err {rel_wk:.2e}")
         rel_f = abs(run.fisher().crb / sg_fisher_variance(xi) - 1.0)
         rec.require(rel_f <= 1e-4, f"xi={xi}: fisher crb rel err {rel_f:.2e}")
     xi = 0.999
-    run = _run("sg", xi=xi)
+    run = SCENARIOS["sg"](xi=xi).run()
     d2_wk = signal_uncertainty(run.family(0.0)) ** 2
     ratio = d2_wk / run.fisher().crb
     rec.require(
         abs(ratio / (math.pi / 2.0) - 1.0) <= 0.02,
         f"xi={xi}: width ratio {ratio:.6f} vs pi/2 = {math.pi/2:.6f} within 2%",
     )
-    return CriterionResult(6, "non-gaussian phase probe widths", rec.ok, rec.checks)
+    return rec
 
 
 def criterion_7_appendix() -> CriterionResult:
     """Generator vs squared-generator coherence: forms, scalings, p0 effects."""
-    rec = _Recorder()
+    rec = CriterionResult(7, "generator-power coherence functions")
     dp = 1.0
     grid = grid_for_gaussian(0.0, dp, 1024)
     probe = make_gaussian_probe(GaussianProbeSpec(0.0, dp), grid)
@@ -230,12 +221,12 @@ def criterion_7_appendix() -> CriterionResult:
     g1_shift = coherence_function(shifted, make_ideal_ruler(shifted.grid))
     dev1 = 2.0 * np.pi * float(np.max(np.abs(np.abs(g1_shift.values) - np.abs(g1.values))))
     rec.require(dev1 < 1e-10, f"|linear-generator coherence| center-independent: dev {dev1:.3e}")
-    return CriterionResult(7, "generator-power coherence functions", rec.ok, rec.checks)
+    return rec
 
 
 def criterion_8_ruler_legitimacy() -> CriterionResult:
     """Gaussian seeds pass the legitimacy checks; violations are caught."""
-    rec = _Recorder()
+    rec = CriterionResult(8, "ruler legitimacy validation")
     grid = grid_for_gaussian(0.0, 1.0, 256)
     for dphi in (0.5, 1.0):
         rep = validate_ruler(make_gaussian_ruler(dphi, grid))
@@ -255,12 +246,12 @@ def criterion_8_ruler_legitimacy() -> CriterionResult:
     indefinite = RulerSeed(grid, np.concatenate([half[:0:-1].conj(), half]))
     rep_i = validate_ruler(indefinite)
     rec.require(not rep_i.positive, f"random hermitian kernel: positivity fails (min eig {rep_i.min_eigenvalue:.3e})")
-    return CriterionResult(8, "ruler legitimacy validation", rec.ok, rec.checks)
+    return rec
 
 
 def criterion_9_phase_distribution() -> CriterionResult:
     """Radial phase distribution matches its closed-form profile."""
-    rec = _Recorder()
+    rec = CriterionResult(9, "phase-space phase distribution")
     pd = phase_distribution_ws(0.35, 0.875)
     rec.require(
         pd.profile_residual <= 1e-3,
@@ -277,7 +268,7 @@ def criterion_9_phase_distribution() -> CriterionResult:
     vxt, vpt = vx_s + vx_m, vp_s + vp_m
     inv_sum = abs(vxt - vpt) / (vxt * vpt) + x0**2 / vpt + p0**2 / vxt
     rec.note(f"diagnostic: F_N / sum(1/d2phi) = {f_n / inv_sum:.6f} (not asserted)")
-    return CriterionResult(9, "phase-space phase distribution", rec.ok, rec.checks)
+    return rec
 
 
 CRITERIA = (

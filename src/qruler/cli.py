@@ -6,12 +6,13 @@ flag name (flags win).  A config value is a number or a string and goes
 through the same argparse type and choices as the flag it sets, so a bad
 value fails the same way on either route.
 
-The scenario flags of ``fisher`` and ``scenario`` come from
-``scenarios.SCENARIOS``: each settable spec field is one flag, named as
-the field without underscores (``dx_s`` -> ``--dxs``); fields without a
-default are required, and a flag the chosen scenario does not read is
-rejected.  ``wk`` runs every probe through the same pipeline: ruler on
-the probe's grid, coherence function, outcome statistics.
+The scenario flags of ``fisher`` and ``scenario`` come from the spec
+classes in ``scenarios.SCENARIOS``: each positional spec field is one
+flag, named as the field without underscores (``dx_s`` -> ``--dxs``);
+fields without a default are required, a flag the chosen scenario does
+not read is rejected, and keyword-only grid sizes keep their defaults.
+``wk`` runs every probe through the same pipeline: ruler on the probe's
+grid, coherence function, outcome statistics.
 
 Each command returns its artifacts by file name; ``main`` alone writes
 the ones ``--format`` selects, plus a manifest.json carrying the merged
@@ -53,12 +54,12 @@ PROBE_KINDS = {"gaussian": {"sigma", "center", "kc"}, "sg": {"xi", "nmax"}}
 RULER_KINDS = {"gaussian": {"dphi"}, "ideal": set()}
 
 
-def _flag(field: str) -> str:
-    """The CLI flag of a scenario spec field: its name without underscores."""
-    return field.replace("_", "")
+def _flags(spec: type) -> dict[str, dataclasses.Field]:
+    """The CLI flags of a scenario spec, its positional fields without underscores."""
+    return {f.name.replace("_", ""): f for f in dataclasses.fields(spec) if not f.kw_only}
 
 
-SCENARIO_FLAGS = tuple(dict.fromkeys(_flag(f) for kind in SCENARIOS.values() for f in kind.fields))
+SCENARIO_FLAGS = tuple(dict.fromkeys(flag for spec in SCENARIOS.values() for flag in _flags(spec)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,23 +202,18 @@ def _scenario_run(args, lambda_pad: float = 0.0):
     ``lambda_pad`` widens a spec that sizes its outcome grids for a
     largest |lambda| (the nonlinear scenario) when the default is smaller.
     """
-    kind = SCENARIOS[args.scenario]
-    reads = {_flag(field): field for field in kind.fields}
+    reads = _flags(SCENARIOS[args.scenario])
     stray = [f for f in SCENARIO_FLAGS if f not in reads and getattr(args, f) is not None]
     if stray:
         raise ConfigError(f"scenario {args.scenario!r} does not read --" + ", --".join(stray))
     params = {f: getattr(args, f) for f in reads if getattr(args, f) is not None}
-    missing = [
-        _flag(f.name)
-        for f in dataclasses.fields(kind.spec)
-        if f.default is dataclasses.MISSING and _flag(f.name) not in params
-    ]
+    missing = [f for f in reads if reads[f].default is dataclasses.MISSING and f not in params]
     if missing:
         raise ConfigError(f"scenario {args.scenario!r} needs --" + ", --".join(missing))
-    spec = kind.spec(**{reads[f]: v for f, v in params.items()})
+    spec = SCENARIOS[args.scenario](**{reads[f].name: v for f, v in params.items()})
     if lambda_pad > getattr(spec, "lambda_pad", lambda_pad):
         spec = dataclasses.replace(spec, lambda_pad=lambda_pad)
-    return kind.run(spec), params
+    return spec.run(), params
 
 
 def _cmd_fisher(args):

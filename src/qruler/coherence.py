@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft  # for next_fast_len; the same pocketfft transforms as numpy.fft
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DegenerateDistribution,
@@ -283,10 +282,6 @@ class GaussianModel:
     def gamma(self, tau: np.ndarray) -> np.ndarray:
         return FLAT_DIAGONAL * np.exp(-0.5 * self.delta2_lambda * np.asarray(tau) ** 2)
 
-    @property
-    def tau_c(self) -> float:
-        return math.sqrt(math.pi / self.delta2_lambda)
-
 
 def appendix_coherence(
     probe: PureProbe,
@@ -303,16 +298,22 @@ def appendix_coherence(
     sampled probe, clamped to zero outside the grid.  Values for tau < 0
     are obtained from the Hermitian symmetry Gamma(-tau) = conj(Gamma(tau));
     the raw negative-tau integral would break that symmetry, which every
-    coherence function must satisfy.
+    coherence function must satisfy; so ``tau_grid`` must be uniform and
+    symmetric, tau = -tau reversed.
     """
+    from scipy.interpolate import CubicSpline  # loads scipy.optimize; only this quadrature needs it
+
     grid = probe.grid
     if tau_grid is None:
         sigma = math.sqrt(probe.variance())
         half = max(40.0 * sigma**2, 16.0 * sigma)
         tau_grid = np.linspace(-half, half, 2049)
     tau = np.asarray(tau_grid, dtype=float)
-    if abs(tau[len(tau) // 2]) > 1e-12 * max(float(tau[-1] - tau[0]), 1.0):
+    tol = 1e-12 * max(float(tau[-1] - tau[0]), 1.0)
+    if abs(tau[len(tau) // 2]) > tol or np.max(np.abs(tau + tau[::-1])) > tol:
         raise ValueError("tau_grid must be symmetric around 0")
+    if np.ptp(np.diff(tau)) > tol:
+        raise ValueError("tau_grid must be uniform")
     half_tau = tau[len(tau) // 2 :]
     p = grid.points
     arg = p[None, :] ** 2 + half_tau[:, None]

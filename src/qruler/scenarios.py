@@ -12,22 +12,25 @@ Four families:
 Each ``run_*`` takes a frozen spec dataclass and returns a
 :class:`ScenarioRun` whose ``family`` maps a signal value to an outcome
 distribution on a fixed grid, and whose ``fisher`` method is the one
-route from a run to its finite-difference Fisher information.  The
+route from a run to its finite-difference Fisher information; a spec's
+``run()`` calls its module-level ``run_*`` by name.  The
 ruler's POVM does not depend on the signal, so each run builds its
 measurement once and the signal acts on the state only: the 1-D runs
 build the coherence function Gamma once, on its fast transform length,
 and shift it; the joint runs build the (m, k) projections once
-and apply them to the evolved state.  ``SCENARIOS`` names the five
-runnable kinds and, for each, its spec, its runner and the spec fields a
-caller may set; the command line derives its flags, required values and
-reported parameters from it, and acceptance builds its runs through it.
+and apply them to the evolved state.  ``SCENARIOS`` maps the five
+runnable kinds to their spec classes.  A spec's positional fields are its
+physical parameters, from which the command line derives its flags,
+required values and reported parameters; its grid sizes (and
+``lambda_pad``) are keyword-only and are not flags.  Acceptance builds
+its runs through the same table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import KW_ONLY, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -106,6 +109,7 @@ class LinearScenario:
     dx_m: float  # 0 means ideal (projective) position readout
     x0: float = 0.0
     p0: float = 0.0
+    _: KW_ONLY
     n_points: int = 512
 
     def __post_init__(self):
@@ -113,6 +117,9 @@ class LinearScenario:
             raise NonPositiveSigma("dx_s must be > 0")
         if self.dx_m < 0:
             raise NonPositiveSigma("dx_m must be >= 0")
+
+    def run(self) -> ScenarioRun:
+        return run_linear(self)
 
 
 def run_linear(sc: LinearScenario) -> ScenarioRun:
@@ -136,6 +143,7 @@ class PhaseGaussianScenario:
     n_mean: float
     dn_s: float
     dphi_m: float = 0.0  # 0 means ideal phase measurement
+    _: KW_ONLY
     n_points: int = 1024
 
     def __post_init__(self):
@@ -143,6 +151,9 @@ class PhaseGaussianScenario:
             raise NonPositiveSigma("dn_s must be > 0")
         if self.dphi_m < 0:
             raise NonPositiveSigma("dphi_m must be >= 0")
+
+    def run(self) -> ScenarioRun:
+        return run_phase_gaussian(self)
 
 
 def run_phase_gaussian(sc: PhaseGaussianScenario) -> ScenarioRun:
@@ -173,7 +184,11 @@ class SGScenario:
     """Ideal phase measurement over the geometric-series probe."""
 
     xi: complex
+    _: KW_ONLY
     n_max: int | None = None
+
+    def run(self) -> ScenarioRun:
+        return run_phase_sg(self)
 
 
 def sg_wk_variance(xi: complex) -> float:
@@ -267,6 +282,7 @@ class _JointSpec:
     vx_m: float
     x0: float = 0.0
     p0: float = 0.0
+    _: KW_ONLY
     n_points: int = 1024
     m_points: int = 256
     k_points: int = 256
@@ -280,7 +296,10 @@ class _JointSpec:
 class NonlinearScenario(_JointSpec):
     """Generator p^2 on a Gaussian probe, squeezed-coherent (m, k) readout."""
 
-    lambda_pad: float = 0.05  # largest |lambda| the outcome grids must absorb
+    lambda_pad: float = field(default=0.05, kw_only=True)  # largest |lambda| the grids absorb
+
+    def run(self) -> ScenarioRun:
+        return run_nonlinear(self)
 
 
 def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
@@ -318,6 +337,9 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
 @dataclass(frozen=True)
 class CoherentSqueezedScenario(_JointSpec):
     """Phase rotations of a Gaussian probe centered at (x0, p0), squeezed-coherent (m, k) readout."""
+
+    def run(self) -> ScenarioRun:
+        return run_phase_coherent_squeezed(self)
 
 
 def rotate_gaussian(
@@ -376,29 +398,12 @@ def gaussian_number_qfi(vx: float, vp: float, x0: float, p0: float) -> float:
     return 2.0 * (vx**2 + vp**2) - 1.0 + 4.0 * (vx * x0**2 + vp * p0**2)
 
 
-@dataclass(frozen=True)
-class ScenarioKind:
-    """A runnable scenario: its spec dataclass, its runner, settable fields.
-
-    Spec fields left out of ``fields`` (grid sizes, ``lambda_pad``) keep
-    their defaults; fields without a default must be given.
-    """
-
-    spec: type
-    run: Callable[[Any], ScenarioRun]
-    fields: tuple[str, ...]
-
-
 SCENARIOS = {
-    "linear": ScenarioKind(LinearScenario, run_linear, ("dx_s", "dx_m", "x0", "p0")),
-    "phase": ScenarioKind(
-        PhaseGaussianScenario, run_phase_gaussian, ("n_mean", "dn_s", "dphi_m")
-    ),
-    "sg": ScenarioKind(SGScenario, run_phase_sg, ("xi",)),
-    "nonlinear": ScenarioKind(NonlinearScenario, run_nonlinear, ("vx_s", "vx_m", "x0", "p0")),
-    "phase-cs": ScenarioKind(
-        CoherentSqueezedScenario, run_phase_coherent_squeezed, ("vx_s", "vx_m", "x0", "p0")
-    ),
+    "linear": LinearScenario,
+    "phase": PhaseGaussianScenario,
+    "sg": SGScenario,
+    "nonlinear": NonlinearScenario,
+    "phase-cs": CoherentSqueezedScenario,
 }
 
 

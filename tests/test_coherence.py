@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import qruler
 from qruler.coherence import (
     CoherenceFunction,
     GaussianModel,
@@ -237,11 +241,6 @@ class TestWidths:
         assert tc == pytest.approx(oracle, rel=1e-9)
         assert tc == pytest.approx(math.sqrt(2 * math.pi), rel=1e-9)
 
-    def test_coherence_time_scaling(self):
-        narrow = GaussianModel(1.0, 0.5)              # total variance 0.5
-        wide = GaussianModel(1.0, math.sqrt(0.75))    # total variance 1.0
-        assert wide.tau_c == pytest.approx(narrow.tau_c / math.sqrt(2.0), rel=1e-12)
-
     def test_signal_uncertainty_is_gaussian_sigma(self):
         sigma = 0.6
         mu = np.linspace(-8, 8, 3201)
@@ -352,3 +351,22 @@ class TestAppendixCoherence:
         lags_2, g1_2 = linear_generator_coherence(p2)
         np.testing.assert_array_equal(lags_0, lags_2)
         assert np.max(np.abs(np.abs(g1_0) - np.abs(g1_2))) < 1e-10
+
+    @pytest.mark.parametrize("tau, problem", [
+        ([-1.0, -0.5, 0.0, 1.0, 2.0], "symmetric"),   # would mirror tau = 1, 2 onto -0.5, -1
+        ([-3.0, -1.0, 0.0, 1.0, 3.0], "uniform"),     # coherence_time would read spacing 2
+        ([-1.0, -0.5, 0.5, 1.0], "symmetric"),        # no zero lag
+    ])
+    def test_tau_grid_must_be_uniform_and_symmetric(self, tau, problem):
+        probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
+        with pytest.raises(ValueError, match=problem):
+            appendix_coherence(probe, np.array(tau))
+
+    def test_import_leaves_interpolation_unloaded(self):
+        # scipy.interpolate pulls in scipy.optimize, sparse and spatial
+        code = "import sys, qruler; print('scipy.interpolate' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qruler.__file__))}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

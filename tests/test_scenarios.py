@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from test_coherence import grid_lags, trace_coherence
 
+from qruler import acceptance, cli, scenarios
 from qruler.coherence import (
     CoherenceFunction,
     _finalize_density,
@@ -117,11 +118,36 @@ KIND_FIELDS = {
 
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
 def test_run_fisher_is_fisher_from_family(kind):
-    entry = SCENARIOS[kind]
-    run = entry.run(entry.spec(**KIND_FIELDS[kind]))
+    run = SCENARIOS[kind](**KIND_FIELDS[kind]).run()
     assert run.fisher() == fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
     step = 2.0 * run.default_step
     assert run.fisher(0.3, step=step) == fisher_from_family(run.family, 0.3, step, qfi=run.qfi)
+
+
+def test_grid_sizes_are_keyword_only():
+    with pytest.raises(TypeError):
+        LinearScenario(0.5, 0.5, 0.0, 0.0, 64)
+    with pytest.raises(TypeError):
+        NonlinearScenario(0.25, 0.25, 0.0, 0.0, 256)
+    assert NonlinearScenario(0.25, 0.25, n_points=256, lambda_pad=0.1).n_points == 256
+
+
+def test_runs_call_the_module_level_runner(monkeypatch, tmp_path):
+    # a run resolves run_* by module attribute at call time, so a patched
+    # runner (a tracer's, say) sees the command line's and acceptance's runs
+    calls = []
+
+    def spy(spec):
+        calls.append(spec)
+        return run_linear(spec)
+
+    monkeypatch.setattr(scenarios, "run_linear", spy)
+    assert cli.main([
+        "fisher", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", "--out", str(tmp_path),
+    ]) == 0
+    assert calls == [LinearScenario(0.5, 0.5)]
+    assert acceptance.criterion_3_crb_coincidence().passed
+    assert calls[1:] == [LinearScenario(0.5, 0.5), LinearScenario(0.5, 0.0)]
 
 
 class TestLinear:
