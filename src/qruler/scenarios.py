@@ -243,7 +243,9 @@ def _joint_readout(
     (w*sqrt(2*pi))^{-1/2}, along one axis and a Fourier phase along the
     other: in momentum, w = 1/(2*dx_m) centered at -k with phase e^{ipm};
     in position, w = dx_m centered at m with phase e^{ixk}.  The returned
-    ``readout(psi)`` is |<phi_{m,k}|psi>|^2/(2*pi) on [m, k], one matmul.
+    ``readout(psi)`` is |<phi_{m,k}|psi>|^2/(2*pi) on [m, k], one real ×
+    complex GEMM: the real window [center, x] times psi*phases [x, freq],
+    read as interleaved real and imaginary columns.
     """
     if momentum:
         width, centers, freqs = 1.0 / (2.0 * dx_m), -k_grid, m_grid
@@ -255,7 +257,8 @@ def _joint_readout(
     scale = grid.spacing / math.sqrt(width * math.sqrt(2.0 * math.pi))
 
     def readout(psi: np.ndarray) -> OutcomeDistribution:
-        overlap = (window * psi[None, :]) @ phases  # [center, freq]
+        weighted = (psi[:, None] * phases).view(np.float64)  # [x, 2*freq]
+        overlap = (window @ weighted).view(complex)  # [center, freq]
         overlap *= scale
         dens = np.abs(overlap) ** 2 / (2.0 * np.pi)
         return _finalize_density(m_grid, dens.T if momentum else dens, k_grid=k_grid)

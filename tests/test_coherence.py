@@ -13,9 +13,14 @@ from scipy.integrate import quad
 
 import qruler
 from qruler.coherence import (
+    NEGATIVE_CLIP,
+    NORM_HARD_TOL,
+    SYMMETRY_TOL,
     CoherenceFunction,
     GaussianModel,
     OutcomeDistribution,
+    _check_coherence,
+    _finalize_density,
     appendix_coherence,
     coherence_function,
     coherence_time,
@@ -199,6 +204,48 @@ class TestStatisticsFromCoherence:
         vals = FLAT_DIAGONAL * np.cos(freq * tau) + 0j
         with pytest.raises(NormalizationFailure):
             statistics_from_coherence(CoherenceFunction(tau, vals))
+
+
+def unit_mass_density():
+    """A hand-built Gaussian on 201 outcomes whose Riemann mass is exactly 1."""
+    mu = np.linspace(-10.0, 10.0, 201)
+    raw = np.exp(-(mu**2) / 2.0)
+    raw /= np.sum(raw) * (mu[1] - mu[0])
+    return mu, raw
+
+
+class TestGates:
+    """Each gate of ``_finalize_density`` and ``_check_coherence`` trips just past its tolerance."""
+
+    def test_norm_gate(self):
+        assert NORM_HARD_TOL == 1e-6
+        mu, raw = unit_mass_density()
+        with pytest.raises(NormalizationFailure, match="norm"):
+            _finalize_density(mu, raw * (1.0 + 2e-6))
+        dist = _finalize_density(mu, raw * (1.0 + 5e-7))
+        assert dist.total_mass() == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(dist.density, raw, rtol=1e-14)
+
+    def test_negative_gate_and_clip(self):
+        assert NEGATIVE_CLIP == 1e-12
+        mu, raw = unit_mass_density()
+        tail = raw.copy()
+        tail[0] = -2e-12
+        with pytest.raises(NormalizationFailure, match="negative"):
+            _finalize_density(mu, tail)
+        tail[0] = -5e-13
+        dist = _finalize_density(mu, tail)
+        assert dist.density[0] == 0.0
+        assert np.min(dist.density) == 0.0
+
+    def test_hermitian_symmetry_gate(self, unit_grid):
+        assert SYMMETRY_TOL == 1e-10
+        tau = unit_grid.tau_grid
+        vals = FLAT_DIAGONAL * np.exp(-(tau**2) / 4.0) + 0j
+        _check_coherence(CoherenceFunction(tau, vals), FLAT_DIAGONAL)
+        vals[len(tau) // 2 + 3] += 2e-10
+        with pytest.raises(NormalizationFailure, match="Hermitian"):
+            _check_coherence(CoherenceFunction(tau, vals), FLAT_DIAGONAL)
 
 
 class TestDirectStatistics:
