@@ -12,9 +12,12 @@ density and a coherence function.  The primed range drops g where g+tau
 falls off the grid.  For a shift-invariant ruler the seed enters only
 through its symbol K(tau), and the probe only through its autocorrelation
 (psi * psi)(tau) = integral' dg psi(g) conj(psi(g+tau)), computed by one
-FFT, and Gamma is stored on its transform length.  Two independent routes
-to p(mu) are provided: the transform of Gamma and a brute-force double sum
-over the dense kernel, used to cross-check each other.
+FFT, and Gamma is stored on its transform length.  Gamma is Hermitian,
+Gamma(-tau) = conj Gamma(tau), so p(mu) is real: the transform gates that
+symmetry on its input and reads only the lags tau >= 0, as one
+half-spectrum FFT.  Two independent routes to p(mu) are provided: the
+transform of Gamma and a brute-force double sum over the dense kernel,
+used to cross-check each other.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft  # for next_fast_len; the same pocketfft transforms as numpy.fft
+import scipy.fft  # next_fast_len and hfft; the same pocketfft transforms as numpy.fft
 
 from .errors import (
     DegenerateDistribution,
@@ -73,8 +76,19 @@ class CoherenceFunction:
 
         A signal shift lambda multiplies Gamma(tau) by exp(i tau lambda),
         translating p(mu) to p(mu - lambda).  Both invariants survive.
+        The phase is evaluated by cos/sin on tau >= 0 only; the lags
+        tau < 0 take its conjugate mirror, as the tau grid is symmetric.
         """
-        return CoherenceFunction(self.tau_grid, self.values * np.exp(1j * self.tau_grid * delta))
+        mid = len(self.values) // 2
+        x = self.tau_grid[mid:] * delta
+        phase = np.empty(len(x), dtype=complex)
+        np.cos(x, out=phase.real)
+        np.sin(x, out=phase.imag)
+        vals = np.empty_like(self.values)
+        np.multiply(self.values[mid:], phase, out=vals[mid:])
+        np.conjugate(phase, out=phase)
+        np.multiply(self.values[:mid], phase[:0:-1], out=vals[:mid])
+        return CoherenceFunction(self.tau_grid, vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +129,18 @@ class OutcomeDistribution:
         )
 
 
+def _require_hermitian(values: np.ndarray) -> None:
+    """Gate Gamma(-tau) = conj Gamma(tau) at SYMMETRY_TOL.
+
+    The residual max |conj Gamma(tau) - Gamma(-tau)| is read on tau >= 0,
+    which holds every pair (and twice Im Gamma(0)).
+    """
+    mid = len(values) // 2
+    sym = float(np.max(np.abs(np.conj(values[mid:]) - values[mid::-1])))
+    if sym > SYMMETRY_TOL:
+        raise NormalizationFailure(f"Gamma lacks Hermitian symmetry: {sym:.3e}")
+
+
 def _check_coherence(gamma: CoherenceFunction, gamma0_expected: float | None) -> None:
     values = gamma.values
     g0 = values[len(values) // 2]
@@ -124,9 +150,7 @@ def _check_coherence(gamma: CoherenceFunction, gamma0_expected: float | None) ->
         raise NormalizationFailure(
             f"Gamma(0) = {g0.real!r}, expected {gamma0_expected!r}"
         )
-    sym = float(np.max(np.abs(np.conj(values) - values[::-1])))
-    if sym > SYMMETRY_TOL:
-        raise NormalizationFailure(f"Gamma lacks Hermitian symmetry: {sym:.3e}")
+    _require_hermitian(values)
 
 
 def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
@@ -194,12 +218,15 @@ def statistics_from_coherence(gamma: CoherenceFunction) -> OutcomeDistribution:
     2*pi/(M*dtau); on that grid the transform is a plain DFT that
     preserves normalization exactly.  Integer tau grids (periodic phase
     statistics) are the special case dtau = 1, where mu is the phase on
-    (-pi, pi) with spacing 2*pi/M.
+    (-pi, pi) with spacing 2*pi/M.  Gamma is Hermitian (gated here at
+    SYMMETRY_TOL), so p is real: the transform reads only the lags
+    tau >= 0, as one half-spectrum ``hfft``.
     """
     vals = gamma.values
+    _require_hermitian(vals)
     m = len(vals)
     dtau = gamma.spacing
-    raw = dtau * np.fft.fftshift(scipy.fft.fft(np.fft.ifftshift(vals)))
+    raw = dtau * np.fft.fftshift(scipy.fft.hfft(vals[m // 2:], m))
     dmu = 2.0 * np.pi / (m * dtau)
     mu = np.arange(-(m // 2), m // 2 + 1) * dmu
     mu.flags.writeable = False

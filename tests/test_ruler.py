@@ -122,6 +122,22 @@ def test_negative_eigenvalue_detected(rng):
     assert report.hermitian and report.flat_diagonal
 
 
+@pytest.mark.parametrize("factor, positive", [(2.0, False), (0.5, True)])
+def test_positivity_gate_trips_at_its_tolerance(factor, positive):
+    assert POSITIVITY_REL_TOL == 1e-10
+    grid = GeneratorGrid(-8.0, 8.0, 64)
+    n = grid.n_points
+    # The ideal section dg/(2*pi) * ones is rank one, top eigenvalue n*dg/(2*pi).
+    # Lowering K(0) by eps moves every eigenvalue by -eps*dg, so the gate sits
+    # at eps = tol * (n/(2*pi) - eps), which is tol*n/(2*pi) to 1e-10 relative.
+    eps = factor * POSITIVITY_REL_TOL * n * FLAT_DIAGONAL
+    symbol = np.array(make_ideal_ruler(grid).symbol)
+    symbol[n - 1] -= eps
+    report = validate_ruler(RulerSeed(grid, symbol))
+    assert report.min_eigenvalue == pytest.approx(-eps * grid.spacing, rel=1e-4)
+    assert report.positive == positive
+
+
 def test_hermiticity_violation_detected():
     # K(tau) perturbed on one side only, so K(-tau) != conj K(tau) at tau = -2 dg
     grid = GeneratorGrid(-8.0, 8.0, 128)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_coherence import grid_lags, trace_coherence
+from test_coherence import BENCH_RUNS, grid_lags, trace_coherence
 
 from qruler import acceptance, cli, scenarios
 from qruler.coherence import (
@@ -366,6 +366,15 @@ class TestShiftRunPadding:
         # measured gap 6.0e-11 (lambda0 = 0) and 1.3e-11 (lambda0 = 0.4)
         assert padded == pytest.approx(unpadded, rel=1e-9)
         assert padded == pytest.approx(1.0 / sg_fisher_variance(0.999), rel=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_RUNS))
+def test_shift_run_fisher_does_not_depend_on_lambda0(name):
+    # p_lambda is the band-limited translate of p_0, so F is the same at every lambda0
+    run = BENCH_RUNS[name]()
+    values = [run.fisher(lam0).fisher for lam0 in (-0.9, -0.31, 0.0, 0.47, 1.0)]
+    # measured spread <= 4.8e-10 relative (sg-0.999), <= 8.3e-12 for the Gaussian runs
+    assert max(values) - min(values) <= 1e-8 * values[2]
 
 
 class TestNonlinear:
