@@ -199,7 +199,7 @@ def criterion_7_appendix() -> CriterionResult:
     rec.require(err1 <= 1e-6, f"linear-generator coherence matches gaussian form: {err1:.2e}")
     tau = np.linspace(-4.0 * dp**2, 4.0 * dp**2, 801)
     g2 = appendix_coherence(probe, tau)
-    err2 = float(np.max(np.abs(g2.values - np.exp(-np.abs(tau) / (4.0 * dp**2)))))
+    err2 = float(np.max(np.abs(g2.values - np.exp(-g2.tau_grid / (4.0 * dp**2)))))
     rec.require(err2 <= 1e-6, f"squared-generator coherence matches laplace form: {err2:.2e}")
 
     dps = np.array([0.5, 1.0, 2.0, 4.0])

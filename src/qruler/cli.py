@@ -174,6 +174,7 @@ def _cmd_wk(args):
     tau_c = coherence_time(gamma)
     dlam = signal_uncertainty(dist)
     print(f"wk: tau_c={tau_c:.9g} delta_lambda={dlam:.9g} product={tau_c * dlam:.9g}")
+    tau, vals = gamma.all_lags()
     return {
         "probe_state.csv": (
             ["g", "re_psi", "im_psi"],
@@ -181,7 +182,7 @@ def _cmd_wk(args):
         ),
         "coherence.csv": (
             ["tau", "re_gamma", "im_gamma"],
-            [gamma.tau_grid, gamma.values.real, gamma.values.imag],
+            [tau, vals.real, vals.imag],
         ),
         "statistics.csv": (["mu", "p"], [dist.mu_grid, dist.density]),
         "summary.json": {

@@ -12,12 +12,13 @@ density and a coherence function.  The primed range drops g where g+tau
 falls off the grid.  For a shift-invariant ruler the seed enters only
 through its symbol K(tau), and the probe only through its autocorrelation
 (psi * psi)(tau) = integral' dg psi(g) conj(psi(g+tau)), computed by one
-FFT, and Gamma is stored on its transform length.  Gamma is Hermitian,
-Gamma(-tau) = conj Gamma(tau), so p(mu) is real: the transform gates that
-symmetry on its input and reads only the lags tau >= 0, as one
-half-spectrum FFT.  Two independent routes to p(mu) are provided: the
-transform of Gamma and a brute-force double sum over the dense kernel,
-used to cross-check each other.
+FFT.  Gamma is Hermitian, Gamma(-tau) = conj Gamma(tau): it is gated for
+that symmetry once, where it is built, and stored by its h lags tau >= 0
+only, which stand for all M' = 2h-1 symmetric lags.  So p(mu) is real,
+and the transform is one half-spectrum FFT of the stored lags.  Two
+independent routes to p(mu) are provided: the transform of Gamma and a
+brute-force double sum over the dense kernel, used to cross-check each
+other.
 """
 
 from __future__ import annotations
@@ -46,26 +47,38 @@ NORM_HARD_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class CoherenceFunction:
-    """Sampled Gamma(tau) on a symmetric tau grid (odd length, uniform)."""
+    """Sampled Hermitian Gamma(tau) on its lags tau = 0, dtau, ..., (h-1)*dtau.
+
+    Gamma(-tau) = conj Gamma(tau) gives the rest of its M' = 2h-1 lags.
+    """
 
     tau_grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) % 2 != 1 or len(self.tau_grid) != len(self.values):
+        if len(self.tau_grid) != len(self.values) or len(self.values) < 2:
             raise ValueError(
-                f"need an odd number of lags with one value each, got "
+                f"need two or more lags tau >= 0 with one value each, got "
                 f"{len(self.tau_grid)} lags and {len(self.values)} values"
             )
+        if self.tau_grid[0] != 0.0:  # a symmetric tau grid would make gamma0 read Gamma(-tau_max)
+            raise ValueError(f"the first lag must be tau = 0, got {float(self.tau_grid[0])!r}")
+        if 2.0 * abs(self.values[0].imag) > SYMMETRY_TOL:  # hfft would drop Im Gamma(0)
+            raise NormalizationFailure(f"Gamma lacks Hermitian symmetry: Im Gamma(0) = {self.values[0].imag:.3e}")
 
     @property
     def gamma0(self) -> float:
-        """Re Gamma(0), the middle lag; 1/(2*pi) for detection-process functions."""
-        return float(self.values[len(self.values) // 2].real)
+        """Re Gamma(0), the first lag; 1/(2*pi) for detection-process functions."""
+        return float(self.values[0].real)
 
     @property
     def spacing(self) -> float:
         return float(self.tau_grid[1] - self.tau_grid[0])
+
+    def all_lags(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tau, Gamma) on all M' = 2h-1 symmetric lags, tau < 0 from Gamma(-tau) = conj Gamma(tau)."""
+        tau = np.concatenate([-self.tau_grid[:0:-1], self.tau_grid])
+        return tau, np.concatenate([np.conj(self.values[:0:-1]), self.values])
 
     def degree(self) -> np.ndarray:
         """Degree of coherence gamma(tau) = Gamma(tau) / Gamma(0)."""
@@ -75,20 +88,15 @@ class CoherenceFunction:
         """Coherence function of the signal-shifted state.
 
         A signal shift lambda multiplies Gamma(tau) by exp(i tau lambda),
-        translating p(mu) to p(mu - lambda).  Both invariants survive.
-        The phase is evaluated by cos/sin on tau >= 0 only; the lags
-        tau < 0 take its conjugate mirror, as the tau grid is symmetric.
+        translating p(mu) to p(mu - lambda).  Both invariants survive,
+        Hermitian symmetry too, so the stored lags tau >= 0 are all it
+        shifts; the phase is built by cos/sin in one complex array.
         """
-        mid = len(self.values) // 2
-        x = self.tau_grid[mid:] * delta
+        x = self.tau_grid * delta
         phase = np.empty(len(x), dtype=complex)
         np.cos(x, out=phase.real)
         np.sin(x, out=phase.imag)
-        vals = np.empty_like(self.values)
-        np.multiply(self.values[mid:], phase, out=vals[mid:])
-        np.conjugate(phase, out=phase)
-        np.multiply(self.values[:mid], phase[:0:-1], out=vals[:mid])
-        return CoherenceFunction(self.tau_grid, vals)
+        return CoherenceFunction(self.tau_grid, np.multiply(self.values, phase, out=phase))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,28 +137,20 @@ class OutcomeDistribution:
         )
 
 
-def _require_hermitian(values: np.ndarray) -> None:
-    """Gate Gamma(-tau) = conj Gamma(tau) at SYMMETRY_TOL.
+def _check_coherence(values: np.ndarray) -> None:
+    """Gate Gamma on all its grid lags (tau = 0 the middle one) before its tau >= 0 half is kept.
 
-    The residual max |conj Gamma(tau) - Gamma(-tau)| is read on tau >= 0,
-    which holds every pair (and twice Im Gamma(0)).
+    Gamma(0) must be 1/(2*pi) to GAMMA0_TOL, and the Hermitian residual
+    max |conj Gamma(tau) - Gamma(-tau)|, read on tau >= 0, which holds
+    every pair and twice Im Gamma(0), must stay within SYMMETRY_TOL.
     """
     mid = len(values) // 2
+    g0 = float(values[mid].real)
+    if abs(g0 - FLAT_DIAGONAL) > GAMMA0_TOL:
+        raise NormalizationFailure(f"Gamma(0) = {g0!r}, expected {FLAT_DIAGONAL!r}")
     sym = float(np.max(np.abs(np.conj(values[mid:]) - values[mid::-1])))
     if sym > SYMMETRY_TOL:
         raise NormalizationFailure(f"Gamma lacks Hermitian symmetry: {sym:.3e}")
-
-
-def _check_coherence(gamma: CoherenceFunction, gamma0_expected: float | None) -> None:
-    values = gamma.values
-    g0 = values[len(values) // 2]
-    if abs(g0.imag) > GAMMA0_TOL:
-        raise NormalizationFailure(f"Gamma(0) has imaginary part {g0.imag:.3e}")
-    if gamma0_expected is not None and abs(g0.real - gamma0_expected) > GAMMA0_TOL:
-        raise NormalizationFailure(
-            f"Gamma(0) = {g0.real!r}, expected {gamma0_expected!r}"
-        )
-    _require_hermitian(values)
 
 
 def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
@@ -158,11 +158,12 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
 
     The autocorrelation is one zero-padded FFT of the amplitudes, padded to
     the next power of two >= 2n-1 so no lag wraps; O(n log n) time and O(n)
-    memory.  Gamma is returned on its transform length, the smallest odd
-    M' >= 2n-1 that ``scipy.fft.next_fast_len`` keeps (tau = 0 stays the
-    middle lag, and no transform runs Bluestein's algorithm).  Lags beyond
-    the 2n-1 grid lags hold exact zeros, so the transform samples the same
-    p(mu) on a finer grid over the same range pi/dtau.
+    memory.  Gamma is gated on all 2n-1 grid lags, then stored by its lags
+    tau = j*dg >= 0, j < h, where M' = 2h-1 is the smallest odd length
+    >= 2n-1 that ``scipy.fft.next_fast_len`` keeps (so no transform runs
+    Bluestein's algorithm).  Lags j >= n hold exact zeros, so the
+    transform samples the same p(mu) on a finer grid over the same range
+    pi/dtau.
     """
     if probe.grid != ruler.grid:
         raise GridMismatch("probe and ruler must share a grid")
@@ -172,28 +173,26 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
     spec = scipy.fft.fft(psi, size)
     corr = scipy.fft.ifft(spec * np.conj(spec))  # corr[t] = sum_g psi(g+t) conj(psi(g))
     lags = np.concatenate([corr[size - n + 1:], corr[:n]])  # lag j at index j + n - 1
-    m = length = 2 * n - 1
+    full = ruler.symbol * lags[::-1] * probe.grid.spacing  # Gamma(tau) reads corr at -tau
+    _check_coherence(full)
+    length = 2 * n - 1
     while (length := scipy.fft.next_fast_len(length)) % 2 == 0:
         length += 1
-    pad = (length - m) // 2
-    vals = np.zeros(length, dtype=complex)
-    vals[pad:pad + m] = ruler.symbol * lags[::-1] * probe.grid.spacing  # Gamma(tau) reads corr at -tau
-    lag_tau = probe.grid.tau_grid
-    step = float(lag_tau[1] - lag_tau[0]) * np.arange(1, pad + 1)
-    tau = np.concatenate([lag_tau[0] - step[::-1], lag_tau, lag_tau[-1] + step])
+    h = (length + 1) // 2
+    vals = np.zeros(h, dtype=complex)
+    vals[:n] = full[n - 1:]
+    tau = np.arange(h) * probe.grid.spacing  # the grid's own tau_grid[n-1:], extended
     vals.flags.writeable = False
     tau.flags.writeable = False
-    gamma = CoherenceFunction(tau, vals)
-    _check_coherence(gamma, FLAT_DIAGONAL)
-    return gamma
+    return CoherenceFunction(tau, vals)
 
 
 def _finalize_density(mu: np.ndarray, raw: np.ndarray, k_grid=None) -> OutcomeDistribution:
     """Apply realness, nonnegativity and normalization gates to a density."""
-    scale = float(np.max(np.abs(raw.real))) if raw.size else 0.0
-    max_imag = float(np.max(np.abs(raw.imag))) if np.iscomplexobj(raw) else 0.0
-    if max_imag > IMAG_TOL * max(1.0, scale):
-        raise NormalizationFailure(f"density not real: max |Im p| = {max_imag:.3e}")
+    if np.iscomplexobj(raw):
+        max_imag = float(np.max(np.abs(raw.imag)))
+        if max_imag > IMAG_TOL * max(1.0, float(np.max(np.abs(raw.real)))):
+            raise NormalizationFailure(f"density not real: max |Im p| = {max_imag:.3e}")
     dens = np.array(raw.real, dtype=float)
     if float(np.min(dens)) < -NEGATIVE_CLIP:
         raise NormalizationFailure(
@@ -214,19 +213,18 @@ def _finalize_density(mu: np.ndarray, raw: np.ndarray, k_grid=None) -> OutcomeDi
 def statistics_from_coherence(gamma: CoherenceFunction) -> OutcomeDistribution:
     """p(mu) = sum_tau Gamma(tau) exp(-i tau mu) * dtau on the dual mu grid.
 
-    With M tau points of spacing dtau, the mu grid has spacing
-    2*pi/(M*dtau); on that grid the transform is a plain DFT that
-    preserves normalization exactly.  Integer tau grids (periodic phase
-    statistics) are the special case dtau = 1, where mu is the phase on
-    (-pi, pi) with spacing 2*pi/M.  Gamma is Hermitian (gated here at
-    SYMMETRY_TOL), so p is real: the transform reads only the lags
-    tau >= 0, as one half-spectrum ``hfft``.
+    The sum runs over the M' = 2*len(values) - 1 symmetric lags that the
+    stored lags tau >= 0 stand for, spacing dtau; the mu grid has spacing
+    2*pi/(M'*dtau), and on it the transform is a plain DFT that preserves
+    normalization exactly.  Integer tau grids (periodic phase statistics)
+    are the special case dtau = 1, where mu is the phase on (-pi, pi) with
+    spacing 2*pi/M'.  Gamma is Hermitian, so p is real: the transform is
+    one half-spectrum ``hfft`` of the stored values.
     """
     vals = gamma.values
-    _require_hermitian(vals)
-    m = len(vals)
+    m = 2 * len(vals) - 1
     dtau = gamma.spacing
-    raw = dtau * np.fft.fftshift(scipy.fft.hfft(vals[m // 2:], m))
+    raw = dtau * np.fft.fftshift(scipy.fft.hfft(vals, m))
     dmu = 2.0 * np.pi / (m * dtau)
     mu = np.arange(-(m // 2), m // 2 + 1) * dmu
     mu.flags.writeable = False
@@ -256,9 +254,9 @@ def direct_statistics(
 
 
 def coherence_time(gamma: CoherenceFunction) -> float:
-    """tau_c = integral dtau |gamma(tau)|^2 of the degree of coherence."""
-    deg = gamma.degree()
-    return float(np.sum(np.abs(deg) ** 2) * gamma.spacing)
+    """tau_c = integral dtau |gamma(tau)|^2; each stored lag tau > 0 counts for -tau too."""
+    sq = np.abs(gamma.degree()) ** 2
+    return float((sq[0] + 2.0 * np.sum(sq[1:])) * gamma.spacing)
 
 
 def signal_uncertainty(p: OutcomeDistribution) -> float:
@@ -322,11 +320,11 @@ def appendix_coherence(
     so Gamma(0) = 1 rather than 1/(2*pi).  For g itself the probe-only
     Gamma1 is 2*pi times ``coherence_function`` with the ideal ruler.
     The quadrature takes off-grid amplitudes from a cubic spline of the
-    sampled probe, clamped to zero outside the grid.  Values for tau < 0
-    are obtained from the Hermitian symmetry Gamma(-tau) = conj(Gamma(tau));
-    the raw negative-tau integral would break that symmetry, which every
-    coherence function must satisfy; so ``tau_grid`` must be uniform and
-    symmetric, tau = -tau reversed.
+    sampled probe, clamped to zero outside the grid.  ``tau_grid`` must be
+    uniform and symmetric, tau = -tau reversed; the integral is evaluated
+    and stored on its lags tau >= 0 only, since a coherence function is
+    Hermitian, Gamma(-tau) = conj(Gamma(tau)), and the raw negative-tau
+    integral would break that symmetry.
     """
     from scipy.interpolate import CubicSpline  # loads scipy.optimize; only this quadrature needs it
 
@@ -341,7 +339,8 @@ def appendix_coherence(
         raise ValueError("tau_grid must be symmetric around 0")
     if np.ptp(np.diff(tau)) > tol:
         raise ValueError("tau_grid must be uniform")
-    half_tau = tau[len(tau) // 2 :]
+    half_tau = tau[len(tau) // 2 :].copy()
+    half_tau[0] = 0.0  # the middle lag, zero within tol, is Gamma(0)
     p = grid.points
     arg = p[None, :] ** 2 + half_tau[:, None]
     inside = arg >= 0.0
@@ -350,11 +349,7 @@ def appendix_coherence(
     im = CubicSpline(p, probe.amplitudes.imag, extrapolate=False)
     shifted = np.nan_to_num(re(at) + 1j * im(at), nan=0.0)
     shifted[~inside] = 0.0
-    vals_half = np.sum(probe.amplitudes[None, :] * np.conj(shifted), axis=1) * grid.spacing
-    vals = np.concatenate([np.conj(vals_half[:0:-1]), vals_half])
+    vals = np.sum(probe.amplitudes[None, :] * np.conj(shifted), axis=1) * grid.spacing
     vals.flags.writeable = False
-    tau = tau.copy()
-    tau.flags.writeable = False
-    gamma = CoherenceFunction(tau, vals)
-    _check_coherence(gamma, None)
-    return gamma
+    half_tau.flags.writeable = False
+    return CoherenceFunction(half_tau, vals)

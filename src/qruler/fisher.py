@@ -52,11 +52,6 @@ class FisherReport:
         return self.fisher / self.qfi if self.qfi else None
 
 
-def _quadrature(deriv: np.ndarray, p0: np.ndarray, cell: float) -> float:
-    mask = p0 >= DENSITY_FLOOR * np.max(p0)
-    return float(np.sum(deriv[mask] ** 2 / p0[mask]) * cell)
-
-
 def fisher_from_family(
     p_family: Callable[[float], OutcomeDistribution],
     lambda0: float,
@@ -86,9 +81,10 @@ def fisher_from_family(
     d1 = (offsets[1].density - offsets[-1].density) / (2.0 * step)
     d2 = (offsets[2].density - offsets[-2].density) / (4.0 * step)
     dr = (4.0 * d1 - d2) / 3.0
-    cell = center.cell
-    f_r = _quadrature(dr, center.density, cell)
-    f_1 = _quadrature(d1, center.density, cell)
+    mask = center.density >= DENSITY_FLOOR * np.max(center.density)
+    p0, cell = center.density[mask], center.cell
+    f_r = float(np.sum(dr[mask] ** 2 / p0) * cell)
+    f_1 = float(np.sum(d1[mask] ** 2 / p0) * cell)
     residual = abs(f_1 - f_r) / max(f_r, 1e-300)
     # below ~1e-12 the family carries no resolvable information and the
     # relative residual is pure noise

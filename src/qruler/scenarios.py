@@ -83,8 +83,9 @@ def _default_step(crb: float | None) -> float:
 def _shift_run(
     scenario: str, gamma: CoherenceFunction, closed: FisherReport, step: float
 ) -> ScenarioRun:
-    """A 1-D run: Gamma, on its fast transform length, is built once and a
-    signal value only shifts it; the outcome grid is the dual of its lags."""
+    """A 1-D run: Gamma, stored by its lags tau >= 0, is built once and a
+    signal value only shifts it; the outcome grid is the dual of the
+    M' = 2*len(values) - 1 symmetric lags those stand for."""
     def family(lam: float) -> OutcomeDistribution:
         return statistics_from_coherence(gamma.shifted(lam))
 
@@ -216,8 +217,9 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
 
     Gamma is the generic route with the ideal ruler's flat symbol; the
     transform is a Fourier series over integer tau, and outcomes are the
-    M' phases phi_k = 2*pi*k/M' on (-pi, pi), M' >= 2*n_max + 1 the
-    transform length of ``coherence_function``.
+    M' phases phi_k = 2*pi*k/M' on (-pi, pi), where
+    M' = 2*len(gamma.values) - 1 >= 2*n_max + 1 is the transform length
+    of ``coherence_function``.
     """
     probe = make_sg_probe(SGProbeSpec(xi=sc.xi, n_max=sc.n_max))
     var = sg_fisher_variance(sc.xi)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 import scipy.fft
 
@@ -136,6 +137,25 @@ class TestWkProbeSpec:
         rows = len((out / "coherence.csv").read_text().splitlines()) - 1
         assert rows % 2 == 1 and rows >= 2 * n - 1 and scipy.fft.next_fast_len(rows) == rows
         assert len((out / "statistics.csv").read_text().splitlines()) == 1 + rows
+
+    def test_coherence_csv_lists_every_lag(self, tmp_path):
+        # Gamma is stored by its lags tau >= 0; wk writes all M' of them, tau < 0 mirrored
+        out = tmp_path / "lags"
+        assert run_cli([
+            "wk", "--probe", "gaussian:sigma=1,kc=0.7", "--ruler", "gaussian:dphi=0.5",
+            "--out", str(out),
+        ]) == 0
+        lines = (out / "coherence.csv").read_text().splitlines()
+        assert lines[0] == "tau,re_gamma,im_gamma"
+        tau, re, im = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+        rows = len(tau)
+        assert rows % 2 == 1 and rows >= 2 * 512 - 1 and scipy.fft.next_fast_len(rows) == rows
+        assert len((out / "statistics.csv").read_text().splitlines()) == 1 + rows
+        assert tau[rows // 2] == 0.0 and np.max(np.abs(im)) > 1e-3
+        # Gamma(-tau) = conj Gamma(tau) bit for bit on every pair tau != 0
+        mid = rows // 2
+        assert np.array_equal(tau, -tau[::-1])
+        assert np.array_equal(re, re[::-1]) and np.array_equal(im[:mid], -im[:mid:-1])
 
     def test_sg_under_gaussian_phase_blur(self, tmp_path):
         out = tmp_path / "blur"

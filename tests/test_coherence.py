@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 import qruler
 from qruler.coherence import (
+    GAMMA0_TOL,
     IMAG_TOL,
     NEGATIVE_CLIP,
     NORM_HARD_TOL,
@@ -36,7 +37,7 @@ from qruler.errors import (
     NormalizationFailure,
 )
 from qruler.grids import GeneratorGrid, grid_for_gaussian
-from qruler.ruler import FLAT_DIAGONAL, make_gaussian_ruler, make_ideal_ruler
+from qruler.ruler import FLAT_DIAGONAL, RulerSeed, make_gaussian_ruler, make_ideal_ruler
 from qruler.scenarios import (
     LinearScenario,
     PhaseGaussianScenario,
@@ -63,10 +64,8 @@ def trace_coherence(probe, ruler):
 
 
 def grid_lags(gamma, n):
-    """Gamma on the 2n-1 lags of an n-point grid: the middle of its transform-length lags."""
-    pad = (len(gamma.values) - (2 * n - 1)) // 2
-    middle = slice(pad, len(gamma.values) - pad)
-    return CoherenceFunction(gamma.tau_grid[middle], gamma.values[middle])
+    """Gamma on the n lags tau >= 0 of an n-point grid (its 2n-1 grid lags): the padding dropped."""
+    return CoherenceFunction(gamma.tau_grid[:n], gamma.values[:n])
 
 
 class TestCoherenceFunction:
@@ -89,20 +88,34 @@ class TestCoherenceFunction:
         np.testing.assert_allclose(gamma.values.real, expected, atol=1e-6 * FLAT_DIAGONAL)
 
     def test_hermitian_symmetry(self, half_ruler, unit_grid):
+        # the stored lags tau >= 0, mirrored, are the dense trace on every lag, tau < 0 included
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0, conjugate_center=2.0), unit_grid)
         gamma = coherence_function(probe, half_ruler)
-        np.testing.assert_allclose(
-            np.conj(gamma.values), gamma.values[::-1], atol=1e-14
-        )
+        tau, full = grid_lags(gamma, unit_grid.n_points).all_lags()
+        assert np.array_equal(tau, unit_grid.tau_grid)
+        np.testing.assert_allclose(full, trace_coherence(probe, half_ruler), atol=1e-14)
 
-    def test_lags_odd_and_one_value_each(self):
-        # Gamma(0) is the middle lag, so an even count has none
+    def test_one_value_per_lag(self):
+        # Gamma(0) is the first lag, and the spacing needs a second one
         with pytest.raises(ValueError):
-            CoherenceFunction(np.arange(-4.0, 4.0), np.full(8, FLAT_DIAGONAL, dtype=complex))
+            CoherenceFunction(np.arange(0.0, 4.0), np.full(5, FLAT_DIAGONAL, dtype=complex))
         with pytest.raises(ValueError):
-            CoherenceFunction(np.arange(-4.0, 5.0), np.full(8, FLAT_DIAGONAL, dtype=complex))
-        gamma = CoherenceFunction(np.arange(-4.0, 5.0), np.linspace(0.0, 1.0, 9) + 0.5j)
-        assert gamma.gamma0 == 0.5
+            CoherenceFunction(np.zeros(1), np.full(1, FLAT_DIAGONAL, dtype=complex))
+        gamma = CoherenceFunction(np.arange(0.0, 4.0), np.linspace(0.5, 1.0, 4) + 0.5j * np.arange(4))
+        assert gamma.gamma0 == 0.5 and gamma.spacing == 1.0
+
+    def test_first_lag_is_zero(self):
+        # the old symmetric layout would put Gamma(-tau_max) where gamma0 reads
+        tau = np.linspace(-3.0, 3.0, 7)
+        with pytest.raises(ValueError, match="first lag"):
+            CoherenceFunction(tau, np.full(7, FLAT_DIAGONAL, dtype=complex))
+
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_spacing_is_the_grid_spacing(self, n):
+        grid = grid_for_gaussian(0.0, 1.0, n)
+        probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid)
+        for ruler in (make_ideal_ruler(grid), make_gaussian_ruler(0.5, grid)):
+            assert coherence_function(probe, ruler).spacing == grid.spacing
 
     def test_grid_mismatch(self, unit_probe):
         other = make_gaussian_ruler(0.5, grid_for_gaussian(0.0, 1.0, 256))
@@ -122,7 +135,7 @@ class TestCoherenceFunction:
         grid = grid_for_gaussian(center, sigma, n)
         probe = make_gaussian_probe(GaussianProbeSpec(center, sigma, k0), grid)
         ruler = make_ideal_ruler(grid) if ideal else make_gaussian_ruler(dphi, grid)
-        lags = grid_lags(coherence_function(probe, ruler), n).values
+        _, lags = grid_lags(coherence_function(probe, ruler), n).all_lags()
         np.testing.assert_allclose(lags, trace_coherence(probe, ruler), rtol=0, atol=1e-15)
 
     def test_no_dense_allocation_on_large_axis(self):
@@ -137,19 +150,19 @@ class TestCoherenceFunction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(gamma.values) == 27783  # 3^4 * 7^3; the 2n-1 = 27,619 = 71 * 389 grid lags
+        assert 2 * len(gamma.values) - 1 == 27783  # 3^4 * 7^3; the 2n-1 = 27,619 = 71 * 389 grid lags
         assert peak < 50e6
 
 
 class TestPadded:
-    """Gamma on its transform length: the grid lags zero-padded to the smallest fast odd length."""
+    """Gamma on its lags tau >= 0: the grid lags zero-padded so 2h-1 is the smallest fast odd length."""
 
     @pytest.mark.parametrize("n", [64, 65, 133, 512, 1024, 13810])
     def test_length_is_the_smallest_fast_odd_one(self, n):
         grid = grid_for_gaussian(0.0, 1.0, n)
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid)
-        size = len(coherence_function(probe, make_ideal_ruler(grid)).values)
-        assert size % 2 == 1 and size >= 2 * n - 1
+        size = 2 * len(coherence_function(probe, make_ideal_ruler(grid)).values) - 1
+        assert size >= 2 * n - 1
         assert scipy.fft.next_fast_len(size) == size
         assert all(scipy.fft.next_fast_len(m) != m for m in range(2 * n - 1, size, 2))
 
@@ -159,17 +172,16 @@ class TestPadded:
         probe = make_gaussian_probe(GaussianProbeSpec(0.3, 1.1, 0.7), grid)
         ruler = make_gaussian_ruler(0.4, grid)
         gamma = coherence_function(probe, ruler)
-        m, size = 2 * n - 1, len(gamma.values)
-        assert size > m
-        pad = (size - m) // 2
+        h = len(gamma.values)
+        assert h > n
         np.testing.assert_allclose(
-            gamma.values[pad:pad + m], trace_coherence(probe, ruler), rtol=0, atol=1e-15
+            gamma.values[:n], trace_coherence(probe, ruler)[n - 1:], rtol=0, atol=1e-15
         )
-        assert np.array_equal(gamma.tau_grid[pad:pad + m], grid.tau_grid)
-        assert not np.any(gamma.values[:pad]) and not np.any(gamma.values[pad + m:])
-        assert np.array_equal(gamma.tau_grid, -gamma.tau_grid[::-1])
+        assert np.array_equal(gamma.tau_grid[:n], grid.tau_grid[n - 1:])
+        assert not np.any(gamma.values[n:])
+        assert np.array_equal(gamma.tau_grid, np.arange(h) * grid.spacing)
         np.testing.assert_allclose(np.diff(gamma.tau_grid), grid.spacing, rtol=1e-12)
-        assert gamma.gamma0 == gamma.values[pad + n - 1].real
+        assert gamma.gamma0 == gamma.values[0].real
         assert not gamma.values.flags.writeable and not gamma.tau_grid.flags.writeable
 
     def test_same_density_on_a_finer_grid(self, unit_probe, half_ruler):
@@ -177,7 +189,7 @@ class TestPadded:
         # as the transform on the grid's own 2n-1 lags
         gamma = coherence_function(unit_probe, half_ruler)
         unpadded = grid_lags(gamma, unit_probe.grid.n_points)
-        assert np.array_equal(unpadded.tau_grid, unit_probe.grid.tau_grid)
+        assert np.array_equal(unpadded.tau_grid, unit_probe.grid.tau_grid[unit_probe.grid.n_points - 1:])
         p, q = statistics_from_coherence(unpadded), statistics_from_coherence(gamma)
         assert len(q.mu_grid) > len(p.mu_grid)
         assert q.mu_grid[-1] == pytest.approx(p.mu_grid[-1], rel=2.0 / len(p.mu_grid))
@@ -198,7 +210,7 @@ class TestStatisticsFromCoherence:
         np.testing.assert_allclose(p.density, ref, atol=1e-8)
 
     def test_flat_coherence_gives_point_mass(self, unit_grid):
-        tau = unit_grid.tau_grid
+        tau = unit_grid.tau_grid[unit_grid.n_points - 1:]
         flat = CoherenceFunction(tau, np.full(len(tau), FLAT_DIAGONAL, dtype=complex))
         p = statistics_from_coherence(flat)
         center = len(p.mu_grid) // 2
@@ -208,24 +220,24 @@ class TestStatisticsFromCoherence:
 
     def test_incommensurate_spikes_rejected(self, unit_grid):
         # cosine coherence whose transform has strong negative side lobes
-        tau = unit_grid.tau_grid
-        freq = 1.37 * 2 * np.pi / (len(tau) * unit_grid.spacing)  # off the dual grid
+        tau = unit_grid.tau_grid[unit_grid.n_points - 1:]
+        freq = 1.37 * 2 * np.pi / ((2 * len(tau) - 1) * unit_grid.spacing)  # off the dual grid
         vals = FLAT_DIAGONAL * np.cos(freq * tau) + 0j
         with pytest.raises(NormalizationFailure):
             statistics_from_coherence(CoherenceFunction(tau, vals))
 
 
 def exp_shifted(gamma, delta):
-    """Oracle of ``shifted``: the complex exp over every lag, tau < 0 included."""
+    """Oracle of ``shifted``: the complex exp over every stored lag."""
     return CoherenceFunction(gamma.tau_grid, gamma.values * np.exp(1j * gamma.tau_grid * delta))
 
 
 def complex_fft_statistics(gamma):
-    """Oracle of the half-spectrum transform: the full complex FFT over every lag.
+    """Oracle of the half-spectrum transform: the full complex FFT over every mirrored lag.
 
     Its imaginary part goes to ``_finalize_density``'s realness gate; tests only.
     """
-    vals = gamma.values
+    _, vals = gamma.all_lags()
     m = len(vals)
     raw = gamma.spacing * np.fft.fftshift(scipy.fft.fft(np.fft.ifftshift(vals)))
     mu = np.arange(-(m // 2), m // 2 + 1) * (2.0 * np.pi / (m * gamma.spacing))
@@ -243,7 +255,7 @@ BENCH_RUNS = {
 
 
 class TestHermitianTransform:
-    """The transform reads tau >= 0 only; the full complex route is its oracle."""
+    """The transform reads the stored lags tau >= 0; the full complex route is its oracle."""
 
     @pytest.mark.parametrize("name", sorted(BENCH_RUNS))
     def test_matches_complex_fft_route(self, name):
@@ -264,14 +276,6 @@ class TestHermitianTransform:
             # measured 2.8e-17 (sg-0.999), bit-identical elsewhere
             assert np.max(np.abs(shifted.values - exp_shifted(gamma, delta).values)) <= 1e-15
 
-    def test_reads_only_non_negative_lags(self, unit_probe, half_ruler):
-        gamma = coherence_function(unit_probe, half_ruler)
-        mid = len(gamma.values) // 2
-        vals = np.array(gamma.values)
-        vals[:mid] = np.conj(vals[:mid:-1])  # an exactly Hermitian copy
-        p = statistics_from_coherence(CoherenceFunction(gamma.tau_grid, vals))
-        np.testing.assert_array_equal(p.density, statistics_from_coherence(gamma).density)
-
 
 def unit_mass_density():
     """A hand-built Gaussian on 201 outcomes whose Riemann mass is exactly 1."""
@@ -282,7 +286,7 @@ def unit_mass_density():
 
 
 class TestGates:
-    """Each gate of ``_finalize_density`` and ``_check_coherence`` trips just past its tolerance."""
+    """Each gate of ``_finalize_density``, ``_check_coherence`` and ``CoherenceFunction`` trips just past its tolerance."""
 
     def test_norm_gate(self):
         assert NORM_HARD_TOL == 1e-6
@@ -306,21 +310,38 @@ class TestGates:
         assert np.min(dist.density) == 0.0
 
     def test_hermitian_symmetry_gate(self, unit_grid):
+        # _check_coherence reads Gamma on all 2n-1 grid lags, tau = 0 the middle one
         assert SYMMETRY_TOL == 1e-10
         tau = unit_grid.tau_grid
         vals = FLAT_DIAGONAL * np.exp(-(tau**2) / 4.0) + 0j
-        _check_coherence(CoherenceFunction(tau, vals), FLAT_DIAGONAL)
+        _check_coherence(vals)
         vals[len(tau) // 2 + 3] += 2e-10
         with pytest.raises(NormalizationFailure, match="Hermitian"):
-            _check_coherence(CoherenceFunction(tau, vals), FLAT_DIAGONAL)
+            _check_coherence(vals)
 
-    def test_transform_gates_hermitian_symmetry(self, unit_grid):
-        tau = unit_grid.tau_grid
+    def test_gamma0_real_gate(self):
+        # hfft drops Im Gamma(0), so a stored Gamma must have 2 |Im Gamma(0)| <= SYMMETRY_TOL
+        tau = np.arange(5.0)
         vals = FLAT_DIAGONAL * np.exp(-(tau**2) / 4.0) + 0j
-        statistics_from_coherence(CoherenceFunction(tau, vals))
-        vals[len(tau) // 2 + 3] += 2e-10
+        vals[0] += 1e-10j
         with pytest.raises(NormalizationFailure, match="Hermitian"):
-            statistics_from_coherence(CoherenceFunction(tau, vals))
+            CoherenceFunction(tau, vals)
+        vals[0] = FLAT_DIAGONAL + 2.5e-11j
+        assert CoherenceFunction(tau, vals).gamma0 == FLAT_DIAGONAL
+
+    def test_gamma0_normalization_gate(self):
+        # a normalized probe gives Gamma(0) = K(0), so raising K(0) raises Gamma(0) by as much
+        assert GAMMA0_TOL == 1e-8
+        grid = grid_for_gaussian(0.0, 1.0, 256)
+        probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid)
+        symbol = np.array(make_ideal_ruler(grid).symbol)
+        symbol[grid.n_points - 1] += 2e-8
+        with pytest.raises(NormalizationFailure, match=r"Gamma\(0\) = 0\.159") as err:
+            coherence_function(probe, RulerSeed(grid, symbol))
+        assert "np.float64" not in str(err.value)
+        symbol[grid.n_points - 1] -= 1.5e-8
+        gamma = coherence_function(probe, RulerSeed(grid, symbol))
+        assert gamma.gamma0 == pytest.approx(FLAT_DIAGONAL + 5e-9, abs=1e-14)
 
     def test_realness_gate(self):
         assert IMAG_TOL == 1e-10
@@ -374,6 +395,14 @@ class TestWidths:
         tc = coherence_time(gamma)
         assert tc == pytest.approx(oracle, rel=1e-9)
         assert tc == pytest.approx(math.sqrt(2 * math.pi), rel=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(BENCH_RUNS))
+    def test_coherence_time_matches_full_lag_sum(self, name):
+        # each stored lag tau > 0 stands for itself and its mirror tau < 0
+        gamma = BENCH_RUNS[name]().gamma
+        _, full = gamma.all_lags()
+        oracle = float(np.sum(np.abs(full / gamma.gamma0) ** 2) * gamma.spacing)
+        assert coherence_time(gamma) == pytest.approx(oracle, rel=1e-14)
 
     def test_signal_uncertainty_is_gaussian_sigma(self):
         sigma = 0.6
@@ -444,7 +473,7 @@ class TestAppendixCoherence:
     def test_linear_power_value(self):
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
         tau, g1 = linear_generator_coherence(probe)
-        assert g1[len(g1) // 2].real == pytest.approx(1.0, abs=1e-10)
+        assert g1[0].real == pytest.approx(1.0, abs=1e-10)
         idx = np.argmin(np.abs(tau - 2.0))
         assert g1[idx].real == pytest.approx(math.exp(-tau[idx] ** 2 / 8.0), abs=1e-8)
 
@@ -452,26 +481,25 @@ class TestAppendixCoherence:
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
         tau = np.linspace(-4.0, 4.0, 401)
         g2 = appendix_coherence(probe, tau)
-        idx = np.argmin(np.abs(tau - 2.0))
+        # stored on the grid's lags tau >= 0; tau < 0 is their Hermitian reflection
+        assert np.array_equal(g2.tau_grid, tau[200:])
+        idx = np.argmin(np.abs(g2.tau_grid - 2.0))
         assert g2.values[idx].real == pytest.approx(math.exp(-0.5), abs=1e-8)
-        # negative branch is the Hermitian reflection of the positive one
-        np.testing.assert_allclose(np.conj(g2.values), g2.values[::-1], atol=1e-15)
 
     def test_independent_quadrature_oracle(self):
         # adaptive quadrature of the defining integrals at a few tau values
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
         lags, g1 = linear_generator_coherence(probe)
-        picks = len(lags) // 2 + np.arange(-192, 193, 16)  # 25 lags, |tau| up to 3.003
-        tau = np.linspace(-3.0, 3.0, 25)
-        g2 = appendix_coherence(probe, tau)
+        picks = np.arange(0, 193, 16)  # 13 lags, tau up to 3.003
+        g2 = appendix_coherence(probe, np.linspace(-3.0, 3.0, 25))
         psi = lambda p: (2 * math.pi) ** (-0.25) * math.exp(-p * p / 4.0)
         for i, t in zip(picks, lags[picks]):
             ref1 = quad(lambda p: psi(p) * psi(p + t), -30, 30)[0]
             assert g1[i].real == pytest.approx(ref1, abs=1e-8)
-        for i, t in enumerate(tau):
-            if t >= 0:
-                ref2 = quad(lambda p: psi(p) * psi(math.sqrt(p * p + t)), -30, 30)[0]
-                assert g2.values[i].real == pytest.approx(ref2, abs=1e-8)
+        assert len(g2.tau_grid) == 13
+        for t, v in zip(g2.tau_grid, g2.values):
+            ref2 = quad(lambda p: psi(p) * psi(math.sqrt(p * p + t)), -30, 30)[0]
+            assert v.real == pytest.approx(ref2, abs=1e-8)
 
     def test_center_dependence_of_squared_power(self):
         tau = np.linspace(-4.0, 4.0, 401)

@@ -39,14 +39,15 @@ def test_tau_grid_is_difference_set():
 
 def test_mu_grid_duality():
     # sum_k exp(-i tau_j mu_k) must vanish for every j != 0: the outcome
-    # axis statistics_from_coherence returns for M lags, dmu = 2*pi/(M*dtau),
-    # makes the discrete transform exactly unitary, on Gamma's transform
-    # length or on the grid's own 2n-1 lags
+    # axis statistics_from_coherence returns for the M symmetric lags that
+    # Gamma's stored lags tau >= 0 stand for, dmu = 2*pi/(M*dtau), makes
+    # the discrete transform exactly unitary, on Gamma's transform length
+    # or on the grid's own 2n-1 lags
     grid = GeneratorGrid(-3.0, 3.0, 64)
     probe = make_gaussian_probe(GaussianProbeSpec(0.0, 0.3), grid)
     gamma = coherence_function(probe, make_ideal_ruler(grid))
     for g in (gamma, grid_lags(gamma, 64)):
-        tau, mu = g.tau_grid, statistics_from_coherence(g).mu_grid
+        (tau, _), mu = g.all_lags(), statistics_from_coherence(g).mu_grid
         assert len(mu) == len(tau)
         kernel = np.exp(-1j * np.outer(tau, mu)).sum(axis=1)
         expected = np.zeros(len(tau))

@@ -276,7 +276,7 @@ class TestSG:
         gamma = coherence_function(probe, make_ideal_ruler(probe.grid))
         c = probe.amplitudes
         n = len(c)
-        lags = grid_lags(gamma, n).values
+        _, lags = grid_lags(gamma, n).all_lags()
         for tau in (-5, -1, 0, 1, 2, 17):
             ref = sum(c[i] * np.conj(c[i + tau]) for i in range(n) if 0 <= i + tau < n)
             assert lags[tau + n - 1] == pytest.approx(ref / (2 * math.pi), abs=1e-15)
@@ -286,9 +286,9 @@ class TestSG:
         ideal = make_ideal_ruler(probe.grid)
         generic = grid_lags(coherence_function(probe, ideal), probe.grid.n_points)
         dense = trace_coherence(probe, ideal)
-        np.testing.assert_allclose(generic.values, dense, atol=1e-14)
+        np.testing.assert_allclose(generic.all_lags()[1], dense, atol=1e-14)
         p_g = statistics_from_coherence(generic)
-        p_d = statistics_from_coherence(CoherenceFunction(generic.tau_grid, dense))
+        p_d = statistics_from_coherence(CoherenceFunction(generic.tau_grid, dense[len(generic.values) - 1:]))
         np.testing.assert_allclose(p_d.density, p_g.density, atol=1e-12)
 
     def test_large_axis_allocates_no_dense_kernel(self):
@@ -306,10 +306,11 @@ class TestSG:
 def direct_shift_density(gamma, lam, mu):
     """Oracle: p(mu|lambda) = sum_tau Gamma(tau) e^{i tau (lambda - mu)} dtau, normalized.
 
-    Sums over the unpadded lags, O(len(mu) * 2n) work; the family divides
-    by its numerical norm, and so does the oracle.
+    Sums over the unpadded lags, tau < 0 mirrored, O(len(mu) * 2n) work;
+    the family divides by its numerical norm, and so does the oracle.
     """
-    raw = np.exp(1j * (lam - mu[:, None]) * gamma.tau_grid[None, :]) @ gamma.values
+    tau, vals = gamma.all_lags()
+    raw = np.exp(1j * (lam - mu[:, None]) * tau[None, :]) @ vals
     dens = raw.real * gamma.spacing
     return dens / (np.sum(dens) * (mu[1] - mu[0]))
 
@@ -346,7 +347,7 @@ class TestShiftRunPadding:
         gamma = grid_lags(padded, probe.grid.n_points)  # the grid's own 2n-1 lags
         for lam in (0.0, 0.37, -1.1):
             p = run.family(lam)
-            assert len(p.mu_grid) == len(run.gamma.values) > len(gamma.values)
+            assert len(p.mu_grid) == 2 * len(run.gamma.values) - 1 > 2 * len(gamma.values) - 1
             # measured <= 2.6e-14 on densities up to 3
             np.testing.assert_allclose(
                 p.density, direct_shift_density(gamma, lam, p.mu_grid), rtol=0, atol=1e-12
@@ -355,10 +356,10 @@ class TestShiftRunPadding:
     @pytest.mark.parametrize("lam0", [0.0, 0.4])
     def test_deep_sg_fisher_matches_unpadded_route(self, lam0):
         run = run_phase_sg(SGScenario(xi=0.999))
-        assert len(run.gamma.values) == 27783  # 3^4 * 7^3; unpadded 27,619 = 71 * 389
+        assert 2 * len(run.gamma.values) - 1 == 27783  # 3^4 * 7^3; unpadded 27,619 = 71 * 389
         probe = make_sg_probe(SGProbeSpec(xi=0.999))
         gamma = grid_lags(coherence_function(probe, make_ideal_ruler(probe.grid)), probe.grid.n_points)
-        assert len(gamma.values) == 27619
+        assert 2 * len(gamma.values) - 1 == 27619
         padded = run.fisher(lam0).fisher
         unpadded = fisher_from_family(
             lambda lam: statistics_from_coherence(gamma.shifted(lam)), lam0, run.default_step
