@@ -250,9 +250,10 @@ def criterion_8_ruler_legitimacy() -> CriterionResult:
 
 
 def criterion_9_phase_distribution() -> CriterionResult:
-    """Radial phase distribution matches its closed-form profile."""
+    """Phase distribution from its Gamma matches its closed profile and WK pair."""
     rec = CriterionResult(9, "phase-space phase distribution")
-    pd = phase_distribution_ws(0.35, 0.875)
+    vx, vp = 0.35, 0.875
+    pd = phase_distribution_ws(vx, vp)
     rec.require(
         pd.profile_residual <= 1e-3,
         f"sampled profile sup-norm gap {pd.profile_residual:.2e} <= 1e-3",
@@ -261,6 +262,15 @@ def criterion_9_phase_distribution() -> CriterionResult:
         abs(pd.delta2_phi0 - 0.35 * 0.875 / 0.525) <= 1e-10,
         f"heuristic width {pd.delta2_phi0!r} vs 0.58333...",
     )
+    # tau_c = (1+r^2)/(1-r^2) on dtau = 1, so Delta phi^2 = pi/tau_c^2 = 4 pi vx vp/(vx+vp)^2
+    d2_phi = signal_uncertainty(pd.dist) ** 2
+    closed = 4.0 * math.pi * vx * vp / (vx + vp) ** 2
+    rec.require(
+        abs(d2_phi / closed - 1.0) <= 1e-10,
+        f"Delta phi^2 {d2_phi!r} vs 4 pi vx vp/(vx+vp)^2 = {closed!r} (rel 1e-10)",
+    )
+    gap = abs(wk_product(pd.gamma, pd.dist) - SQRT_PI)
+    rec.require(gap <= 1e-5, f"|tau_c * Delta phi - sqrt(pi)| = {gap:.3e} <= 1e-5")
     # displacement terms of the rotation Fisher vs summed inverse phase
     # uncertainties: reported as a diagnostic only, never asserted
     vx_s, vp_s, vx_m, vp_m, x0, p0 = 0.1, 0.625, 0.25, 0.25, 1.0, 0.5

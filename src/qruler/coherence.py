@@ -342,13 +342,10 @@ def appendix_coherence(
     half_tau = tau[len(tau) // 2 :].copy()
     half_tau[0] = 0.0  # the middle lag, zero within tol, is Gamma(0)
     p = grid.points
-    arg = p[None, :] ** 2 + half_tau[:, None]
-    inside = arg >= 0.0
-    at = np.sqrt(np.where(inside, arg, 0.0))
+    at = np.sqrt(p[None, :] ** 2 + half_tau[:, None])  # tau >= 0, so p^2 + tau >= 0 throughout
     re = CubicSpline(p, probe.amplitudes.real, extrapolate=False)
     im = CubicSpline(p, probe.amplitudes.imag, extrapolate=False)
     shifted = np.nan_to_num(re(at) + 1j * im(at), nan=0.0)
-    shifted[~inside] = 0.0
     vals = np.sum(probe.amplitudes[None, :] * np.conj(shifted), axis=1) * grid.spacing
     vals.flags.writeable = False
     half_tau.flags.writeable = False

@@ -23,7 +23,9 @@ runnable kinds to their spec classes.  A spec's positional fields are its
 physical parameters, from which the command line derives its flags,
 required values and reported parameters; its grid sizes (and
 ``lambda_pad``) are keyword-only and are not flags.  Acceptance builds
-its runs through the same table.
+its runs through the same table.  ``phase_distribution_ws`` takes the
+phase density of a blurred squeezed vacuum through sg's periodic
+transform, from a Poisson-kernel Gamma on even integer lags.
 """
 
 from __future__ import annotations
@@ -417,61 +419,49 @@ SCENARIOS = {
 # ---------------------------------------------------------------------------
 
 
-PHASE_POINTS = 2049   # polar-angle samples on [-pi, pi)
-RADIAL_POINTS = 4097  # radial trapezoid nodes on [0, 12 sigma_max]
+PHASE_POINTS = 2049  # M' = 2h-1 phases on (-pi, pi), from h = 1025 integer lags
+TAIL_TOL = 1e-16      # largest |r|^((h-1)/2), the last kept Poisson term
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseDistribution:
-    phi_grid: np.ndarray
-    density: np.ndarray
-    delta2_phi0: float      # heuristic width vx*vp/|vx-vp|, inf when vx = vp
-    kappa: float            # profile parameter: density ~ 1/(1 + kappa sin^2 phi)
-    profile_residual: float  # sup-norm gap between samples and the profile
-
-    @property
-    def degenerate(self) -> bool:
-        return math.isinf(self.delta2_phi0)
+    gamma: CoherenceFunction  # Gamma(tau) = r^(tau/2)/2pi on even integer tau >= 0, 0 on odd
+    dist: OutcomeDistribution  # its transform: the phase density on (-pi, pi)
+    delta2_phi0: float       # heuristic width vx*vp/|vx-vp|, inf when vx = vp
+    profile_residual: float  # sup-norm gap between samples and the closed profile
 
 
 def phase_distribution_ws(vx_eff: float, vp_eff: float) -> PhaseDistribution:
     """Polar-angle distribution of a centered Gaussian phase-space function.
 
     ``vx_eff`` and ``vp_eff`` are blurred variances (probe plus detector).
-    The radial integral of the Gaussian gives exactly
+    The radial integral is a Poisson kernel in 2*phi: with
+    s = sqrt(vx_eff/vp_eff), kappa = s^2 - 1 and r = (s-1)/(s+1),
 
-        W(phi) = N / (1 + kappa sin^2 phi),  kappa = vx_eff/vp_eff - 1,
+        W(phi) = s / (2*pi*(1 + kappa sin^2 phi)) = sum_n r^|n| e^{2in phi} / (2*pi),
 
-    a Fabry-Perot-like profile; the sampled density is produced by radial
-    quadrature and compared against that closed form.  The heuristic
-    squared width vx*vp/|vx - vp| is infinite in the rotationally
-    symmetric case vx_eff = vp_eff, where W is uniform.
+    the periodic transform, as for ``sg``, of Gamma(tau) = r^(tau/2)/(2*pi)
+    on even integer tau and 0 on odd tau, over h = 1025 lags tau >= 0
+    (M' = PHASE_POINTS phases).  A last kept term |r|^((h-1)/2) above
+    TAIL_TOL raises ``GridTooNarrow``.  The heuristic squared width
+    vx*vp/|vx - vp| is infinite when vx_eff = vp_eff, where W is uniform.
     """
     if not vx_eff > 0 or not vp_eff > 0:
         raise NonPositiveSigma("effective variances must be > 0")
-    phi = np.linspace(-np.pi, np.pi, PHASE_POINTS, endpoint=False)
-    r_max = 12.0 * math.sqrt(max(vx_eff, vp_eff))
-    r = np.linspace(0.0, r_max, RADIAL_POINTS)
-    quad = (np.cos(phi) ** 2 / vx_eff + np.sin(phi) ** 2 / vp_eff)[:, None]
-    wigner = np.exp(-0.5 * quad * r[None, :] ** 2) / (
-        2.0 * np.pi * math.sqrt(vx_eff * vp_eff)
-    )
-    dens = np.trapezoid(wigner * r[None, :], r, axis=1)
-    dens /= np.sum(dens) * (2.0 * np.pi / PHASE_POINTS)
-
-    kappa = vx_eff / vp_eff - 1.0
-    profile = math.sqrt(1.0 + kappa) / (2.0 * np.pi) / (1.0 + kappa * np.sin(phi) ** 2)
-    residual = float(np.max(np.abs(dens - profile)))
-    if vx_eff == vp_eff:
-        width = math.inf
-    else:
-        width = vx_eff * vp_eff / abs(vx_eff - vp_eff)
-    dens.flags.writeable = False
-    phi.flags.writeable = False
-    return PhaseDistribution(
-        phi_grid=phi,
-        density=dens,
-        delta2_phi0=width,
-        kappa=kappa,
-        profile_residual=residual,
-    )
+    h = (PHASE_POINTS + 1) // 2
+    s = math.sqrt(vx_eff / vp_eff)
+    r = (s - 1.0) / (s + 1.0)
+    tail = abs(r) ** ((h - 1) // 2)
+    if tail > TAIL_TOL:
+        raise GridTooNarrow(f"Poisson tail |r|^{(h - 1) // 2} = {tail:.2e} > {TAIL_TOL} at vx/vp = {s * s!r}")
+    vals = np.zeros(h)
+    vals[::2] = r ** np.arange((h + 1) // 2) / (2.0 * np.pi)
+    tau = np.arange(h, dtype=float)
+    vals.flags.writeable = False
+    tau.flags.writeable = False
+    gamma = CoherenceFunction(tau, vals)
+    dist = statistics_from_coherence(gamma)
+    profile = s / (2.0 * np.pi) / (1.0 + (s * s - 1.0) * np.sin(dist.mu_grid) ** 2)
+    residual = float(np.max(np.abs(dist.density - profile)))
+    width = math.inf if vx_eff == vp_eff else vx_eff * vp_eff / abs(vx_eff - vp_eff)
+    return PhaseDistribution(gamma=gamma, dist=dist, delta2_phi0=width, profile_residual=residual)

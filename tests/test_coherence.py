@@ -525,10 +525,12 @@ class TestAppendixCoherence:
             appendix_coherence(probe, np.array(tau))
 
     def test_import_leaves_interpolation_unloaded(self):
-        # scipy.interpolate pulls in scipy.optimize, sparse and spatial
-        code = "import sys, qruler; print('scipy.interpolate' in sys.modules)"
+        # scipy.interpolate pulls in scipy.optimize, sparse and spatial; each
+        # subpackage loaded at import adds to every fresh interpreter's start
+        unloaded = ("interpolate", "optimize", "linalg", "integrate", "sparse", "spatial", "stats")
+        code = f"import sys, qruler; print([m for m in {unloaded!r} if 'scipy.' + m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qruler.__file__))}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"

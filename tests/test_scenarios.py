@@ -519,12 +519,34 @@ class TestClosedFormQfi:
         assert closed == pytest.approx(qfi_pure(probe, "G2"), rel=1e-8)
 
 
+def radial_phase_density(vx: float, vp: float, phi: np.ndarray, n: int = 4097) -> np.ndarray:
+    """Oracle: the polar-angle density as a radial trapezoid, independent of the Gamma route.
+
+    W(phi) = integral_0^{12 sigma_max} r W_G(r cos phi, r sin phi) dr for the
+    centered Gaussian W_G of variances (vx, vp), on n radial nodes, then
+    normalized on ``phi``; only re-derives integral r e^{-a r^2/2} dr = 1/a.
+    """
+    r = np.linspace(0.0, 12.0 * math.sqrt(max(vx, vp)), n)
+    weights = r * (r[1] - r[0])  # trapezoid weights times the Jacobian r; r = 0 weighs 0
+    weights[-1] /= 2.0
+    quad = np.cos(phi) ** 2 / vx + np.sin(phi) ** 2 / vp
+    wigner = np.multiply.outer(quad, -0.5 * r**2)
+    np.exp(wigner, out=wigner)
+    dens = wigner @ weights
+    return dens / (np.sum(dens) * (2.0 * math.pi / len(phi)))
+
+
+# (vx_eff, vp_eff): squeezed either way, symmetric, near-symmetric, and strongly squeezed
+PHASE_POINTS_VX_VP = [
+    (0.35, 0.875), (0.4, 0.4), (0.3, 1.2), (1.5, 0.4), (0.7, 0.7001), (2.0, 0.05), (0.079, 0.79),
+]
+
+
 class TestPhaseDistribution:
     def test_symmetric_is_uniform(self):
         pd = phase_distribution_ws(0.4, 0.4)
-        assert pd.degenerate
         assert math.isinf(pd.delta2_phi0)
-        np.testing.assert_allclose(pd.density, 1.0 / (2 * math.pi), atol=1e-10)
+        np.testing.assert_allclose(pd.dist.density, 1.0 / (2 * math.pi), atol=1e-10)
 
     def test_worked_width(self):
         pd = phase_distribution_ws(0.35, 0.875)
@@ -539,10 +561,35 @@ class TestPhaseDistribution:
             vp = 0.25 * math.sqrt(ratio)
             pd = phase_distribution_ws(vx, vp)
             widths.append(pd.delta2_phi0)
-            contrasts.append(pd.density.max() / pd.density.min())
+            contrasts.append(pd.dist.density.max() / pd.dist.density.min())
         assert widths == sorted(widths, reverse=True)
         assert contrasts == sorted(contrasts)
 
     def test_mass_is_one(self):
         pd = phase_distribution_ws(0.35, 0.875)
-        assert np.sum(pd.density) * (2 * math.pi / len(pd.phi_grid)) == pytest.approx(1.0, abs=1e-12)
+        assert len(pd.dist.mu_grid) == scenarios.PHASE_POINTS
+        assert np.sum(pd.dist.density) * pd.dist.spacing == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("vx, vp", PHASE_POINTS_VX_VP)
+    def test_profile_and_wk_pair(self, vx, vp):
+        # Delta phi^2 = pi/tau_c^2 with tau_c = (1+r^2)/(1-r^2) on dtau = 1
+        pd = phase_distribution_ws(vx, vp)
+        assert pd.profile_residual <= 1e-12
+        d2 = signal_uncertainty(pd.dist) ** 2
+        assert d2 == pytest.approx(4.0 * math.pi * vx * vp / (vx + vp) ** 2, rel=1e-10)
+        assert wk_product(pd.gamma, pd.dist) == pytest.approx(SQRT_PI, abs=1e-10)
+
+    def test_radial_quadrature_oracle(self):
+        pd = phase_distribution_ws(0.35, 0.875)
+        oracle = radial_phase_density(0.35, 0.875, pd.dist.mu_grid)
+        assert np.max(np.abs(oracle - pd.dist.density)) <= 1e-6
+
+    @pytest.mark.parametrize("ratio, trips", [(900.0, True), (600.0, False)])
+    def test_poisson_tail_gate(self, ratio, trips):
+        # |r|^512 is 1.5e-15 at vx/vp = 900 and 6.8e-19 at 600; TAIL_TOL = 1e-16
+        for vx, vp in ((0.01 * ratio, 0.01), (0.01, 0.01 * ratio)):
+            if trips:
+                with pytest.raises(GridTooNarrow, match="Poisson tail"):
+                    phase_distribution_ws(vx, vp)
+            else:
+                assert phase_distribution_ws(vx, vp).profile_residual <= 1e-12
