@@ -39,8 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 KNOWN_GAPS = (
-    "ruler.kernel_bytes reads the nominal n^2*16 bytes of the zero-copy Toeplitz view "
-    "that RulerSeed.kernel returns, not memory that exists (perfbench/spans.py _kernel).",
+    "ruler.kernel_bytes reads the nominal n^2*16 bytes of the Toeplitz view that "
+    "RulerSeed.kernel returns over its 2n-1 mirrored lags, not memory that exists "
+    "(perfbench/spans.py _kernel).",
     "cli-readme's op_ms.p50 is the median over a cycle of seven commands (about 5 to 110 ms), "
     "so it reads the 4th-fastest command and its neighbours, which move with the host's speed "
     "state by more than the metric's 25 % bound with no code change.",

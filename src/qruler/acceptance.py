@@ -243,7 +243,7 @@ def criterion_8_ruler_legitimacy() -> CriterionResult:
     rng = np.random.default_rng(SEED + 8)
     half = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)  # K(tau >= 0)
     half[0] = FLAT_DIAGONAL
-    indefinite = RulerSeed(grid, np.concatenate([half[:0:-1].conj(), half]))
+    indefinite = RulerSeed(grid, half)
     rep_i = validate_ruler(indefinite)
     rec.require(not rep_i.positive, f"random hermitian kernel: positivity fails (min eig {rep_i.min_eigenvalue:.3e})")
     return rec

@@ -12,13 +12,14 @@ density and a coherence function.  The primed range drops g where g+tau
 falls off the grid.  For a shift-invariant ruler the seed enters only
 through its symbol K(tau), and the probe only through its autocorrelation
 (psi * psi)(tau) = integral' dg psi(g) conj(psi(g+tau)), computed by one
-FFT.  Gamma is Hermitian, Gamma(-tau) = conj Gamma(tau): it is gated for
-that symmetry once, where it is built, and stored by its h lags tau >= 0
-only, which stand for all M' = 2h-1 symmetric lags.  So p(mu) is real,
-and the transform is one half-spectrum FFT of the stored lags.  Two
-independent routes to p(mu) are provided: the transform of Gamma and a
-brute-force double sum over the dense kernel, used to cross-check each
-other.
+FFT.  Both factors are Hermitian, K by the seed's type and the
+autocorrelation by construction, so Gamma(-tau) = conj Gamma(tau): it is
+stored by its h lags tau >= 0 only, which stand for all M' = 2h-1
+symmetric lags, and gated once, for Gamma(0) = 1/(2*pi), where it is
+built.  So p(mu) is real, and the transform is one half-spectrum FFT of
+the stored lags.  Two independent routes to p(mu) are provided: the
+transform of Gamma and a brute-force double sum over the dense kernel,
+used to cross-check each other.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class CoherenceFunction:
             )
         if self.tau_grid[0] != 0.0:  # a symmetric tau grid would make gamma0 read Gamma(-tau_max)
             raise ValueError(f"the first lag must be tau = 0, got {float(self.tau_grid[0])!r}")
-        if 2.0 * abs(self.values[0].imag) > SYMMETRY_TOL:  # hfft would drop Im Gamma(0)
+        if not 2.0 * abs(self.values[0].imag) <= SYMMETRY_TOL:  # hfft would drop Im Gamma(0)
             raise NormalizationFailure(f"Gamma lacks Hermitian symmetry: Im Gamma(0) = {self.values[0].imag:.3e}")
 
     @property
@@ -137,33 +138,17 @@ class OutcomeDistribution:
         )
 
 
-def _check_coherence(values: np.ndarray) -> None:
-    """Gate Gamma on all its grid lags (tau = 0 the middle one) before its tau >= 0 half is kept.
-
-    Gamma(0) must be 1/(2*pi) to GAMMA0_TOL, and the Hermitian residual
-    max |conj Gamma(tau) - Gamma(-tau)|, read on tau >= 0, which holds
-    every pair and twice Im Gamma(0), must stay within SYMMETRY_TOL.
-    """
-    mid = len(values) // 2
-    g0 = float(values[mid].real)
-    if abs(g0 - FLAT_DIAGONAL) > GAMMA0_TOL:
-        raise NormalizationFailure(f"Gamma(0) = {g0!r}, expected {FLAT_DIAGONAL!r}")
-    sym = float(np.max(np.abs(np.conj(values[mid:]) - values[mid::-1])))
-    if sym > SYMMETRY_TOL:
-        raise NormalizationFailure(f"Gamma lacks Hermitian symmetry: {sym:.3e}")
-
-
 def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
     """Gamma(tau) = K(tau) * sum'_g psi(g) conj(psi(g+tau)) * dg.
 
     The autocorrelation is one zero-padded FFT of the amplitudes, padded to
     the next power of two >= 2n-1 so no lag wraps; O(n log n) time and O(n)
-    memory.  Gamma is gated on all 2n-1 grid lags, then stored by its lags
-    tau = j*dg >= 0, j < h, where M' = 2h-1 is the smallest odd length
-    >= 2n-1 that ``scipy.fft.next_fast_len`` keeps (so no transform runs
-    Bluestein's algorithm).  Lags j >= n hold exact zeros, so the
-    transform samples the same p(mu) on a finer grid over the same range
-    pi/dtau.
+    memory.  Gamma(0) must be 1/(2*pi) to GAMMA0_TOL (a NaN fails that
+    gate too).  Gamma is then stored by its lags tau = j*dg >= 0, j < h,
+    where M' = 2h-1 is the smallest odd length >= 2n-1 that
+    ``scipy.fft.next_fast_len`` keeps (so no transform runs Bluestein's
+    algorithm).  Lags j >= n hold exact zeros, so the transform samples
+    the same p(mu) on a finer grid over the same range pi/dtau.
     """
     if probe.grid != ruler.grid:
         raise GridMismatch("probe and ruler must share a grid")
@@ -172,36 +157,37 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
     size = 1 << (2 * n - 2).bit_length()
     spec = scipy.fft.fft(psi, size)
     corr = scipy.fft.ifft(spec * np.conj(spec))  # corr[t] = sum_g psi(g+t) conj(psi(g))
-    lags = np.concatenate([corr[size - n + 1:], corr[:n]])  # lag j at index j + n - 1
-    full = ruler.symbol * lags[::-1] * probe.grid.spacing  # Gamma(tau) reads corr at -tau
-    _check_coherence(full)
+    gamma = ruler.symbol * corr[-np.arange(n)] * probe.grid.spacing  # Gamma(tau) reads corr at -tau
+    g0 = float(gamma[0].real)
+    if not abs(g0 - FLAT_DIAGONAL) <= GAMMA0_TOL:
+        raise NormalizationFailure(f"Gamma(0) = {g0!r}, expected {FLAT_DIAGONAL!r}")
     length = 2 * n - 1
     while (length := scipy.fft.next_fast_len(length)) % 2 == 0:
         length += 1
     h = (length + 1) // 2
     vals = np.zeros(h, dtype=complex)
-    vals[:n] = full[n - 1:]
-    tau = np.arange(h) * probe.grid.spacing  # the grid's own tau_grid[n-1:], extended
+    vals[:n] = gamma
+    tau = np.arange(h) * probe.grid.spacing  # the grid's own tau_grid, extended
     vals.flags.writeable = False
     tau.flags.writeable = False
     return CoherenceFunction(tau, vals)
 
 
 def _finalize_density(mu: np.ndarray, raw: np.ndarray, k_grid=None) -> OutcomeDistribution:
-    """Apply realness, nonnegativity and normalization gates to a density."""
+    """Apply realness, nonnegativity and normalization gates to a density; a NaN fails each."""
     if np.iscomplexobj(raw):
         max_imag = float(np.max(np.abs(raw.imag)))
-        if max_imag > IMAG_TOL * max(1.0, float(np.max(np.abs(raw.real)))):
+        if not max_imag <= IMAG_TOL * max(1.0, float(np.max(np.abs(raw.real)))):
             raise NormalizationFailure(f"density not real: max |Im p| = {max_imag:.3e}")
     dens = np.array(raw.real, dtype=float)
-    if float(np.min(dens)) < -NEGATIVE_CLIP:
+    if not float(np.min(dens)) >= -NEGATIVE_CLIP:
         raise NormalizationFailure(
             f"density negative beyond tolerance: min p = {np.min(dens):.3e}"
         )
     np.clip(dens, 0.0, None, out=dens)
     dist = OutcomeDistribution(mu_grid=mu, density=dens, k_grid=k_grid)
     norm = dist.total_mass()
-    if abs(norm - 1.0) > NORM_HARD_TOL:
+    if not abs(norm - 1.0) <= NORM_HARD_TOL:
         raise NormalizationFailure(
             f"density norm {norm!r} deviates by more than {NORM_HARD_TOL}"
         )
@@ -317,7 +303,9 @@ def appendix_coherence(
         Gamma2(tau) = integral' dp psi(p) conj(psi(sqrt(p^2+tau))),
 
     the primed range keeping p^2 + tau >= 0.  No ruler factor is included,
-    so Gamma(0) = 1 rather than 1/(2*pi).  For g itself the probe-only
+    and the root is the one >= 0, so Gamma2(0) = integral dp psi(p)
+    conj(psi(|p|)): the norm 1 only for a probe even in p (a real Gaussian
+    centred at 0.7 gives 1.068), not 1/(2*pi).  For g itself the probe-only
     Gamma1 is 2*pi times ``coherence_function`` with the ideal ruler.
     The quadrature takes off-grid amplitudes from a cubic spline of the
     sampled probe, clamped to zero outside the grid.  ``tau_grid`` must be

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .coherence import OutcomeDistribution
-from .errors import GridMismatch, NonPositiveSigma, StepTooLarge
+from .errors import DegenerateDistribution, GridMismatch, NonPositiveSigma, StepTooLarge
 from .states import PureProbe
 
 DENSITY_FLOOR = 1e-12       # relative floor excluding 0/0 quadrature noise
@@ -124,8 +124,10 @@ def closed_form_linear(dx_s: float, dx_m: float) -> FisherReport:
         raise NonPositiveSigma("dx_s must be > 0")
     if dx_m < 0:
         raise NonPositiveSigma("dx_m must be >= 0")
-    var = dx_s**2 + dx_m**2
-    qfi = 1.0 / dx_s**2
+    try:
+        var, qfi = dx_s**2 + dx_m**2, 1.0 / dx_s**2
+    except (OverflowError, ZeroDivisionError):
+        raise DegenerateDistribution(f"dx_s={dx_s!r}, dx_m={dx_m!r}: a squared width leaves the float range") from None
     return FisherReport(1.0 / var, qfi)
 
 

@@ -1,10 +1,11 @@
 """Uniform grids on the generator eigenvalue axis and their offset axes.
 
 All densities in this package are sampled on a uniform grid of generator
-eigenvalues g.  The offset (tau) axis is the grid of pairwise differences
-g' - g.  The outcome (mu) axis is not a property of the grid: it is the
-exact Fourier dual of whatever tau axis a coherence function is sampled
-on, and ``coherence.statistics_from_coherence`` alone derives it.
+eigenvalues g.  The offset (tau) axis holds the differences g' - g >= 0,
+which stand for all 2n-1 lags of a Hermitian f(-tau) = conj f(tau).  The
+outcome (mu) axis is the exact Fourier dual of whatever tau axis a
+coherence function is sampled on; ``coherence.statistics_from_coherence``
+alone derives it.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ class GeneratorGrid:
 
     @cached_property
     def tau_grid(self) -> np.ndarray:
-        """Offsets g' - g reachable on this grid: j*dg, j = -(n-1)..(n-1)."""
-        j = np.arange(-(self.n_points - 1), self.n_points)
-        tau = j * self.spacing
+        """Offsets g' - g >= 0 reachable on this grid: j*dg, j = 0..n-1."""
+        tau = np.arange(self.n_points) * self.spacing
         tau.flags.writeable = False
         return tau
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooNarrow, InvalidGrid, NonPositiveSigma, XiOutOfDisc
+from .errors import DegenerateDistribution, GridTooNarrow, InvalidGrid, NonPositiveSigma, XiOutOfDisc
 from .grids import SPAN_SIGMAS, GeneratorGrid, integer_grid
 
 SG_TAIL_TOLERANCE = 1e-12
@@ -83,8 +83,12 @@ def make_gaussian_probe(spec: GaussianProbeSpec, grid: GeneratorGrid) -> PurePro
             f"grid [{grid.g_min}, {grid.g_max}] does not cover "
             f"{spec.center} +/- {SPAN_SIGMAS:g}*{spec.sigma}"
         )
+    try:
+        var4 = 4.0 * spec.sigma**2
+    except OverflowError:
+        raise DegenerateDistribution(f"sigma={spec.sigma!r}: its square overflows a float") from None
     g = grid.points
-    envelope = np.exp(-((g - spec.center) ** 2) / (4.0 * spec.sigma**2))
+    envelope = np.exp(-((g - spec.center) ** 2) / var4)
     psi = envelope.astype(complex)
     if spec.conjugate_center != 0.0:
         psi = psi * np.exp(1j * spec.conjugate_center * g)

@@ -486,6 +486,24 @@ class TestNonFiniteValues:
         assert run_cli(["optimize", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+class TestExtremeWidths:
+    """A width whose square leaves the float range fails typed (exit 3): no traceback, no NaN artifact."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["wk", "--probe", "gaussian:sigma=1e-170", "--ruler", "ideal"], "domain error: Gamma(0) = nan"),
+        (["wk", "--probe", "gaussian:sigma=1e200", "--ruler", "ideal"], "square overflows"),
+        (["validate-ruler", "--ruler", "gaussian:dphi=1e200"], "square overflows"),
+        (["fisher", "--scenario", "linear", "--dxs", "1e170", "--dxm", "0.5"], "float range"),
+        (["fisher", "--scenario", "linear", "--dxs", "1e-170", "--dxm", "0.5"], "float range"),
+    ], ids=["wk-nan", "wk-overflow", "ruler-overflow", "fisher-overflow", "fisher-underflow"])
+    def test_domain_error(self, args, message, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli(args + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "det"

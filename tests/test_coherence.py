@@ -21,7 +21,6 @@ from qruler.coherence import (
     CoherenceFunction,
     GaussianModel,
     OutcomeDistribution,
-    _check_coherence,
     _finalize_density,
     appendix_coherence,
     coherence_function,
@@ -37,7 +36,7 @@ from qruler.errors import (
     NormalizationFailure,
 )
 from qruler.grids import GeneratorGrid, grid_for_gaussian
-from qruler.ruler import FLAT_DIAGONAL, RulerSeed, make_gaussian_ruler, make_ideal_ruler
+from qruler.ruler import FLAT_DIAGONAL, RulerSeed, make_gaussian_ruler, make_ideal_ruler, validate_ruler
 from qruler.scenarios import (
     LinearScenario,
     PhaseGaussianScenario,
@@ -92,7 +91,7 @@ class TestCoherenceFunction:
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0, conjugate_center=2.0), unit_grid)
         gamma = coherence_function(probe, half_ruler)
         tau, full = grid_lags(gamma, unit_grid.n_points).all_lags()
-        assert np.array_equal(tau, unit_grid.tau_grid)
+        assert np.array_equal(tau, np.concatenate([-unit_grid.tau_grid[:0:-1], unit_grid.tau_grid]))
         np.testing.assert_allclose(full, trace_coherence(probe, half_ruler), atol=1e-14)
 
     def test_one_value_per_lag(self):
@@ -177,7 +176,7 @@ class TestPadded:
         np.testing.assert_allclose(
             gamma.values[:n], trace_coherence(probe, ruler)[n - 1:], rtol=0, atol=1e-15
         )
-        assert np.array_equal(gamma.tau_grid[:n], grid.tau_grid[n - 1:])
+        assert np.array_equal(gamma.tau_grid[:n], grid.tau_grid)
         assert not np.any(gamma.values[n:])
         assert np.array_equal(gamma.tau_grid, np.arange(h) * grid.spacing)
         np.testing.assert_allclose(np.diff(gamma.tau_grid), grid.spacing, rtol=1e-12)
@@ -189,7 +188,7 @@ class TestPadded:
         # as the transform on the grid's own 2n-1 lags
         gamma = coherence_function(unit_probe, half_ruler)
         unpadded = grid_lags(gamma, unit_probe.grid.n_points)
-        assert np.array_equal(unpadded.tau_grid, unit_probe.grid.tau_grid[unit_probe.grid.n_points - 1:])
+        assert np.array_equal(unpadded.tau_grid, unit_probe.grid.tau_grid)
         p, q = statistics_from_coherence(unpadded), statistics_from_coherence(gamma)
         assert len(q.mu_grid) > len(p.mu_grid)
         assert q.mu_grid[-1] == pytest.approx(p.mu_grid[-1], rel=2.0 / len(p.mu_grid))
@@ -210,7 +209,7 @@ class TestStatisticsFromCoherence:
         np.testing.assert_allclose(p.density, ref, atol=1e-8)
 
     def test_flat_coherence_gives_point_mass(self, unit_grid):
-        tau = unit_grid.tau_grid[unit_grid.n_points - 1:]
+        tau = unit_grid.tau_grid
         flat = CoherenceFunction(tau, np.full(len(tau), FLAT_DIAGONAL, dtype=complex))
         p = statistics_from_coherence(flat)
         center = len(p.mu_grid) // 2
@@ -220,7 +219,7 @@ class TestStatisticsFromCoherence:
 
     def test_incommensurate_spikes_rejected(self, unit_grid):
         # cosine coherence whose transform has strong negative side lobes
-        tau = unit_grid.tau_grid[unit_grid.n_points - 1:]
+        tau = unit_grid.tau_grid
         freq = 1.37 * 2 * np.pi / ((2 * len(tau) - 1) * unit_grid.spacing)  # off the dual grid
         vals = FLAT_DIAGONAL * np.cos(freq * tau) + 0j
         with pytest.raises(NormalizationFailure):
@@ -286,7 +285,7 @@ def unit_mass_density():
 
 
 class TestGates:
-    """Each gate of ``_finalize_density``, ``_check_coherence`` and ``CoherenceFunction`` trips just past its tolerance."""
+    """Each gate of ``_finalize_density``, ``coherence_function`` and ``CoherenceFunction`` trips just past its tolerance, and on NaN."""
 
     def test_norm_gate(self):
         assert NORM_HARD_TOL == 1e-6
@@ -309,18 +308,9 @@ class TestGates:
         assert dist.density[0] == 0.0
         assert np.min(dist.density) == 0.0
 
-    def test_hermitian_symmetry_gate(self, unit_grid):
-        # _check_coherence reads Gamma on all 2n-1 grid lags, tau = 0 the middle one
-        assert SYMMETRY_TOL == 1e-10
-        tau = unit_grid.tau_grid
-        vals = FLAT_DIAGONAL * np.exp(-(tau**2) / 4.0) + 0j
-        _check_coherence(vals)
-        vals[len(tau) // 2 + 3] += 2e-10
-        with pytest.raises(NormalizationFailure, match="Hermitian"):
-            _check_coherence(vals)
-
     def test_gamma0_real_gate(self):
         # hfft drops Im Gamma(0), so a stored Gamma must have 2 |Im Gamma(0)| <= SYMMETRY_TOL
+        assert SYMMETRY_TOL == 1e-10
         tau = np.arange(5.0)
         vals = FLAT_DIAGONAL * np.exp(-(tau**2) / 4.0) + 0j
         vals[0] += 1e-10j
@@ -335,11 +325,11 @@ class TestGates:
         grid = grid_for_gaussian(0.0, 1.0, 256)
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid)
         symbol = np.array(make_ideal_ruler(grid).symbol)
-        symbol[grid.n_points - 1] += 2e-8
+        symbol[0] += 2e-8
         with pytest.raises(NormalizationFailure, match=r"Gamma\(0\) = 0\.159") as err:
             coherence_function(probe, RulerSeed(grid, symbol))
         assert "np.float64" not in str(err.value)
-        symbol[grid.n_points - 1] -= 1.5e-8
+        symbol[0] -= 1.5e-8
         gamma = coherence_function(probe, RulerSeed(grid, symbol))
         assert gamma.gamma0 == pytest.approx(FLAT_DIAGONAL + 5e-9, abs=1e-14)
 
@@ -355,6 +345,28 @@ class TestGates:
         dist = _finalize_density(mu, tilted)
         np.testing.assert_allclose(dist.density, raw, rtol=1e-14)
 
+    def test_nan_fails_each_gate(self):
+        # a NaN compares False against any bound, so each gate passes only a value inside it
+        mu, raw = unit_mass_density()
+        imag = raw + 0j
+        imag[150] = complex(raw[150], np.nan)
+        with pytest.raises(NormalizationFailure, match="not real"):
+            _finalize_density(mu, imag)
+        real = raw.copy()
+        real[150] = np.nan
+        with pytest.raises(NormalizationFailure, match="negative"):
+            _finalize_density(mu, real)
+        vals = np.full(5, FLAT_DIAGONAL, dtype=complex)
+        vals[0] = complex(FLAT_DIAGONAL, np.nan)
+        with pytest.raises(NormalizationFailure, match="Hermitian"):
+            CoherenceFunction(np.arange(5.0), vals)
+        grid = grid_for_gaussian(0.0, 1.0, 256)
+        probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid)
+        symbol = np.array(make_ideal_ruler(grid).symbol)
+        symbol[0] = np.nan
+        with pytest.raises(NormalizationFailure, match=r"^Gamma\(0\) = nan"):
+            coherence_function(probe, RulerSeed(grid, symbol))
+
 
 class TestDirectStatistics:
     def test_matches_transform_route(self, unit_probe, half_ruler):
@@ -362,6 +374,22 @@ class TestDirectStatistics:
         p_t = statistics_from_coherence(gamma)
         p_d = direct_statistics(unit_probe, half_ruler, p_t.mu_grid)
         np.testing.assert_allclose(p_d.density, p_t.density, atol=1e-8)
+
+    def test_offset_blur_seed(self):
+        # K_a(tau) = e^{i a tau} K(tau), the Gaussian blur shifted by a, is a
+        # legitimate seed with K(-tau) != K(tau): it pins the orientation of
+        # the mirror in RulerSeed.kernel and of the kernel in direct_statistics
+        a = 0.7
+        grid = grid_for_gaussian(0.0, 1.0, 256)
+        probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0, conjugate_center=0.4), grid)
+        blur = make_gaussian_ruler(0.5, grid)
+        offset = RulerSeed(grid, np.exp(1j * a * grid.tau_grid) * blur.symbol)
+        assert validate_ruler(offset).all_pass
+        p = statistics_from_coherence(coherence_function(probe, offset))
+        direct = direct_statistics(probe, offset, p.mu_grid)
+        assert np.max(np.abs(p.density - direct.density)) <= 1e-8  # criterion 1's gate; measured 8.9e-16
+        base = statistics_from_coherence(coherence_function(probe, blur))
+        assert p.mean() - base.mean() == pytest.approx(a, abs=1e-10)  # every outcome moves by +a
 
     def test_shift_invariance(self, unit_grid, half_ruler):
         delta = 0.83

@@ -32,9 +32,13 @@ def test_bad_bounds():
 def test_tau_grid_is_difference_set():
     grid = GeneratorGrid(-2.0, 2.0, 65)
     tau = grid.tau_grid
-    assert len(tau) == 2 * 65 - 1
-    assert tau[len(tau) // 2] == 0.0
+    # the lags tau >= 0 only: g' - g is +/- tau_|i-j| for grid points i, j
+    assert len(tau) == 65
+    assert tau[0] == 0.0
     np.testing.assert_allclose(np.diff(tau), grid.spacing)
+    j = np.arange(65)
+    diffs = grid.points[:, None] - grid.points[None, :]
+    np.testing.assert_allclose(np.abs(diffs), tau[np.abs(j[:, None] - j[None, :])], rtol=0, atol=1e-14)
 
 
 def test_mu_grid_duality():
