@@ -5,8 +5,8 @@ Runs, through ``qruler.cli.main``, every ``qruler`` line of the README
 (the full acceptance suite included), ``fisher`` and ``scenario`` for
 each of the five scenario kinds, ``wk`` and ``validate-ruler`` on an
 explicit ``--grid``, ``wk`` on the deep ``sg:xi=0.999`` probe,
-``validate-ruler`` on a narrow Gaussian seed, and ``fisher`` with an
-explicit ``--step``, then the three experiment scripts (``wk_demo.py``,
+``validate-ruler`` on a narrow Gaussian seed, ``fisher`` with an
+explicit ``--step`` and ``fisher`` on a wide nonlinear probe, then the three experiment scripts (``wk_demo.py``,
 ``budget_curves.py``, ``generator_power_widths.py``, in process with
 their default arguments), each into its own directory under a working
 directory, and prints one ``example/file sha256`` line per artifact,
@@ -54,7 +54,8 @@ SCENARIO_EXAMPLES = {
 LAMBDAS = {"linear": "0,0.5", "phase": "0,0.05", "sg": "0,1", "nonlinear": "0,0.02",
            "phase-cs": "0,0.3"}
 # flags no README example passes: user-built grids, an explicit step
-# (which for nonlinear widens lambda_pad), the deep sg probe (13,810 number
+# (which for nonlinear widens lambda_pad), a nonlinear run whose default
+# step needs more than lambda_pad, the deep sg probe (13,810 number
 # states) and a narrow seed
 FLAG_EXAMPLES = {
     "grid-wk": "wk --probe gaussian:sigma=1 --ruler ideal --grid gmin=-10,gmax=10,n=300",
@@ -63,6 +64,7 @@ FLAG_EXAMPLES = {
     "narrow-validate-ruler": "validate-ruler --ruler gaussian:dphi=0.05",
     "step-fisher-linear": "fisher --scenario linear --dxs 0.5 --dxm 0.5 --step 1e-3",
     "step-fisher-nonlinear": "fisher --scenario nonlinear --vxs 0.25 --vxm 0.25 --step 0.03",
+    "wide-fisher-nonlinear": "fisher --scenario nonlinear --vxs 20 --vxm 0.25",
 }
 
 

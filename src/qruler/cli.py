@@ -42,7 +42,7 @@ from .coherence import (
     statistics_from_coherence,
     wk_product,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DegenerateDistribution, DomainError
 from .grids import GeneratorGrid, grid_for_gaussian
 from .output import write_csv, write_json, write_manifest
 from .ruler import make_gaussian_ruler, make_ideal_ruler, validate_ruler
@@ -173,6 +173,10 @@ def _cmd_wk(args):
     dist = statistics_from_coherence(gamma)
     tau_c = coherence_time(gamma)
     dlam = signal_uncertainty(dist)
+    try:
+        d2lam = dlam**2
+    except OverflowError:
+        raise DegenerateDistribution(f"delta_lambda={dlam!r}: its square leaves the float range") from None
     print(f"wk: tau_c={tau_c:.9g} delta_lambda={dlam:.9g} product={tau_c * dlam:.9g}")
     tau, vals = gamma.all_lags()
     return {
@@ -184,14 +188,14 @@ def _cmd_wk(args):
             ["tau", "re_gamma", "im_gamma"],
             [tau, vals.real, vals.imag],
         ),
-        "statistics.csv": (["mu", "p"], [dist.mu_grid, dist.density]),
+        "statistics.csv": (["mu", "p"], [dist.mu_grid.points, dist.density]),
         "summary.json": {
             "probe": args.probe,
             "ruler": args.ruler,
             "gamma0": gamma.gamma0,
             "tau_c": tau_c,
             "delta_lambda": dlam,
-            "delta2_lambda": dlam**2,
+            "delta2_lambda": d2lam,
             "wk_product": tau_c * dlam,
         },
     }, True
@@ -255,13 +259,13 @@ def _cmd_scenario(args):
         dist = run.family(lam)
         name = f"distribution_{idx:03d}.csv"
         record = {"lambda": lam, "file": name, "mass": dist.total_mass()}
-        if dist.density.ndim == 1:
-            artifacts[name] = (["mu", "p"], [dist.mu_grid, dist.density])
+        if dist.k_grid is None:
+            artifacts[name] = (["mu", "p"], [dist.mu_grid.points, dist.density])
             record["mean"] = dist.mean()
             record["variance"] = dist.variance()
             record["delta2_lambda"] = signal_uncertainty(dist) ** 2
         else:
-            mm, kk = np.meshgrid(dist.mu_grid, dist.k_grid, indexing="ij")
+            mm, kk = np.meshgrid(dist.mu_grid.points, dist.k_grid.points, indexing="ij")
             artifacts[name] = (["m", "k", "p"], [mm.ravel(), kk.ravel(), dist.density.ravel()])
         records.append(record)
     summary = {"scenario": run.scenario, "params": params, "distributions": records}

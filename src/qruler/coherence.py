@@ -17,7 +17,9 @@ autocorrelation by construction, so Gamma(-tau) = conj Gamma(tau): it is
 stored by its h lags tau >= 0 only, which stand for all M' = 2h-1
 symmetric lags, and gated once, for Gamma(0) = 1/(2*pi), where it is
 built.  So p(mu) is real, and the transform is one half-spectrum FFT of
-the stored lags.  Two independent routes to p(mu) are provided: the
+the stored lags, onto the dual axis: a ``GeneratorGrid`` of M' points with
+spacing 2*pi/(M'*dtau), the axis every outcome density carries by its
+type.  Two independent routes to p(mu) are provided: the
 transform of Gamma and a brute-force double sum over the dense kernel,
 used to cross-check each other.
 """
@@ -36,6 +38,7 @@ from .errors import (
     NonPositiveSigma,
     NormalizationFailure,
 )
+from .grids import GeneratorGrid
 from .ruler import FLAT_DIAGONAL, RulerSeed
 from .states import PureProbe
 
@@ -102,40 +105,33 @@ class CoherenceFunction:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Sampled outcome density, 1-D p(mu) or joint 2-D p(m, k)."""
+    """Sampled outcome density, 1-D p(mu) or joint 2-D p(m, k), on uniform axes."""
 
-    mu_grid: np.ndarray
+    mu_grid: GeneratorGrid
     density: np.ndarray
-    k_grid: np.ndarray | None = None
+    k_grid: GeneratorGrid | None = None
 
-    @property
-    def spacing(self) -> float:
-        return float(self.mu_grid[1] - self.mu_grid[0])
-
-    @property
-    def k_spacing(self) -> float:
-        return float(self.k_grid[1] - self.k_grid[0])
+    def __post_init__(self):
+        shape = (self.mu_grid.n_points,) if self.k_grid is None else (self.mu_grid.n_points, self.k_grid.n_points)
+        if self.density.shape != shape:
+            raise GridMismatch(f"density of shape {self.density.shape} on axes of shape {shape}")
 
     @property
     def cell(self) -> float:
         """Integration element: dmu, or dm*dk for joint densities."""
-        if self.density.ndim == 2:
-            return self.spacing * self.k_spacing
-        return self.spacing
+        return self.mu_grid.spacing * (1.0 if self.k_grid is None else self.k_grid.spacing)
 
     def total_mass(self) -> float:
         return float(np.sum(self.density) * self.cell)
 
     def mean(self) -> float:
-        if self.density.ndim != 1:
+        if self.k_grid is not None:
             raise ValueError("mean() is defined for 1-D densities")
-        return float(np.sum(self.mu_grid * self.density) * self.spacing)
+        return float(np.sum(self.mu_grid.points * self.density) * self.cell)
 
     def variance(self) -> float:
         m = self.mean()
-        return float(
-            np.sum((self.mu_grid - m) ** 2 * self.density) * self.spacing
-        )
+        return float(np.sum((self.mu_grid.points - m) ** 2 * self.density) * self.cell)
 
 
 def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
@@ -173,7 +169,7 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
     return CoherenceFunction(tau, vals)
 
 
-def _finalize_density(mu: np.ndarray, raw: np.ndarray, k_grid=None) -> OutcomeDistribution:
+def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None) -> OutcomeDistribution:
     """Apply realness, nonnegativity and normalization gates to a density; a NaN fails each."""
     if np.iscomplexobj(raw):
         max_imag = float(np.max(np.abs(raw.imag)))
@@ -205,20 +201,20 @@ def statistics_from_coherence(gamma: CoherenceFunction) -> OutcomeDistribution:
     normalization exactly.  Integer tau grids (periodic phase statistics)
     are the special case dtau = 1, where mu is the phase on (-pi, pi) with
     spacing 2*pi/M'.  Gamma is Hermitian, so p is real: the transform is
-    one half-spectrum ``hfft`` of the stored values.
+    one half-spectrum ``hfft`` of the stored values.  The mu axis is the
+    ``GeneratorGrid`` of M' points on +/-(h-1)*dmu, so its spacing is dmu
+    to one ulp.
     """
     vals = gamma.values
     m = 2 * len(vals) - 1
     dtau = gamma.spacing
     raw = dtau * np.fft.fftshift(scipy.fft.hfft(vals, m))
-    dmu = 2.0 * np.pi / (m * dtau)
-    mu = np.arange(-(m // 2), m // 2 + 1) * dmu
-    mu.flags.writeable = False
-    return _finalize_density(mu, raw)
+    half = (m // 2) * (2.0 * np.pi / (m * dtau))
+    return _finalize_density(GeneratorGrid(-half, half, m), raw)
 
 
 def direct_statistics(
-    probe: PureProbe, ruler: RulerSeed, mu_grid: np.ndarray
+    probe: PureProbe, ruler: RulerSeed, mu_grid: GeneratorGrid
 ) -> OutcomeDistribution:
     """Brute-force trace route, independent of the coherence transform:
 
@@ -228,15 +224,11 @@ def direct_statistics(
     """
     if probe.grid != ruler.grid:
         raise GridMismatch("probe and ruler must share a grid")
-    mu = np.asarray(mu_grid, dtype=float)
-    steps = np.diff(mu)
-    if mu.ndim != 1 or len(mu) < 2 or not np.allclose(steps, steps[0]):
-        raise ValueError("mu_grid must be a uniform 1-D grid")
     psi = probe.amplitudes
     b = np.outer(psi, np.conj(psi)) * ruler.kernel.T
-    phases = np.exp(1j * np.outer(probe.grid.points, mu))  # e^{i g mu}
+    phases = np.exp(1j * np.outer(probe.grid.points, mu_grid.points))  # e^{i g mu}
     raw = np.sum(phases * (b @ np.conj(phases)), axis=0) * probe.grid.spacing**2
-    return _finalize_density(mu, raw)
+    return _finalize_density(mu_grid, raw)
 
 
 def coherence_time(gamma: CoherenceFunction) -> float:
@@ -247,9 +239,9 @@ def coherence_time(gamma: CoherenceFunction) -> float:
 
 def signal_uncertainty(p: OutcomeDistribution) -> float:
     """Inverse-purity width: Delta lambda = 1 / (2 sqrt(pi) integral p^2)."""
-    if p.density.ndim != 1:
+    if p.k_grid is not None:
         raise ValueError("signal uncertainty is defined for 1-D densities")
-    purity = float(np.sum(p.density**2) * p.spacing)
+    purity = float(np.sum(p.density**2) * p.cell)
     if purity < 1e-300:
         raise DegenerateDistribution("integral of p^2 vanishes")
     return 1.0 / (2.0 * math.sqrt(math.pi) * purity)

@@ -1,11 +1,10 @@
-"""Uniform grids on the generator eigenvalue axis and their offset axes.
+"""Uniform axes: ``GeneratorGrid`` is every g, mu, m and k axis of the package.
 
-All densities in this package are sampled on a uniform grid of generator
-eigenvalues g.  The offset (tau) axis holds the differences g' - g >= 0,
-which stand for all 2n-1 lags of a Hermitian f(-tau) = conj f(tau).  The
-outcome (mu) axis is the exact Fourier dual of whatever tau axis a
-coherence function is sampled on; ``coherence.statistics_from_coherence``
-alone derives it.
+Probe and ruler are sampled on a uniform grid of generator eigenvalues g;
+its offset (tau) axis holds the differences g' - g >= 0, which stand for
+all 2n-1 lags of a Hermitian f(-tau) = conj f(tau).  Outcome densities sit
+on the same type: the mu axis of a coherence transform, the Fourier dual
+of its M' lags with spacing 2*pi/(M'*dtau), and a joint readout's m and k.
 """
 
 from __future__ import annotations

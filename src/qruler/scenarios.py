@@ -239,7 +239,7 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
 
 
 def _joint_readout(
-    grid: GeneratorGrid, dx_m: float, m_grid: np.ndarray, k_grid: np.ndarray, momentum: bool
+    grid: GeneratorGrid, dx_m: float, m_grid: GeneratorGrid, k_grid: GeneratorGrid, momentum: bool
 ) -> Callable[[np.ndarray], OutcomeDistribution]:
     """Squeezed-coherent (m, k) projections of states on ``grid``, built once.
 
@@ -252,9 +252,9 @@ def _joint_readout(
     read as interleaved real and imaginary columns.
     """
     if momentum:
-        width, centers, freqs = 1.0 / (2.0 * dx_m), -k_grid, m_grid
+        width, centers, freqs = 1.0 / (2.0 * dx_m), -k_grid.points, m_grid.points
     else:
-        width, centers, freqs = dx_m, m_grid, k_grid
+        width, centers, freqs = dx_m, m_grid.points, k_grid.points
     axis = grid.points
     window = np.exp(-((axis[None, :] - centers[:, None]) ** 2) / (4.0 * width**2))
     phases = np.exp(1j * np.outer(axis, freqs))
@@ -268,12 +268,6 @@ def _joint_readout(
         return _finalize_density(m_grid, dens.T if momentum else dens, k_grid=k_grid)
 
     return readout
-
-
-def _outcome_axis(center: float, half_width: float, n: int) -> np.ndarray:
-    axis = np.linspace(center - half_width, center + half_width, n)
-    axis.flags.writeable = False
-    return axis
 
 
 @dataclass(frozen=True)
@@ -315,6 +309,9 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     The evolution is exact (diagonal in momentum); outcome grids cover
     8 effective sigmas of the lambda-evolved state in each axis.
     """
+    closed = closed_form_fp2(sc.vx_s, sc.vx_m, sc.p0)
+    step = _default_step(closed.crb)
+    pad = max(sc.lambda_pad, 2.0 * step)  # the default stencil reaches lambda = +/- 2*step
     vp_s = 1.0 / (4.0 * sc.vx_s)
     sigma_p = math.sqrt(vp_s)
     dx_m = math.sqrt(sc.vx_m)
@@ -323,12 +320,12 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     probe = make_gaussian_probe(
         GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid
     )
-    pad = sc.lambda_pad
     # free-spreading of the x-width under e^{-i lambda p^2}: vx + 4 lambda^2 vp
     m_half = SPAN_SIGMAS * math.sqrt(sc.vx_s + 4.0 * pad**2 * vp_s + sc.vx_m)
     m_half += 2.0 * pad * abs(sc.p0)
-    m_grid = _outcome_axis(sc.x0, m_half, sc.m_points)
-    k_grid = _outcome_axis(-sc.p0, SPAN_SIGMAS * math.sqrt(vp_s + vp_m), sc.k_points)
+    k_half = SPAN_SIGMAS * math.sqrt(vp_s + vp_m)
+    m_grid = GeneratorGrid(sc.x0 - m_half, sc.x0 + m_half, sc.m_points)
+    k_grid = GeneratorGrid(-sc.p0 - k_half, -sc.p0 + k_half, sc.k_points)
     readout = _joint_readout(grid, dx_m, m_grid, k_grid, momentum=True)
     p_axis = grid.points
 
@@ -337,8 +334,7 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
             raise GridTooNarrow(f"|lambda|={abs(lam)} exceeds the sized range {pad}")
         return readout(probe.amplitudes * np.exp(-1j * lam * p_axis**2))
 
-    closed = closed_form_fp2(sc.vx_s, sc.vx_m, sc.p0)
-    return ScenarioRun("nonlinear", family, closed, _default_step(closed.crb))
+    return ScenarioRun("nonlinear", family, closed, step)
 
 
 @dataclass(frozen=True)
@@ -380,24 +376,24 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     vp_s = 1.0 / (4.0 * sc.vx_s)
     dx_m = math.sqrt(sc.vx_m)
     vp_m = 1.0 / (4.0 * sc.vx_m)
+    # F_N <= 4 Var(N) term by term for pure Gaussians, so the report accepts it
+    fisher = closed_form_fn(sc.vx_s, vp_s, sc.vx_m, vp_m, sc.x0, sc.p0).fisher
+    closed = FisherReport(fisher, gaussian_number_qfi(sc.vx_s, vp_s, sc.x0, sc.p0))
     radius = math.hypot(sc.x0, sc.p0)
     sig_max = math.sqrt(max(sc.vx_s, vp_s))
     half_state = SPAN_SIGMAS * sig_max + radius
-    n_pts = sc.n_points
-    grid = GeneratorGrid(-half_state, half_state, n_pts)
-    m_grid = _outcome_axis(0.0, SPAN_SIGMAS * math.sqrt(sig_max**2 + sc.vx_m) + radius, sc.m_points)
-    k_grid = _outcome_axis(0.0, SPAN_SIGMAS * math.sqrt(sig_max**2 + vp_m) + radius, sc.k_points)
+    grid = GeneratorGrid(-half_state, half_state, sc.n_points)
+    m_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + sc.vx_m) + radius
+    k_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + vp_m) + radius
+    m_grid = GeneratorGrid(-m_half, m_half, sc.m_points)
+    k_grid = GeneratorGrid(-k_half, k_half, sc.k_points)
     readout = _joint_readout(grid, dx_m, m_grid, k_grid, momentum=False)
     x_axis = grid.points
 
     def family(lam: float) -> OutcomeDistribution:
         return readout(rotate_gaussian(sc.vx_s, sc.x0, sc.p0, lam, x_axis))
 
-    # F_N <= 4 Var(N) term by term for pure Gaussians, so the report accepts it
-    fisher = closed_form_fn(sc.vx_s, vp_s, sc.vx_m, vp_m, sc.x0, sc.p0).fisher
-    closed = FisherReport(fisher, gaussian_number_qfi(sc.vx_s, vp_s, sc.x0, sc.p0))
-    step = _default_step(closed.crb)
-    return ScenarioRun("phase_coherent_squeezed", family, closed, step)
+    return ScenarioRun("phase_coherent_squeezed", family, closed, _default_step(closed.crb))
 
 
 def gaussian_number_qfi(vx: float, vp: float, x0: float, p0: float) -> float:
@@ -461,7 +457,7 @@ def phase_distribution_ws(vx_eff: float, vp_eff: float) -> PhaseDistribution:
     tau.flags.writeable = False
     gamma = CoherenceFunction(tau, vals)
     dist = statistics_from_coherence(gamma)
-    profile = s / (2.0 * np.pi) / (1.0 + (s * s - 1.0) * np.sin(dist.mu_grid) ** 2)
+    profile = s / (2.0 * np.pi) / (1.0 + (s * s - 1.0) * np.sin(dist.mu_grid.points) ** 2)
     residual = float(np.max(np.abs(dist.density - profile)))
     width = math.inf if vx_eff == vp_eff else vx_eff * vp_eff / abs(vx_eff - vp_eff)
     return PhaseDistribution(gamma=gamma, dist=dist, delta2_phi0=width, profile_residual=residual)

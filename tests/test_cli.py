@@ -232,6 +232,18 @@ class TestFisherCommand:
         assert payload["step"] == 0.03
         assert payload["numerical"]["fisher"] == pytest.approx(4.0, rel=1e-6)
 
+    def test_nonlinear_default_stencil_fits_the_sized_range(self, tmp_path):
+        # the default step 1e-3*sqrt(crb) is 0.181 here: its stencil reaches
+        # 0.362, beyond the default lambda_pad 0.05, so the run sizes for it
+        out = tmp_path / "fnld"
+        assert run_cli([
+            "fisher", "--scenario", "nonlinear", "--vxs", "20", "--vxm", "0.25", "--out", str(out),
+        ]) == 0
+        payload = read_json(out / "fisher.json")
+        assert payload["step"] == pytest.approx(0.1811, rel=1e-3)
+        assert payload["closed_form"]["fisher"] == pytest.approx(3.048e-05, rel=1e-3)
+        assert payload["agreement_rel"] < 1e-6  # measured 4.0e-10
+
     def test_nonlinear_step_too_large_fails_richardson(self, tmp_path, capsys):
         assert run_cli([
             "fisher", "--scenario", "nonlinear", "--vxs", "0.25", "--vxm", "0.25",
@@ -495,7 +507,12 @@ class TestExtremeWidths:
         (["validate-ruler", "--ruler", "gaussian:dphi=1e200"], "square overflows"),
         (["fisher", "--scenario", "linear", "--dxs", "1e170", "--dxm", "0.5"], "float range"),
         (["fisher", "--scenario", "linear", "--dxs", "1e-170", "--dxm", "0.5"], "float range"),
-    ], ids=["wk-nan", "wk-overflow", "ruler-overflow", "fisher-overflow", "fisher-underflow"])
+        (["fisher", "--scenario", "nonlinear", "--vxs", "1e-170", "--vxm", "0.25"], "float range"),
+        (["fisher", "--scenario", "phase-cs", "--vxs", "1e170", "--vxm", "0.25"], "float range"),
+        (["fisher", "--scenario", "phase-cs", "--vxs", "1e-170", "--vxm", "0.25"], "float range"),
+        (["wk", "--probe", "gaussian:sigma=1e-160", "--ruler", "ideal"], "float range"),
+    ], ids=["wk-nan", "wk-overflow", "ruler-overflow", "fisher-overflow", "fisher-underflow",
+            "nonlinear-underflow", "phase-cs-overflow", "phase-cs-underflow", "wk-dlam-overflow"])
     def test_domain_error(self, args, message, tmp_path, capsys):
         out = tmp_path / "x"
         assert run_cli(args + ["--out", str(out)]) == 3

@@ -190,10 +190,10 @@ class TestPadded:
         unpadded = grid_lags(gamma, unit_probe.grid.n_points)
         assert np.array_equal(unpadded.tau_grid, unit_probe.grid.tau_grid)
         p, q = statistics_from_coherence(unpadded), statistics_from_coherence(gamma)
-        assert len(q.mu_grid) > len(p.mu_grid)
-        assert q.mu_grid[-1] == pytest.approx(p.mu_grid[-1], rel=2.0 / len(p.mu_grid))
-        assert q.density[len(q.mu_grid) // 2] == pytest.approx(
-            p.density[len(p.mu_grid) // 2], rel=1e-12
+        assert q.mu_grid.n_points > p.mu_grid.n_points
+        assert q.mu_grid.g_max == pytest.approx(p.mu_grid.g_max, rel=2.0 / p.mu_grid.n_points)
+        assert q.density[q.mu_grid.n_points // 2] == pytest.approx(
+            p.density[p.mu_grid.n_points // 2], rel=1e-12
         )
         assert signal_uncertainty(q) == pytest.approx(signal_uncertainty(p), rel=1e-12)
         assert coherence_time(gamma) == pytest.approx(coherence_time(unpadded), rel=1e-12)
@@ -205,15 +205,15 @@ class TestStatisticsFromCoherence:
         assert p.total_mass() == pytest.approx(1.0, abs=1e-10)
         assert p.variance() == pytest.approx(0.5, rel=1e-8)
         # pointwise against the normal density the transform must produce
-        ref = np.exp(-p.mu_grid**2 / 1.0) / math.sqrt(math.pi)
+        ref = np.exp(-p.mu_grid.points**2 / 1.0) / math.sqrt(math.pi)
         np.testing.assert_allclose(p.density, ref, atol=1e-8)
 
     def test_flat_coherence_gives_point_mass(self, unit_grid):
         tau = unit_grid.tau_grid
         flat = CoherenceFunction(tau, np.full(len(tau), FLAT_DIAGONAL, dtype=complex))
         p = statistics_from_coherence(flat)
-        center = len(p.mu_grid) // 2
-        assert p.density[center] * p.spacing == pytest.approx(1.0, abs=1e-10)
+        center = p.mu_grid.n_points // 2
+        assert p.density[center] * p.cell == pytest.approx(1.0, abs=1e-10)
         off = np.delete(p.density, center)
         assert np.max(np.abs(off)) < 1e-10
 
@@ -239,8 +239,8 @@ def complex_fft_statistics(gamma):
     _, vals = gamma.all_lags()
     m = len(vals)
     raw = gamma.spacing * np.fft.fftshift(scipy.fft.fft(np.fft.ifftshift(vals)))
-    mu = np.arange(-(m // 2), m // 2 + 1) * (2.0 * np.pi / (m * gamma.spacing))
-    return _finalize_density(mu, raw)
+    half = (m // 2) * (2.0 * np.pi / (m * gamma.spacing))
+    return _finalize_density(GeneratorGrid(-half, half, m), raw)
 
 
 # the five 1-D families of the fisher-1d benchmark workload
@@ -253,6 +253,36 @@ BENCH_RUNS = {
 }
 
 
+class TestOutcomeAxis:
+    """A density sits on ``GeneratorGrid`` axes: its shape is checked, its cell is dmu to one ulp."""
+
+    def test_shape_must_match_the_axes(self):
+        mu, k = GeneratorGrid(-1.0, 1.0, 101), GeneratorGrid(-2.0, 2.0, 64)
+        for dens, k_grid in ((np.ones(100), None), (np.ones((101, 64)), None),
+                             (np.ones(101), k), (np.ones((64, 101)), k)):
+            with pytest.raises(GridMismatch, match="shape"):
+                OutcomeDistribution(mu, dens, k_grid=k_grid)
+        assert OutcomeDistribution(mu, np.ones(101)).cell == mu.spacing
+        assert OutcomeDistribution(mu, np.ones((101, 64)), k_grid=k).cell == mu.spacing * k.spacing
+
+    @pytest.mark.parametrize("name", sorted(BENCH_RUNS))
+    def test_cell_is_the_dual_spacing(self, name):
+        run = BENCH_RUNS[name]()
+        m = 2 * len(run.gamma.values) - 1
+        dmu = 2.0 * np.pi / (m * run.gamma.spacing)
+        for lam in (0.0, 0.37):
+            dist = run.family(lam)
+            assert dist.mu_grid.n_points == m and dist.k_grid is None
+            assert abs(dist.cell - dmu) <= np.spacing(dmu)
+
+    @pytest.mark.parametrize("name", sorted(BENCH_RUNS))
+    def test_product_law_to_roundoff(self, name):
+        # Parseval on the exact dual axis: tau_c * Delta lambda = sqrt(pi) up to rounding
+        run = BENCH_RUNS[name]()
+        for lam in (0.0, 0.37):
+            assert abs(wk_product(run.gamma, run.family(lam)) - SQRT_PI) <= 1e-14
+
+
 class TestHermitianTransform:
     """The transform reads the stored lags tau >= 0; the full complex route is its oracle."""
 
@@ -262,7 +292,7 @@ class TestHermitianTransform:
         for lam in (-0.93, 0.0, 0.4117):
             p = statistics_from_coherence(gamma.shifted(lam))
             ref = complex_fft_statistics(exp_shifted(gamma, lam))
-            assert np.array_equal(p.mu_grid, ref.mu_grid)
+            assert p.mu_grid == ref.mu_grid
             # measured <= 8.4e-16 of the peak
             assert np.max(np.abs(p.density - ref.density)) <= 1e-14 * np.max(ref.density)
 
@@ -278,9 +308,9 @@ class TestHermitianTransform:
 
 def unit_mass_density():
     """A hand-built Gaussian on 201 outcomes whose Riemann mass is exactly 1."""
-    mu = np.linspace(-10.0, 10.0, 201)
-    raw = np.exp(-(mu**2) / 2.0)
-    raw /= np.sum(raw) * (mu[1] - mu[0])
+    mu = GeneratorGrid(-10.0, 10.0, 201)
+    raw = np.exp(-(mu.points**2) / 2.0)
+    raw /= np.sum(raw) * mu.spacing
     return mu, raw
 
 
@@ -399,7 +429,7 @@ class TestDirectStatistics:
         )
         mu = statistics_from_coherence(coherence_function(base, half_ruler)).mu_grid
         p_base = direct_statistics(base, half_ruler, mu)
-        p_moved = direct_statistics(moved, half_ruler, mu + delta)
+        p_moved = direct_statistics(moved, half_ruler, GeneratorGrid(mu.g_min + delta, mu.g_max + delta, mu.n_points))
         np.testing.assert_allclose(p_moved.density, p_base.density, atol=1e-12)
 
     def test_ideal_ruler_gives_conjugate_density(self, unit_grid):
@@ -410,7 +440,7 @@ class TestDirectStatistics:
         # conjugate-representation wavefunction by explicit quadrature,
         # in the sign convention that centers p(mu) at -conjugate_center
         g = unit_grid.points
-        phases = np.exp(1j * np.outer(mu, g))
+        phases = np.exp(1j * np.outer(mu.points, g))
         psi_tilde = phases @ probe.amplitudes * unit_grid.spacing / math.sqrt(2 * math.pi)
         np.testing.assert_allclose(p.density, np.abs(psi_tilde) ** 2, atol=1e-8)
 
@@ -434,8 +464,8 @@ class TestWidths:
 
     def test_signal_uncertainty_is_gaussian_sigma(self):
         sigma = 0.6
-        mu = np.linspace(-8, 8, 3201)
-        dens = np.exp(-(mu**2) / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
+        mu = GeneratorGrid(-8.0, 8.0, 3201)
+        dens = np.exp(-(mu.points**2) / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
         p = OutcomeDistribution(mu, dens)
         assert signal_uncertainty(p) == pytest.approx(sigma, rel=1e-9)
 
@@ -444,7 +474,7 @@ class TestWidths:
         assert signal_uncertainty(p) ** 2 == pytest.approx(0.5, rel=1e-8)
 
     def test_degenerate_distribution(self):
-        mu = np.linspace(-1, 1, 101)
+        mu = GeneratorGrid(-1.0, 1.0, 101)
         with pytest.raises(DegenerateDistribution):
             signal_uncertainty(OutcomeDistribution(mu, np.zeros(101)))
 

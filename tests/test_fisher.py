@@ -16,13 +16,13 @@ from qruler.fisher import (
     fisher_from_family,
     qfi_pure,
 )
-from qruler.grids import grid_for_gaussian
+from qruler.grids import GeneratorGrid, grid_for_gaussian
 from qruler.states import GaussianProbeSpec, make_gaussian_probe
 
 
 def gaussian_location_family(sigma, mu):
     def family(lam):
-        dens = np.exp(-((mu - lam) ** 2) / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
+        dens = np.exp(-((mu.points - lam) ** 2) / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
         return OutcomeDistribution(mu, dens)
 
     return family
@@ -32,7 +32,7 @@ class TestFisherFromFamily:
     def test_gaussian_location_family(self):
         # analytic family, fully independent of the transform machinery
         sigma = 0.8
-        mu = np.linspace(-10, 10, 4001)
+        mu = GeneratorGrid(-10.0, 10.0, 4001)
         family = gaussian_location_family(sigma, mu)
         rep = fisher_from_family(family, 0.0, 1e-3 * sigma)
         assert rep.fisher == pytest.approx(1.0 / sigma**2, rel=1e-6)
@@ -40,7 +40,7 @@ class TestFisherFromFamily:
 
     def test_independent_of_evaluation_point(self):
         sigma = 0.8
-        mu = np.linspace(-10, 10, 4001)
+        mu = GeneratorGrid(-10.0, 10.0, 4001)
         family = gaussian_location_family(sigma, mu)
         values = [
             fisher_from_family(family, lam0, 1e-3 * sigma).fisher
@@ -50,20 +50,20 @@ class TestFisherFromFamily:
 
     def test_step_too_large(self):
         sigma = 0.5
-        mu = np.linspace(-10, 10, 4001)
+        mu = GeneratorGrid(-10.0, 10.0, 4001)
         family = gaussian_location_family(sigma, mu)
         with pytest.raises(StepTooLarge):
             fisher_from_family(family, 0.0, 0.45)
 
     def test_joint_family_integration(self):
         # separable 2-D gaussian shifting along m: F = 1/sigma_m^2
-        m = np.linspace(-10, 10, 501)
-        k = np.linspace(-14, 14, 501)
+        m = GeneratorGrid(-10.0, 10.0, 501)
+        k = GeneratorGrid(-14.0, 14.0, 501)
         sm, sk = 0.9, 1.7
 
         def family(lam):
-            dm = np.exp(-((m - lam) ** 2) / (2 * sm**2)) / (sm * math.sqrt(2 * math.pi))
-            dk = np.exp(-(k**2) / (2 * sk**2)) / (sk * math.sqrt(2 * math.pi))
+            dm = np.exp(-((m.points - lam) ** 2) / (2 * sm**2)) / (sm * math.sqrt(2 * math.pi))
+            dk = np.exp(-(k.points**2) / (2 * sk**2)) / (sk * math.sqrt(2 * math.pi))
             return OutcomeDistribution(m, np.outer(dm, dk), k_grid=k)
 
         rep = fisher_from_family(family, 0.0, 1e-3 * sm)
@@ -71,13 +71,13 @@ class TestFisherFromFamily:
 
     def test_joint_members_on_different_k_axes(self):
         # the k axis moves by 10*lambda: members live on different outcome grids
-        m = np.linspace(-10, 10, 201)
+        m = GeneratorGrid(-10.0, 10.0, 201)
         sm, sk = 0.9, 1.7
 
         def family(lam):
-            k = np.linspace(-14, 14, 201) + 10.0 * lam
-            dm = np.exp(-((m - lam) ** 2) / (2 * sm**2)) / (sm * math.sqrt(2 * math.pi))
-            dk = np.exp(-(k**2) / (2 * sk**2)) / (sk * math.sqrt(2 * math.pi))
+            k = GeneratorGrid(-14.0 + 10.0 * lam, 14.0 + 10.0 * lam, 201)
+            dm = np.exp(-((m.points - lam) ** 2) / (2 * sm**2)) / (sm * math.sqrt(2 * math.pi))
+            dk = np.exp(-(k.points**2) / (2 * sk**2)) / (sk * math.sqrt(2 * math.pi))
             return OutcomeDistribution(m, np.outer(dm, dk), k_grid=k)
 
         with pytest.raises(GridMismatch):

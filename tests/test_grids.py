@@ -51,7 +51,7 @@ def test_mu_grid_duality():
     probe = make_gaussian_probe(GaussianProbeSpec(0.0, 0.3), grid)
     gamma = coherence_function(probe, make_ideal_ruler(grid))
     for g in (gamma, grid_lags(gamma, 64)):
-        (tau, _), mu = g.all_lags(), statistics_from_coherence(g).mu_grid
+        (tau, _), mu = g.all_lags(), statistics_from_coherence(g).mu_grid.points
         assert len(mu) == len(tau)
         kernel = np.exp(-1j * np.outer(tau, mu)).sum(axis=1)
         expected = np.zeros(len(tau))

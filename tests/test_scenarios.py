@@ -94,7 +94,7 @@ def nonlinear_oracle(sc, lam, m_grid, k_grid, complex_product=False):
     grid = probe.grid
     psi = probe.amplitudes * np.exp(-1j * lam * grid.points**2)
     overlap = window_fourier_overlap(
-        psi, grid.points, grid.spacing, 1.0 / (2.0 * math.sqrt(sc.vx_m)), -k_grid, m_grid,
+        psi, grid.points, grid.spacing, 1.0 / (2.0 * math.sqrt(sc.vx_m)), -k_grid.points, m_grid.points,
         complex_product,
     )
     return _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
@@ -107,7 +107,7 @@ def coherent_squeezed_oracle(sc, lam, m_grid, k_grid, complex_product=False):
     grid = GeneratorGrid(-half, half, sc.n_points)
     psi = rotate_gaussian(sc.vx_s, sc.x0, sc.p0, lam, grid.points)
     overlap = window_fourier_overlap(
-        psi, grid.points, grid.spacing, math.sqrt(sc.vx_m), m_grid, k_grid, complex_product
+        psi, grid.points, grid.spacing, math.sqrt(sc.vx_m), m_grid.points, k_grid.points, complex_product
     )
     return _finalize_density(m_grid, np.abs(overlap) ** 2 / (2.0 * np.pi), k_grid=k_grid)
 
@@ -162,7 +162,7 @@ class TestLinear:
     def test_peak_and_variance(self):
         run = run_linear(LinearScenario(dx_s=0.5, dx_m=0.5))
         p = run.family(0.0)
-        assert abs(p.mu_grid[np.argmax(p.density)]) < p.spacing
+        assert abs(p.mu_grid.points[np.argmax(p.density)]) < p.mu_grid.spacing
         assert p.variance() == pytest.approx(0.5, rel=1e-8)
         assert p.mean() == pytest.approx(0.0, abs=1e-12)
 
@@ -173,7 +173,7 @@ class TestLinear:
     def test_on_grid_translation_is_exact(self):
         run = run_linear(LinearScenario(dx_s=0.5, dx_m=0.5))
         p0 = run.family(0.0)
-        shift = 10 * p0.spacing
+        shift = 10 * p0.mu_grid.spacing
         p_shift = run.family(shift)
         np.testing.assert_allclose(p_shift.density, np.roll(p0.density, 10), atol=1e-11)
 
@@ -203,7 +203,7 @@ class TestPhaseGaussian:
     def test_rotation_translates_phase(self):
         run = run_phase_gaussian(PhaseGaussianScenario(100.0, 5.0))
         p0 = run.family(0.0)
-        shift = 7 * p0.spacing
+        shift = 7 * p0.mu_grid.spacing
         np.testing.assert_allclose(
             run.family(shift).density, np.roll(p0.density, 7), atol=1e-11
         )
@@ -223,7 +223,7 @@ class TestSG:
         run = run_phase_sg(SGScenario(xi=0.5))
         p = run.family(0.0)
         np.testing.assert_allclose(
-            p.density, sg_closed_form_density(0.5, p.mu_grid), atol=1e-10
+            p.density, sg_closed_form_density(0.5, p.mu_grid.points), atol=1e-10
         )
 
     def test_density_closed_form_deep_truncation(self):
@@ -232,7 +232,7 @@ class TestSG:
         run = run_phase_sg(SGScenario(xi=0.9, n_max=300))
         p = run.family(0.0)
         np.testing.assert_allclose(
-            p.density, sg_closed_form_density(0.9, p.mu_grid), atol=1e-10
+            p.density, sg_closed_form_density(0.9, p.mu_grid.points), atol=1e-10
         )
 
     def test_widths_both_routes(self):
@@ -310,9 +310,9 @@ def direct_shift_density(gamma, lam, mu):
     the family divides by its numerical norm, and so does the oracle.
     """
     tau, vals = gamma.all_lags()
-    raw = np.exp(1j * (lam - mu[:, None]) * tau[None, :]) @ vals
+    raw = np.exp(1j * (lam - mu.points[:, None]) * tau[None, :]) @ vals
     dens = raw.real * gamma.spacing
-    return dens / (np.sum(dens) * (mu[1] - mu[0]))
+    return dens / (np.sum(dens) * mu.spacing)
 
 
 # (run, its probe built from the spec, its ruler on the probe's grid);
@@ -347,7 +347,7 @@ class TestShiftRunPadding:
         gamma = grid_lags(padded, probe.grid.n_points)  # the grid's own 2n-1 lags
         for lam in (0.0, 0.37, -1.1):
             p = run.family(lam)
-            assert len(p.mu_grid) == 2 * len(run.gamma.values) - 1 > 2 * len(gamma.values) - 1
+            assert p.mu_grid.n_points == 2 * len(run.gamma.values) - 1 > 2 * len(gamma.values) - 1
             # measured <= 2.6e-14 on densities up to 3
             np.testing.assert_allclose(
                 p.density, direct_shift_density(gamma, lam, p.mu_grid), rtol=0, atol=1e-12
@@ -567,8 +567,8 @@ class TestPhaseDistribution:
 
     def test_mass_is_one(self):
         pd = phase_distribution_ws(0.35, 0.875)
-        assert len(pd.dist.mu_grid) == scenarios.PHASE_POINTS
-        assert np.sum(pd.dist.density) * pd.dist.spacing == pytest.approx(1.0, abs=1e-12)
+        assert pd.dist.mu_grid.n_points == scenarios.PHASE_POINTS
+        assert np.sum(pd.dist.density) * pd.dist.cell == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("vx, vp", PHASE_POINTS_VX_VP)
     def test_profile_and_wk_pair(self, vx, vp):
@@ -581,7 +581,7 @@ class TestPhaseDistribution:
 
     def test_radial_quadrature_oracle(self):
         pd = phase_distribution_ws(0.35, 0.875)
-        oracle = radial_phase_density(0.35, 0.875, pd.dist.mu_grid)
+        oracle = radial_phase_density(0.35, 0.875, pd.dist.mu_grid.points)
         assert np.max(np.abs(oracle - pd.dist.density)) <= 1e-6
 
     @pytest.mark.parametrize("ratio, trips", [(900.0, True), (600.0, False)])
