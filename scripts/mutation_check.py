@@ -14,8 +14,8 @@ tree is never edited.
 A defect whose expected test is None is a known gap: it is reported like
 the others, and its outcome does not set the exit status.  Exits 0 when
 every other defect is caught and every old line is found.  A defect takes
-4 to 12 s on a 2-core host (29 defects in 4.0 min), so this script is not
-part of the test suite.
+6 to 16 s on a 2-core host (36 defects in 4.4 to 6.1 min), so this script
+is not part of the test suite.
 """
 
 import os
@@ -31,9 +31,16 @@ COPIED = ("src", "tests", "scripts", "README.md", "pyproject.toml")
 
 GATES = "tests/test_coherence.py::TestGates::"
 OFFSET_BLUR = "tests/test_coherence.py::TestDirectStatistics::test_offset_blur_seed"
+CRITERION_8 = "tests/test_acceptance.py::test_criterion[criterion_8_ruler_legitimacy]"
+RULER_ORACLE = "tests/test_ruler.py::test_symbol_report_equals_dense_report"
 
 # (file, exact old line, new line, test expected to catch it first under -x, or None)
 DEFECTS = [
+    # a grid's spacing: finite and positive
+    ("src/qruler/grids.py",
+     "        if not 0.0 < self.spacing < np.inf:  # the span overflows, or its share of n-1 underflows",
+     "        if False:",
+     "tests/test_cli.py::TestValidateRulerCommand::test_spacing_must_be_finite_and_positive"),
     # the Gamma(0) gates of the coherence function, NaN-safe: a NaN fails them
     ("src/qruler/coherence.py",
      "        if not 2.0 * abs(self.values[0].imag) <= SYMMETRY_TOL:  # hfft would drop Im Gamma(0)",
@@ -74,9 +81,9 @@ DEFECTS = [
      "tests/test_coherence.py::TestOutcomeAxis::test_product_law_to_roundoff"),
     # the orientation of a complex seed: the one mirror, the direct route's kernel, Gamma's K(tau)
     ("src/qruler/ruler.py",
-     "        return sliding_window_view(np.concatenate([np.conj(k[:0:-1]), k]), self.grid.n_points)[:, ::-1]",
-     "        return sliding_window_view(np.concatenate([k[:0:-1], k]), self.grid.n_points)[:, ::-1]",
-     OFFSET_BLUR),
+     "    return sliding_window_view(np.concatenate([np.conj(k[:0:-1]), k]), k.size)[:, ::-1]",
+     "    return sliding_window_view(np.concatenate([k[:0:-1], k]), k.size)[:, ::-1]",
+     CRITERION_8),
     ("src/qruler/coherence.py",
      "    b = np.outer(psi, np.conj(psi)) * ruler.kernel.T",
      "    b = np.outer(psi, np.conj(psi)) * ruler.kernel",
@@ -90,6 +97,32 @@ DEFECTS = [
      "        positive=lo >= -POSITIVITY_REL_TOL * max(hi, 0.0),",
      "        positive=lo >= -1e-2 * max(hi, 0.0),",
      "tests/test_ruler.py::test_positivity_gate_trips_at_its_tolerance"),
+    # the Toeplitz section's real form: the Hankel's sign and lag, the
+    # complex symbol's coupling block, an odd n's middle weight, Re K(0)
+    ("src/qruler/ruler.py",
+     "    plus = lead + hankel",
+     "    plus = lead - hankel",
+     CRITERION_8),
+    ("src/qruler/ruler.py",
+     "    hankel = sliding_window_view(np.conj(t[::-1][: 2 * p - 1]), p)  # [a, b] -> t_{a+b-(n-1)}",
+     "    hankel = sliding_window_view(np.conj(t[-2::-1][: 2 * p - 1]), p)",
+     CRITERION_8),
+    ("src/qruler/ruler.py",
+     "    m[p:, :p] = plus.imag[:q]",
+     "    m[p:, :p] = 0.0",
+     CRITERION_8),
+    ("src/qruler/ruler.py",
+     "        plus[-1, :-1] *= np.sqrt(0.5)",
+     "        pass",
+     RULER_ORACLE),
+    ("src/qruler/ruler.py",
+     "        plus[-1, -1] *= 0.5",
+     "        pass",
+     RULER_ORACLE),
+    ("src/qruler/ruler.py",
+     "    t[0] = t[0].real",
+     "    pass",
+     "tests/test_ruler.py::test_imaginary_k0_is_not_in_the_section"),
     # an outcome density's axes: the shape check, the joint cell, the family's shared axes
     ("src/qruler/coherence.py",
      "        if self.density.shape != shape:",

@@ -228,14 +228,18 @@ def criterion_8_ruler_legitimacy() -> CriterionResult:
     """Gaussian seeds pass the legitimacy checks; violations are caught."""
     rec = CriterionResult(8, "ruler legitimacy validation")
     grid = grid_for_gaussian(0.0, 1.0, 256)
+    checked = []
     for dphi in (0.5, 1.0):
-        rep = validate_ruler(make_gaussian_ruler(dphi, grid))
+        seed = make_gaussian_ruler(dphi, grid)
+        rep = validate_ruler(seed)
+        checked.append((seed, rep))
         rec.require(
             rep.all_pass and rep.diagonal_residual < 1e-10,
             f"gaussian seed dphi={dphi}: all pass, diag residual {rep.diagonal_residual:.2e}",
         )
     doubled = RulerSeed(grid, make_gaussian_ruler(0.5, grid).symbol * 2.0)
     rep_d = validate_ruler(doubled)
+    checked.append((doubled, rep_d))
     rec.require(
         not rep_d.flat_diagonal and abs(rep_d.diagonal_residual - FLAT_DIAGONAL) < 1e-12,
         f"doubled kernel: diagonal check fails with residual {rep_d.diagonal_residual:.12e}",
@@ -245,7 +249,15 @@ def criterion_8_ruler_legitimacy() -> CriterionResult:
     half[0] = FLAT_DIAGONAL
     indefinite = RulerSeed(grid, half)
     rep_i = validate_ruler(indefinite)
+    checked.append((indefinite, rep_i))
     rec.require(not rep_i.positive, f"random hermitian kernel: positivity fails (min eig {rep_i.min_eigenvalue:.3e})")
+    # the real-form extremes against eigvalsh of the dense complex section
+    gap = 0.0
+    for seed, rep in checked:
+        eig = np.linalg.eigvalsh(seed.kernel * grid.spacing)
+        scale = max(abs(eig[0]), abs(eig[-1]))
+        gap = max(gap, abs(rep.min_eigenvalue - eig[0]) / scale, abs(rep.max_eigenvalue - eig[-1]) / scale)
+    rec.require(gap <= 1e-13, f"extreme eigenvalues vs dense eigvalsh: gap {gap:.1e} of max|eig| <= 1e-13")
     return rec
 
 

@@ -37,6 +37,8 @@ class GeneratorGrid:
             raise InvalidGrid("grid bounds must be finite")
         if not self.g_max > self.g_min:
             raise InvalidGrid("g_max must exceed g_min")
+        if not 0.0 < self.spacing < np.inf:  # the span overflows, or its share of n-1 underflows
+            raise InvalidGrid(f"grid spacing {self.spacing!r} is not finite and positive")
 
     @property
     def spacing(self) -> float:

@@ -16,23 +16,27 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-FLOAT_FMT = "{:.16e}"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FMT.format(float(value))
-    return str(value)
+FLOAT_FMT = "%.16e"
+CSV_BLOCK_ROWS = 4096  # rows formatted by one % operation, which bounds the text held at once
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """One row per index; a floating column is written ``FLOAT_FMT``, any other column ``%s``."""
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise ValueError("all columns must have equal length")
+    (n_rows,) = lengths
+    columns = [np.asarray(c) for c in columns]
+    width = len(columns)
+    line = ",".join(FLOAT_FMT if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            rows = min(CSV_BLOCK_ROWS, n_rows - start)
+            values = [None] * (width * rows)  # row-major: the columns interleaved
+            for j, c in enumerate(columns):
+                values[j::width] = c[start : start + rows].tolist()
+            fh.write(line * rows % tuple(values))
 
 
 def _jsonable(obj):

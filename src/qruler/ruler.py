@@ -7,6 +7,15 @@ seed is Hermitian by its type, K(-tau) = conj K(tau); ``kernel`` is the
 one place that mirror is built.  A legitimate seed is a positive operator
 whose diagonal is flat at 1/(2*pi), which is equivalent to the full tick
 family resolving the identity.
+
+Positivity is read from the section's real form.  A Hermitian Toeplitz
+section T is centro-Hermitian, J T J = conj T, so one fixed unitary Q maps it
+to a real symmetric matrix (Cantoni and Butler 1976; Lee 1980).  With
+p = ceil(n/2), q = floor(n/2), A the leading p x p block of T and H the p x p
+Hankel H[a, b] = t_{a+b-(n-1)}, Q* T Q is [[Re P, Im P'^T], [Im P', Re D]]
+with P = W (A + H) W, P' its first q rows, D = (A - H)[:q, :q] and W the
+identity but for 1/sqrt(2) on an odd n's middle row.  For a real symbol the
+coupling Im P' vanishes and the two real blocks are diagonalized apart.
 """
 
 from __future__ import annotations
@@ -23,6 +32,11 @@ FLAT_DIAGONAL = 1.0 / (2.0 * np.pi)
 
 DIAGONAL_TOL = 1e-10
 POSITIVITY_REL_TOL = 1e-10  # discretization introduces benign negative noise
+
+
+def _toeplitz(k: np.ndarray) -> np.ndarray:
+    """Read-only view [a, b] -> k_{a-b} of the mirror [conj k_{n-1} ... conj k_1, k_0 ... k_{n-1}]."""
+    return sliding_window_view(np.concatenate([np.conj(k[:0:-1]), k]), k.size)[:, ::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +56,7 @@ class RulerSeed:
 
         The mirror is [conj K(tau_{n-1}) ... conj K(tau_1), K(0) ... K(tau_{n-1})].
         """
-        k = self.symbol
-        return sliding_window_view(np.concatenate([np.conj(k[:0:-1]), k]), self.grid.n_points)[:, ::-1]
+        return _toeplitz(self.symbol)
 
 
 @dataclass(frozen=True)
@@ -79,19 +92,50 @@ def make_ideal_ruler(grid: GeneratorGrid) -> RulerSeed:
     return RulerSeed(grid, symbol)
 
 
+def _section_extremes(t: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the Hermitian Toeplitz section of t, t[0] real, from its real form."""
+    n = t.size
+    p, q = (n + 1) // 2, n // 2
+    real = not t.imag.any()
+    if real:
+        t = t.real
+    lead = _toeplitz(t[:p])
+    hankel = sliding_window_view(np.conj(t[::-1][: 2 * p - 1]), p)  # [a, b] -> t_{a+b-(n-1)}
+    plus = lead + hankel
+    minus = lead[:q, :q] - hankel[:q, :q]
+    if p > q:  # odd n: the middle row and column enter with weight 1/sqrt(2)
+        plus[-1, :-1] *= np.sqrt(0.5)
+        plus[:-1, -1] *= np.sqrt(0.5)
+        plus[-1, -1] *= 0.5
+    if real:
+        a, b = np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)
+        return float(min(a[0], b[0])), float(max(a[-1], b[-1]))
+    m = np.empty((n, n))
+    m[:p, :p] = plus.real
+    m[p:, p:] = minus.real
+    m[p:, :p] = plus.imag[:q]
+    m[:p, p:] = m[p:, :p].T
+    eigvals = np.linalg.eigvalsh(m)
+    return float(eigvals[0]), float(eigvals[-1])
+
+
 def validate_ruler(seed: RulerSeed) -> ValidationReport:
     """Check the flat diagonal and positivity of the seed.
 
     The diagonal, K(0) = 1/(2*pi), is read from the symbol; Im K(0) is the
     one place a symbol on tau >= 0 can break Hermitian symmetry.
-    Positivity uses eigenvalues of the Toeplitz section scaled by the grid
-    spacing (the discretized operator); the smallest may be slightly
-    negative from discretization, hence the relative tolerance.
+    Positivity uses the extreme eigenvalues of the Toeplitz section scaled
+    by the grid spacing (the discretized operator), with Im K(0) dropped as
+    a Hermitian eigensolver drops it.  They come from the section's real
+    form, built from the symbol in O(n^2): two real ceil(n/2) blocks for a
+    real symbol, one real n x n matrix otherwise.  The smallest may be
+    slightly negative from discretization, hence the relative tolerance.
     """
     k0 = seed.symbol[0]
     diag_res = float(max(abs(k0.real - FLAT_DIAGONAL), abs(k0.imag)))
-    eigvals = np.linalg.eigvalsh(RulerSeed(seed.grid, seed.symbol * seed.grid.spacing).kernel)
-    lo, hi = float(eigvals[0]), float(eigvals[-1])
+    t = seed.symbol * seed.grid.spacing
+    t[0] = t[0].real
+    lo, hi = _section_extremes(t)
     return ValidationReport(
         flat_diagonal=diag_res <= DIAGONAL_TOL,
         diagonal_residual=diag_res,

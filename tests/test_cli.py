@@ -196,6 +196,15 @@ class TestValidateRulerCommand:
         assert report["all_pass"] is True
         assert report["diagonal_residual"] < 1e-10
 
+    @pytest.mark.parametrize("grid", ["gmin=-1e308,gmax=1e308,n=512", "gmin=0,gmax=5e-324,n=512"],
+                             ids=["infinite-spacing", "zero-spacing"])
+    def test_spacing_must_be_finite_and_positive(self, grid, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli(["validate-ruler", "--ruler", "ideal", "--grid", grid, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "not finite and positive" in err and "Traceback" not in err
+        assert not (out / "ruler_report.json").exists()
+
 
 class TestFisherCommand:
     def test_rotation_scenario(self, tmp_path):

@@ -27,6 +27,10 @@ def test_bad_bounds():
         GeneratorGrid(1.0, -1.0, 128)
     with pytest.raises(InvalidGrid):
         GeneratorGrid(0.0, np.inf, 128)
+    with pytest.raises(InvalidGrid):  # finite bounds, infinite spacing
+        GeneratorGrid(-1e308, 1e308, 512)
+    with pytest.raises(InvalidGrid):  # ordered bounds, spacing underflows to 0
+        GeneratorGrid(0.0, 5e-324, 512)
 
 
 def test_tau_grid_is_difference_set():

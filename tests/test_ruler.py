@@ -153,11 +153,34 @@ def test_positivity_gate_trips_at_its_tolerance(factor, positive):
     ids=["gaussian", "ideal", "doubled", "random-hermitian", "offset-blur"],
 )
 def test_symbol_report_equals_dense_report(build):
-    # the O(n) symbol checks and the one Toeplitz section give the dense
-    # route's values bit for bit
-    grid = grid_for_gaussian(0.3, 1.2, 160)
-    seed = RulerSeed(grid, build(grid))
-    assert validate_ruler(seed) == dense_report(seed)
+    # The O(1) diagonal check gives the dense route's values bit for bit; the
+    # section's real form gives its extreme eigenvalues to roundoff.  An even
+    # and an odd n cover the odd middle row; the random-hermitian and
+    # offset-blur symbols are complex, so they cover the coupled n x n form.
+    for n in (160, 161):
+        grid = grid_for_gaussian(0.3, 1.2, n)
+        seed = RulerSeed(grid, build(grid))
+        got, want = validate_ruler(seed), dense_report(seed)
+        assert got.flat_diagonal == want.flat_diagonal
+        assert got.diagonal_residual == want.diagonal_residual
+        assert got.positive == want.positive
+        scale = max(abs(want.min_eigenvalue), abs(want.max_eigenvalue))
+        assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-13 * scale
+        assert abs(got.max_eigenvalue - want.max_eigenvalue) <= 1e-13 * scale
+
+
+def test_imaginary_k0_is_not_in_the_section():
+    # Im K(0) fails the diagonal check; positivity reads Re K(0), as a
+    # Hermitian eigensolver reads only the real part of a diagonal
+    for n in (160, 161):
+        grid = grid_for_gaussian(0.3, 1.2, n)
+        seed = RulerSeed(grid, offset_blur_symbol(grid) + 1e-3j * (grid.tau_grid == 0))
+        report = validate_ruler(seed)
+        assert not report.flat_diagonal
+        assert report.diagonal_residual == pytest.approx(1e-3, rel=1e-12)
+        eig = np.linalg.eigvalsh(seed.kernel * grid.spacing)
+        atol = 1e-13 * max(abs(eig[0]), abs(eig[-1]))
+        np.testing.assert_allclose([report.min_eigenvalue, report.max_eigenvalue], eig[[0, -1]], rtol=0, atol=atol)
 
 
 def test_non_positive_width():
