@@ -22,6 +22,12 @@ Run it once per checkout (the README examples are this checkout's) and
 ``diff`` the two outputs: a behaviour-preserving change prints nothing.
 When digests differ, ``scripts/artifact_diff.py OLD NEW`` on two kept
 directories says by how much.
+
+Artifacts print eigensolver and GEMM roundoff, which depends on the BLAS
+thread count, so the script sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before it imports
+``qruler``: digests from two shells then compare whatever their
+environments set.
 """
 
 import argparse
@@ -35,7 +41,10 @@ import shlex
 import sys
 import tempfile
 
-from qruler.cli import main as qruler_main
+for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_blas_threads] = "1"
+
+from qruler.cli import main as qruler_main  # noqa: E402  (after the BLAS thread count is set)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 README = os.path.join(HERE, os.pardir, "README.md")

@@ -9,6 +9,7 @@ of its M' lags with spacing 2*pi/(M'*dtau), and a joint readout's m and k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,9 @@ MIN_POINTS = 64  # resolution floor for quadrature accuracy
 # Gaussian half-span in standard deviations: tail mass below 1e-14, which
 # keeps all quadratures in this package well under their test tolerances
 SPAN_SIGMAS = 8.0
+# largest float step at the bounds, as a share of the spacing: a coarser
+# float lattice rounds the points to uneven steps, or onto each other
+ULP_SHARE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,8 @@ class GeneratorGrid:
             raise InvalidGrid("g_max must exceed g_min")
         if not 0.0 < self.spacing < np.inf:  # the span overflows, or its share of n-1 underflows
             raise InvalidGrid(f"grid spacing {self.spacing!r} is not finite and positive")
+        if math.ulp(max(abs(self.g_min), abs(self.g_max))) > ULP_SHARE * self.spacing:
+            raise InvalidGrid(f"grid points {self.spacing!r} apart are too close for the float step at the bounds")
 
     @property
     def spacing(self) -> float:

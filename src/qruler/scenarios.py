@@ -6,8 +6,8 @@ Four families:
 * phase shifts of a number-basis Gaussian on the continuum approximation,
 * phase shifts of a truncated geometric-series (non-Gaussian) probe under
   an ideal phase measurement, periodic on (-pi, pi),
-* joint (m, k) readout by squeezed-coherent projections, driven either by
-  the quadratic generator p^2 or by a phase-space rotation.
+* joint (m, k) momentum readout by squeezed-coherent projections, driven
+  either by the quadratic generator p^2 or by a phase-space rotation.
 
 Each ``run_*`` takes a frozen spec dataclass and returns a
 :class:`ScenarioRun` whose ``family`` maps a signal value to an outcome
@@ -238,36 +238,30 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
 # ---------------------------------------------------------------------------
 
 
-def _joint_readout(
-    grid: GeneratorGrid, dx_m: float, m_grid: GeneratorGrid, k_grid: GeneratorGrid, momentum: bool
-) -> Callable[[np.ndarray], OutcomeDistribution]:
-    """Squeezed-coherent (m, k) projections of states on ``grid``, built once.
+def _joint_family(
+    grid: GeneratorGrid, vx_m: float, m_grid: GeneratorGrid, k_grid: GeneratorGrid, state: Callable[[float], np.ndarray]
+) -> Callable[[float], OutcomeDistribution]:
+    """The (m, k) family of the momentum wavefunctions ``state(lam)`` on ``grid``.
 
-    A projection state is a Gaussian window of width w, normalized by
-    (w*sqrt(2*pi))^{-1/2}, along one axis and a Fourier phase along the
-    other: in momentum, w = 1/(2*dx_m) centered at -k with phase e^{ipm};
-    in position, w = dx_m centered at m with phase e^{ixk}.  The returned
-    ``readout(psi)`` is |<phi_{m,k}|psi>|^2/(2*pi) on [m, k], one real ×
-    complex GEMM: the real window [center, x] times psi*phases [x, freq],
-    read as interleaved real and imaginary columns.
+    Both joint kinds read out in momentum: a squeezed-coherent projection
+    state is a Gaussian window of width w = 1/(2*sqrt(vx_m)), normalized by
+    (w*sqrt(2*pi))^{-1/2} and centered at -k, times e^{ipm}.  Window, phases
+    and scale are built once; a member |<phi_{m,k}|psi>|^2/(2*pi) on [m, k]
+    is one real × complex GEMM, window [k, p] @ psi*phases [p, m] read as
+    interleaved real and imaginary columns.
     """
-    if momentum:
-        width, centers, freqs = 1.0 / (2.0 * dx_m), -k_grid.points, m_grid.points
-    else:
-        width, centers, freqs = dx_m, m_grid.points, k_grid.points
-    axis = grid.points
-    window = np.exp(-((axis[None, :] - centers[:, None]) ** 2) / (4.0 * width**2))
-    phases = np.exp(1j * np.outer(axis, freqs))
+    width, axis = 1.0 / (2.0 * math.sqrt(vx_m)), grid.points
+    window = np.exp(-((axis[None, :] + k_grid.points[:, None]) ** 2) / (4.0 * width**2))
+    phases = np.exp(1j * np.outer(axis, m_grid.points))
     scale = grid.spacing / math.sqrt(width * math.sqrt(2.0 * math.pi))
 
-    def readout(psi: np.ndarray) -> OutcomeDistribution:
-        weighted = (psi[:, None] * phases).view(np.float64)  # [x, 2*freq]
-        overlap = (window @ weighted).view(complex)  # [center, freq]
+    def family(lam: float) -> OutcomeDistribution:
+        weighted = (state(lam)[:, None] * phases).view(np.float64)  # [p, 2*m]
+        overlap = (window @ weighted).view(complex)  # [k, m]
         overlap *= scale
-        dens = np.abs(overlap) ** 2 / (2.0 * np.pi)
-        return _finalize_density(m_grid, dens.T if momentum else dens, k_grid=k_grid)
+        return _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
 
-    return readout
+    return family
 
 
 @dataclass(frozen=True)
@@ -314,7 +308,6 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     pad = max(sc.lambda_pad, 2.0 * step)  # the default stencil reaches lambda = +/- 2*step
     vp_s = 1.0 / (4.0 * sc.vx_s)
     sigma_p = math.sqrt(vp_s)
-    dx_m = math.sqrt(sc.vx_m)
     vp_m = 1.0 / (4.0 * sc.vx_m)
     grid = grid_for_gaussian(sc.p0, sigma_p, sc.n_points)
     probe = make_gaussian_probe(
@@ -326,15 +319,14 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     k_half = SPAN_SIGMAS * math.sqrt(vp_s + vp_m)
     m_grid = GeneratorGrid(sc.x0 - m_half, sc.x0 + m_half, sc.m_points)
     k_grid = GeneratorGrid(-sc.p0 - k_half, -sc.p0 + k_half, sc.k_points)
-    readout = _joint_readout(grid, dx_m, m_grid, k_grid, momentum=True)
     p_axis = grid.points
 
-    def family(lam: float) -> OutcomeDistribution:
+    def state(lam: float) -> np.ndarray:
         if abs(lam) > pad * (1.0 + 1e-9):
             raise GridTooNarrow(f"|lambda|={abs(lam)} exceeds the sized range {pad}")
-        return readout(probe.amplitudes * np.exp(-1j * lam * p_axis**2))
+        return probe.amplitudes * np.exp(-1j * lam * p_axis**2)
 
-    return ScenarioRun("nonlinear", family, closed, step)
+    return ScenarioRun("nonlinear", _joint_family(grid, sc.vx_m, m_grid, k_grid, state), closed, step)
 
 
 @dataclass(frozen=True)
@@ -369,12 +361,11 @@ def rotate_gaussian(
 def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     """Joint (m, k) statistics of a rotating Gaussian probe.
 
-    The rotation is applied exactly on the Gaussian's means and covariance;
-    outcome grids are sized to cover the whole rotation circle, so the
-    family is valid for any angle.
+    The rotation is applied exactly on the Gaussian's means and covariance,
+    in momentum like ``nonlinear``; outcome grids are sized to cover the
+    whole rotation circle, so the family is valid for any angle.
     """
     vp_s = 1.0 / (4.0 * sc.vx_s)
-    dx_m = math.sqrt(sc.vx_m)
     vp_m = 1.0 / (4.0 * sc.vx_m)
     # F_N <= 4 Var(N) term by term for pure Gaussians, so the report accepts it
     fisher = closed_form_fn(sc.vx_s, vp_s, sc.vx_m, vp_m, sc.x0, sc.p0).fisher
@@ -387,12 +378,12 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     k_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + vp_m) + radius
     m_grid = GeneratorGrid(-m_half, m_half, sc.m_points)
     k_grid = GeneratorGrid(-k_half, k_half, sc.k_points)
-    readout = _joint_readout(grid, dx_m, m_grid, k_grid, momentum=False)
-    x_axis = grid.points
-
-    def family(lam: float) -> OutcomeDistribution:
-        return readout(rotate_gaussian(sc.vx_s, sc.x0, sc.p0, lam, x_axis))
-
+    # the Fourier transform is the quarter turn (x, p) -> (p, -x), which
+    # commutes with rotations: psi_lam(p) is the position wavefunction of
+    # the state with variances swapped and means (p0, -x0), rotated by lam
+    family = _joint_family(
+        grid, sc.vx_m, m_grid, k_grid, lambda lam: rotate_gaussian(vp_s, sc.p0, -sc.x0, lam, grid.points)
+    )
     return ScenarioRun("phase_coherent_squeezed", family, closed, _default_step(closed.crb))
 
 

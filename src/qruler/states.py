@@ -87,6 +87,8 @@ def make_gaussian_probe(spec: GaussianProbeSpec, grid: GeneratorGrid) -> PurePro
         var4 = 4.0 * spec.sigma**2
     except OverflowError:
         raise DegenerateDistribution(f"sigma={spec.sigma!r}: its square overflows a float") from None
+    if var4 == 0.0:
+        raise DegenerateDistribution(f"sigma={spec.sigma!r}: its square underflows to 0")
     g = grid.points
     envelope = np.exp(-((g - spec.center) ** 2) / var4)
     psi = envelope.astype(complex)

@@ -205,6 +205,15 @@ class TestValidateRulerCommand:
         assert "not finite and positive" in err and "Traceback" not in err
         assert not (out / "ruler_report.json").exists()
 
+    def test_points_must_be_distinct(self, tmp_path, capsys):
+        # a span of 1000 at 1e16, where floats step by 2
+        out = tmp_path / "x"
+        grid = "gmin=1e16,gmax=1.0000000000001e16,n=512"
+        assert run_cli(["validate-ruler", "--ruler", "gaussian:dphi=1", "--grid", grid, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "too close for the float step" in err and "Traceback" not in err
+        assert not (out / "ruler_report.json").exists()
+
 
 class TestFisherCommand:
     def test_rotation_scenario(self, tmp_path):
@@ -511,7 +520,7 @@ class TestExtremeWidths:
     """A width whose square leaves the float range fails typed (exit 3): no traceback, no NaN artifact."""
 
     @pytest.mark.parametrize("args, message", [
-        (["wk", "--probe", "gaussian:sigma=1e-170", "--ruler", "ideal"], "domain error: Gamma(0) = nan"),
+        (["wk", "--probe", "gaussian:sigma=1e-170", "--ruler", "ideal"], "square underflows to 0"),
         (["wk", "--probe", "gaussian:sigma=1e200", "--ruler", "ideal"], "square overflows"),
         (["validate-ruler", "--ruler", "gaussian:dphi=1e200"], "square overflows"),
         (["fisher", "--scenario", "linear", "--dxs", "1e170", "--dxm", "0.5"], "float range"),

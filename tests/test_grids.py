@@ -33,6 +33,13 @@ def test_bad_bounds():
         GeneratorGrid(0.0, 5e-324, 512)
 
 
+def test_points_must_be_distinct_at_the_bounds_magnitude():
+    # 1e16 + j*1.957 rounds to the float lattice of step 2: 501 distinct
+    # points, steps of 0 and 2, beside a spacing of 1.957
+    with pytest.raises(InvalidGrid, match="too close for the float step"):
+        GeneratorGrid(1e16, 1e16 + 1000, 512)
+
+
 def test_tau_grid_is_difference_set():
     grid = GeneratorGrid(-2.0, 2.0, 65)
     tau = grid.tau_grid

@@ -100,14 +100,35 @@ def nonlinear_oracle(sc, lam, m_grid, k_grid, complex_product=False):
     return _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
 
 
-def coherent_squeezed_oracle(sc, lam, m_grid, k_grid, complex_product=False):
-    """Position-space projection of the rotated Gaussian: windows centered at m."""
+def coherent_squeezed_grid(sc):
+    """The symmetric state grid run_phase_coherent_squeezed samples on."""
     sig_max = math.sqrt(max(sc.vx_s, 1.0 / (4.0 * sc.vx_s)))
     half = 8.0 * sig_max + math.hypot(sc.x0, sc.p0)
-    grid = GeneratorGrid(-half, half, sc.n_points)
+    return GeneratorGrid(-half, half, sc.n_points)
+
+
+def coherent_squeezed_oracle(sc, lam, m_grid, k_grid, complex_product=False):
+    """Momentum-space projection of the rotated Gaussian: windows centered at -k."""
+    grid = coherent_squeezed_grid(sc)
+    psi = rotate_gaussian(1.0 / (4.0 * sc.vx_s), sc.p0, -sc.x0, lam, grid.points)
+    overlap = window_fourier_overlap(
+        psi, grid.points, grid.spacing, 1.0 / (2.0 * math.sqrt(sc.vx_m)), -k_grid.points, m_grid.points,
+        complex_product,
+    )
+    return _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
+
+
+def coherent_squeezed_position_oracle(sc, lam, m_grid, k_grid):
+    """Position-space projection of the rotated Gaussian: windows centered at m.
+
+    Independent of the quarter turn the run relies on: the position
+    wavefunction is rotate_gaussian's own, read out by a window of width
+    sqrt(vx_m) centered at m with phase e^{ixk}.
+    """
+    grid = coherent_squeezed_grid(sc)
     psi = rotate_gaussian(sc.vx_s, sc.x0, sc.p0, lam, grid.points)
     overlap = window_fourier_overlap(
-        psi, grid.points, grid.spacing, math.sqrt(sc.vx_m), m_grid.points, k_grid.points, complex_product
+        psi, grid.points, grid.spacing, math.sqrt(sc.vx_m), m_grid.points, k_grid.points
     )
     return _finalize_density(m_grid, np.abs(overlap) ** 2 / (2.0 * np.pi), k_grid=k_grid)
 
@@ -484,6 +505,21 @@ class TestJointReadout:
         for sc, oracle, lam, dist in joint_members(case):
             ref = oracle(sc, lam, dist.mu_grid, dist.k_grid, complex_product=True).density
             assert np.max(np.abs(dist.density - ref)) <= 5e-14 * np.max(ref)
+
+    @pytest.mark.parametrize(("sc", "gate"), (
+        (JOINT_CASES[1][0], 7e-13),  # measured 6.4e-14 of the peak
+        (CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5), 8e-10),  # measured 7.5e-11
+    ), ids=("displaced", "vacuum"))
+    def test_momentum_readout_matches_position_readout(self, sc, gate):
+        # the momentum readout against a position-space window on
+        # rotate_gaussian's own position wavefunction, with no quarter turn;
+        # the tails each representation truncates set the gap, largest on
+        # the symmetric vacuum
+        run = run_phase_coherent_squeezed(sc)
+        for lam in (0.0, run.default_step, -run.default_step, 0.7, 2.0):
+            dist = run.family(lam)
+            ref = coherent_squeezed_position_oracle(sc, lam, dist.mu_grid, dist.k_grid).density
+            assert np.max(np.abs(dist.density - ref)) <= gate * np.max(ref)
 
     def test_qfi_comes_from_the_closed_form(self):
         run = run_phase_coherent_squeezed(CoherentSqueezedScenario(vx_s=0.2, vx_m=0.5, x0=1.0))
