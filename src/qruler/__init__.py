@@ -39,6 +39,7 @@ from .errors import (
     NonPositiveBudget,
     NonPositiveSigma,
     NormalizationFailure,
+    QuantumBoundExceeded,
     StepTooLarge,
     XiOutOfDisc,
 )
@@ -48,6 +49,7 @@ from .fisher import (
     closed_form_fp2,
     closed_form_linear,
     closed_form_phase,
+    fisher_from_derivative,
     fisher_from_family,
     qfi_pure,
 )

@@ -34,6 +34,16 @@ from .states import GaussianProbeSpec, make_gaussian_probe
 
 SEED = 20240917
 SQRT_PI = math.sqrt(math.pi)
+# exact-derivative F against the finite-difference route (Richardson at the
+# default step), relative; each gate is 10x or more above its largest measured gap
+LINEAR_EXACT_FD_REL = 1e-12  # criterion 3, measured 5.9e-14
+JOINT_EXACT_FD_REL = 3e-12   # criterion 4, measured 2.0e-13
+SG_EXACT_FD_REL = 5e-11      # criterion 6, measured 3.2e-12
+
+
+def _exact_fd_gap(run, exact: float) -> float:
+    """|F_exact / F_fd - 1| against the run's Richardson F at its default step."""
+    return abs(exact / run.fisher(step=run.default_step).fisher - 1.0)
 
 
 @dataclass
@@ -100,10 +110,17 @@ def criterion_3_crb_coincidence() -> CriterionResult:
     """Numerical Fisher of the linear family equals the additive CRB."""
     rec = CriterionResult(3, "cramer-rao coincidence, linear scenario")
     cases = (("blurred", 0.5, 2.0, "2"), ("ideal", 0.0, 4.0, "4*Var(P)=4"))
+    gap = 0.0
     for label, dx_m, expected, target in cases:
-        fisher = SCENARIOS["linear"](dx_s=0.5, dx_m=dx_m).run().fisher().fisher
+        run = SCENARIOS["linear"](dx_s=0.5, dx_m=dx_m).run()
+        fisher = run.fisher().fisher
         rel = abs(fisher / expected - 1.0)
         rec.require(rel <= 1e-4, f"{label}: F={fisher:.10f} vs {target} (rel {rel:.2e})")
+        gap = max(gap, _exact_fd_gap(run, fisher))
+    rec.require(
+        gap <= LINEAR_EXACT_FD_REL,
+        f"exact vs finite-difference F, both cases: rel gap {gap:.1e} <= {LINEAR_EXACT_FD_REL}",
+    )
     return rec
 
 
@@ -111,17 +128,25 @@ def criterion_4_joint_fisher() -> CriterionResult:
     """Joint (m, k) Fisher reproduces the rotation and quadratic closed forms."""
     rec = CriterionResult(4, "joint-readout fisher closed forms")
     rng = np.random.default_rng(SEED + 4)
+    gap = 0.0
     for kind, x0_max, generator in (("phase-cs", 1.5, "rotation"), ("nonlinear", 1.0, "quadratic")):
         worst = 0.0
-        for _ in range(10):
+        for draw in range(10):
             run = SCENARIOS[kind](
                 vx_s=rng.uniform(0.2, 1.0),
                 vx_m=rng.uniform(0.2, 1.0),
                 x0=rng.uniform(-x0_max, x0_max),
                 p0=rng.uniform(-1.5, 1.5),
             ).run()
-            worst = max(worst, abs(run.fisher().fisher / run.closed_form.fisher - 1.0))
+            fisher = run.fisher().fisher
+            worst = max(worst, abs(fisher / run.closed_form.fisher - 1.0))
+            if draw == 0:  # five more readouts; one draw per generator keeps the criterion short
+                gap = max(gap, _exact_fd_gap(run, fisher))
         rec.require(worst <= 1e-3, f"{generator} generator, 10 draws: worst rel {worst:.2e}")
+    rec.require(
+        gap <= JOINT_EXACT_FD_REL,
+        f"exact vs finite-difference F, first draw of each generator: rel gap {gap:.1e} <= {JOINT_EXACT_FD_REL}",
+    )
 
     # worked examples; sub-Heisenberg variance quartets are realized through
     # the uncertainty-consistent doubling, which leaves every term intact
@@ -168,20 +193,29 @@ def criterion_5_optima() -> CriterionResult:
 def criterion_6_sg_scenario() -> CriterionResult:
     """Geometric-series probe: both width routes and their limiting ratio."""
     rec = CriterionResult(6, "non-gaussian phase probe widths")
+    gap = 0.0
     for xi in (0.5, 0.9, 0.99):
         run = SCENARIOS["sg"](xi=xi).run()
         d2_wk = signal_uncertainty(run.family(0.0)) ** 2
         rel_wk = abs(d2_wk / sg_wk_variance(xi) - 1.0)
         rec.require(rel_wk <= 1e-6, f"xi={xi}: sampled d2lam rel err {rel_wk:.2e}")
-        rel_f = abs(run.fisher().crb / sg_fisher_variance(xi) - 1.0)
+        fisher = run.fisher()
+        rel_f = abs(fisher.crb / sg_fisher_variance(xi) - 1.0)
         rec.require(rel_f <= 1e-4, f"xi={xi}: fisher crb rel err {rel_f:.2e}")
+        gap = max(gap, _exact_fd_gap(run, fisher.fisher))
     xi = 0.999
     run = SCENARIOS["sg"](xi=xi).run()
     d2_wk = signal_uncertainty(run.family(0.0)) ** 2
-    ratio = d2_wk / run.fisher().crb
+    fisher = run.fisher()
+    ratio = d2_wk / fisher.crb
     rec.require(
         abs(ratio / (math.pi / 2.0) - 1.0) <= 0.02,
         f"xi={xi}: width ratio {ratio:.6f} vs pi/2 = {math.pi/2:.6f} within 2%",
+    )
+    gap = max(gap, _exact_fd_gap(run, fisher.fisher))
+    rec.require(
+        gap <= SG_EXACT_FD_REL,
+        f"exact vs finite-difference F, all four xi: rel gap {gap:.1e} <= {SG_EXACT_FD_REL}",
     )
     return rec
 

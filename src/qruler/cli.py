@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -224,15 +225,14 @@ def _scenario_run(args, lambda_pad: float = 0.0):
 def _cmd_fisher(args):
     if args.step is not None and not args.step > 0:
         raise ConfigError(f"--step must be > 0, got {args.step}")
-    # the stencil reaches lambda = +/- 2*step
+    # exact by default; a --step stencil reaches lambda = +/- 2*step
     run, params = _scenario_run(args, 0.0 if args.step is None else 2.0 * args.step)
-    step = args.step if args.step is not None else run.default_step
-    numerical = run.fisher(step=step)
+    numerical = run.fisher(step=args.step)
     closed = run.closed_form
     payload = {
         "scenario": run.scenario,
         "params": params,
-        "step": step,
+        "step": args.step,
         "numerical": {"fisher": numerical.fisher, "crb": numerical.crb},
         "qfi": run.qfi,
         "closed_form": {"fisher": closed.fisher, "crb": closed.crb},
@@ -337,7 +337,9 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(f"--{flag}", type=_finite_float)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built on first use and shared: callers only parse with it."""
     parser = _Parser(
         prog="qruler",
         description="numerical lab for shift-invariant ruler measurement models",
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fisher", help="numerical and closed-form Fisher information")
     _add_scenario_flags(p)
-    p.add_argument("--step", type=_finite_float, help="finite-difference step")
+    p.add_argument("--step", type=_finite_float, help="finite-difference step (default: exact derivative)")
     _add_common(p)
 
     p = subs.add_parser("scenario", help="emit outcome distributions for signal values")

@@ -169,8 +169,12 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
     return CoherenceFunction(tau, vals)
 
 
-def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None) -> OutcomeDistribution:
-    """Apply realness, nonnegativity and normalization gates to a density; a NaN fails each."""
+def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None, scaled=()) -> OutcomeDistribution:
+    """Apply realness, nonnegativity and normalization gates to a density; a NaN fails each.
+
+    Each array in ``scaled`` (a density's derivative) is divided in place
+    by the same norm as the density.
+    """
     if np.iscomplexobj(raw):
         max_imag = float(np.max(np.abs(raw.imag)))
         if not max_imag <= IMAG_TOL * max(1.0, float(np.max(np.abs(raw.real)))):
@@ -188,6 +192,8 @@ def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None) -> Outcom
             f"density norm {norm!r} deviates by more than {NORM_HARD_TOL}"
         )
     dens /= norm
+    for arr in scaled:
+        arr /= norm
     dens.flags.writeable = False
     return dist
 
@@ -205,12 +211,29 @@ def statistics_from_coherence(gamma: CoherenceFunction) -> OutcomeDistribution:
     ``GeneratorGrid`` of M' points on +/-(h-1)*dmu, so its spacing is dmu
     to one ulp.
     """
-    vals = gamma.values
-    m = 2 * len(vals) - 1
-    dtau = gamma.spacing
-    raw = dtau * np.fft.fftshift(scipy.fft.hfft(vals, m))
+    return _finalize_density(_dual_axis(gamma), _transform(gamma, gamma.values))
+
+
+def _dual_axis(gamma: CoherenceFunction) -> GeneratorGrid:
+    m, dtau = 2 * len(gamma.values) - 1, gamma.spacing
     half = (m // 2) * (2.0 * np.pi / (m * dtau))
-    return _finalize_density(GeneratorGrid(-half, half, m), raw)
+    return GeneratorGrid(-half, half, m)
+
+
+def _transform(gamma: CoherenceFunction, values: np.ndarray) -> np.ndarray:
+    """dtau * sum_tau values(tau) e^{-i tau mu} over the M' lags of ``gamma``, Hermitian ``values`` on tau >= 0."""
+    return gamma.spacing * np.fft.fftshift(scipy.fft.hfft(values, 2 * len(values) - 1))
+
+
+def statistics_with_derivative(gamma: CoherenceFunction) -> tuple[OutcomeDistribution, np.ndarray]:
+    """p(mu) of ``gamma`` and the exact dp/dlambda of ``gamma.shifted(lambda)`` at lambda = 0.
+
+    The shift multiplies Gamma(tau) by e^{i tau lambda}, so dp/dlambda is
+    the transform of i*tau*Gamma(tau), Hermitian like Gamma, on the same
+    lags; it is divided by the norm p is divided by.
+    """
+    raw, d_raw = _transform(gamma, gamma.values), _transform(gamma, 1j * gamma.tau_grid * gamma.values)
+    return _finalize_density(_dual_axis(gamma), raw, scaled=(d_raw,)), d_raw
 
 
 def direct_statistics(

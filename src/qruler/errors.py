@@ -37,6 +37,10 @@ class StepTooLarge(DomainError):
     """Finite-difference step rejected by the extrapolation residual gate."""
 
 
+class QuantumBoundExceeded(DomainError):
+    """An exact-derivative Fisher information above the quantum bound F_Q."""
+
+
 class ContinuumApproxViolated(DomainError):
     """Continuous-spectrum approximation not valid for these parameters."""
 

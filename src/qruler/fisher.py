@@ -1,13 +1,19 @@
 """Fisher information, Cramér-Rao bounds and per-scenario closed forms.
 
-The numerical route differentiates a lambda-parameterized family of
-outcome densities with a 4-point central-difference stencil plus
-Richardson extrapolation, then integrates (dp/dlambda)^2 / p over the
-outcome axes the members share: ``GeneratorGrid``s, compared by value,
-so equal axes mean equal density shapes.  Closed forms for the linear,
-phase, rotation and quadratic-generator scenarios are provided alongside
-for cross-checking.  Every route returns a :class:`FisherReport`, which
-stores F and the quantum bound and derives the rest.
+F = integral (dp/dlambda)^2 / p over the outcome axes has two routes.
+``fisher_from_derivative`` takes an exact derivative dp/dlambda, which
+every ``ScenarioRun`` supplies: no step, no residual, one evaluation.
+``fisher_from_family`` stays as the independent route: it
+differentiates a lambda-parameterized family of outcome densities with
+a 4-point central-difference stencil plus Richardson extrapolation, on
+the outcome axes the members share (``GeneratorGrid``s, compared by
+value, so equal axes mean equal density shapes).  Both integrate over
+the same cells, p >= DENSITY_FLOOR * max p, and refuse an F above the
+quantum bound by more than QFI_SLACK with a typed ``DomainError``.
+Closed forms for the linear, phase, rotation and quadratic-generator
+scenarios are provided alongside for cross-checking.  Every route
+returns a :class:`FisherReport`, which stores F and the quantum bound
+and derives the rest.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .coherence import OutcomeDistribution
-from .errors import DegenerateDistribution, GridMismatch, NonPositiveSigma, StepTooLarge
+from .errors import DegenerateDistribution, GridMismatch, NonPositiveSigma, QuantumBoundExceeded, StepTooLarge
 from .states import PureProbe
 
 DENSITY_FLOOR = 1e-12       # relative floor excluding 0/0 quadrature noise
@@ -51,6 +57,22 @@ class FisherReport:
     def ratio_to_qfi(self) -> float | None:
         """F / F_Q, or None when the quantum bound is unknown or zero."""
         return self.fisher / self.qfi if self.qfi else None
+
+
+def fisher_from_derivative(
+    dist: OutcomeDistribution, dp: np.ndarray, qfi: float | None = None
+) -> FisherReport:
+    """F = integral (dp/dlambda)^2 / p from an exact derivative ``dp`` on ``dist``'s axes.
+
+    The cells and the quantum-bound headroom are those of
+    ``fisher_from_family``; an F above ``qfi`` by more than ``QFI_SLACK``
+    (or a NaN F) raises ``QuantumBoundExceeded``.
+    """
+    mask = dist.density >= DENSITY_FLOOR * np.max(dist.density)
+    f = float(np.sum(dp[mask] ** 2 / dist.density[mask]) * dist.cell)
+    if qfi is not None and not f <= qfi * (1.0 + QFI_SLACK):
+        raise QuantumBoundExceeded(f"exact Fisher {f} exceeds quantum bound {qfi}")
+    return FisherReport(f, qfi)
 
 
 def fisher_from_family(

@@ -11,14 +11,16 @@ Four families:
 
 Each ``run_*`` takes a frozen spec dataclass and returns a
 :class:`ScenarioRun` whose ``family`` maps a signal value to an outcome
-distribution on a fixed grid, and whose ``fisher`` method is the one
-route from a run to its finite-difference Fisher information; a spec's
-``run()`` calls its module-level ``run_*`` by name.  The
-ruler's POVM does not depend on the signal, so each run builds its
-measurement once and the signal acts on the state only: the 1-D runs
-build the coherence function Gamma once, on its fast transform length,
-and shift it; the joint runs build the (m, k) projections once
-and apply them to the evolved state.  ``SCENARIOS`` maps the five
+distribution on a fixed grid, whose ``derivative`` adds the exact
+dp/dlambda there, and whose ``fisher`` method is the one route from a
+run to its Fisher information: exact by default, by finite differences
+of ``family`` at a given step; a spec's ``run()`` calls its
+module-level ``run_*`` by name.  The ruler's POVM does not depend on
+the signal, so each run builds its measurement once and the signal acts
+on the state only: the 1-D runs build the coherence function Gamma
+once, on its fast transform length, and shift it; the joint runs build
+the (m, k) projections once and apply them to the evolved state and its
+lambda-derivative.  ``SCENARIOS`` maps the five
 runnable kinds to their spec classes.  A spec's positional fields are its
 physical parameters, from which the command line derives its flags,
 required values and reported parameters; its grid sizes (and
@@ -42,9 +44,18 @@ from .coherence import (
     _finalize_density,
     coherence_function,
     statistics_from_coherence,
+    statistics_with_derivative,
 )
 from .errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
-from .fisher import FisherReport, closed_form_fn, closed_form_fp2, closed_form_linear, closed_form_phase, fisher_from_family
+from .fisher import (
+    FisherReport,
+    closed_form_fn,
+    closed_form_fp2,
+    closed_form_linear,
+    closed_form_phase,
+    fisher_from_derivative,
+    fisher_from_family,
+)
 from .grids import SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
 from .ruler import make_gaussian_ruler, make_ideal_ruler
 from .states import GaussianProbeSpec, SGProbeSpec, make_gaussian_probe, make_sg_probe
@@ -56,6 +67,7 @@ class ScenarioRun:
 
     scenario: str
     family: Callable[[float], OutcomeDistribution]
+    derivative: Callable[[float], tuple[OutcomeDistribution, np.ndarray]]  # (p, exact dp/dlambda)
     closed_form: FisherReport
     default_step: float
     gamma: CoherenceFunction | None = None
@@ -66,8 +78,10 @@ class ScenarioRun:
         return self.closed_form.qfi
 
     def fisher(self, lambda0: float = 0.0, step: float | None = None) -> FisherReport:
-        """Numerical Fisher information at ``lambda0``; ``step`` defaults to ``default_step``."""
-        step = self.default_step if step is None else step
+        """Numerical Fisher information at ``lambda0``: exact from ``derivative``,
+        or with a ``step`` by finite differences of ``family`` (``default_step`` suits it)."""
+        if step is None:
+            return fisher_from_derivative(*self.derivative(lambda0), qfi=self.qfi)
         return fisher_from_family(self.family, lambda0, step, qfi=self.qfi)
 
 
@@ -87,11 +101,15 @@ def _shift_run(
 ) -> ScenarioRun:
     """A 1-D run: Gamma, stored by its lags tau >= 0, is built once and a
     signal value only shifts it; the outcome grid is the dual of the
-    M' = 2*len(values) - 1 symmetric lags those stand for."""
+    M' = 2*len(values) - 1 symmetric lags those stand for, and dp/dlambda
+    is the transform of i*tau*Gamma_lambda on the same lags."""
     def family(lam: float) -> OutcomeDistribution:
         return statistics_from_coherence(gamma.shifted(lam))
 
-    return ScenarioRun(scenario, family, closed, step, gamma=gamma)
+    def derivative(lam: float) -> tuple[OutcomeDistribution, np.ndarray]:
+        return statistics_with_derivative(gamma.shifted(lam))
+
+    return ScenarioRun(scenario, family, derivative, closed, step, gamma=gamma)
 
 
 def _gaussian_shift_run(
@@ -238,30 +256,69 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
 # ---------------------------------------------------------------------------
 
 
+PHASE_BLOCK = 16  # fine columns per coarse column of the joint readout's phase table
+
+
+def _fourier_phases(axis: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """e^{i x f} on [x, f] for uniform ``freqs``, with no [x, f] complex exp.
+
+    Column 16a + b is the product of e^{i x f[16a]} and e^{i x (f[b] - f[0])},
+    two tables of 16 columns each (PHASE_BLOCK), written block by block
+    into the one [x, f] array.
+    """
+    coarse = np.exp(1j * np.outer(axis, freqs[::PHASE_BLOCK]))
+    fine = np.exp(1j * np.outer(axis, freqs[:PHASE_BLOCK] - freqs[0]))
+    phases = np.empty((len(axis), len(freqs)), dtype=complex)
+    for a in range(coarse.shape[1]):
+        block = phases[:, a * PHASE_BLOCK : (a + 1) * PHASE_BLOCK]
+        np.multiply(coarse[:, a, None], fine[:, : block.shape[1]], out=block)
+    return phases
+
+
 def _joint_family(
-    grid: GeneratorGrid, vx_m: float, m_grid: GeneratorGrid, k_grid: GeneratorGrid, state: Callable[[float], np.ndarray]
-) -> Callable[[float], OutcomeDistribution]:
-    """The (m, k) family of the momentum wavefunctions ``state(lam)`` on ``grid``.
+    grid: GeneratorGrid,
+    vx_m: float,
+    m_grid: GeneratorGrid,
+    k_grid: GeneratorGrid,
+    state: Callable[[float], np.ndarray],
+    d_log: Callable[[float], np.ndarray],
+) -> tuple[Callable[[float], OutcomeDistribution], Callable[[float], tuple[OutcomeDistribution, np.ndarray]]]:
+    """The (m, k) family and derivative of the momentum wavefunctions ``state(lam)`` on ``grid``.
 
     Both joint kinds read out in momentum: a squeezed-coherent projection
     state is a Gaussian window of width w = 1/(2*sqrt(vx_m)), normalized by
     (w*sqrt(2*pi))^{-1/2} and centered at -k, times e^{ipm}.  Window, phases
-    and scale are built once; a member |<phi_{m,k}|psi>|^2/(2*pi) on [m, k]
-    is one real × complex GEMM, window [k, p] @ psi*phases [p, m] read as
-    interleaved real and imaginary columns.
+    and scale are built once; a readout O = <phi_{m,k}|psi> on [k, m] is one
+    real × complex GEMM, window [k, p] @ psi*phases [p, m] read as
+    interleaved real and imaginary columns, through one reused [p, m]
+    buffer.  A member is |O|^2/(2*pi) on [m, k].  With dpsi/dlambda =
+    psi * ``d_log(lam)``, the derivative reads out dO from dpsi the same way,
+    and dp/dlambda = 2 Re(conj(O) dO)/(2*pi).
     """
     width, axis = 1.0 / (2.0 * math.sqrt(vx_m)), grid.points
     window = np.exp(-((axis[None, :] + k_grid.points[:, None]) ** 2) / (4.0 * width**2))
-    phases = np.exp(1j * np.outer(axis, m_grid.points))
+    phases = _fourier_phases(axis, m_grid.points)
+    buffer = np.empty_like(phases)
     scale = grid.spacing / math.sqrt(width * math.sqrt(2.0 * math.pi))
 
-    def family(lam: float) -> OutcomeDistribution:
-        weighted = (state(lam)[:, None] * phases).view(np.float64)  # [p, 2*m]
-        overlap = (window @ weighted).view(complex)  # [k, m]
+    def readout(psi: np.ndarray) -> np.ndarray:
+        np.multiply(psi[:, None], phases, out=buffer)
+        overlap = (window @ buffer.view(np.float64)).view(complex)  # [k, m]
         overlap *= scale
-        return _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
+        return overlap
 
-    return family
+    def family(lam: float) -> OutcomeDistribution:
+        return _finalize_density(m_grid, np.abs(readout(state(lam)).T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
+
+    def derivative(lam: float) -> tuple[OutcomeDistribution, np.ndarray]:
+        psi = state(lam)
+        overlap = readout(psi)
+        d_overlap = readout(psi * d_log(lam))
+        dp = 2.0 * (np.conj(overlap) * d_overlap).real.T / (2.0 * np.pi)
+        dist = _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid, scaled=(dp,))
+        return dist, dp
+
+    return family, derivative
 
 
 @dataclass(frozen=True)
@@ -320,13 +377,15 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     m_grid = GeneratorGrid(sc.x0 - m_half, sc.x0 + m_half, sc.m_points)
     k_grid = GeneratorGrid(-sc.p0 - k_half, -sc.p0 + k_half, sc.k_points)
     p_axis = grid.points
+    d_log = -1j * p_axis**2  # d/dlambda of e^{-i lambda p^2}, over itself
 
     def state(lam: float) -> np.ndarray:
         if abs(lam) > pad * (1.0 + 1e-9):
             raise GridTooNarrow(f"|lambda|={abs(lam)} exceeds the sized range {pad}")
         return probe.amplitudes * np.exp(-1j * lam * p_axis**2)
 
-    return ScenarioRun("nonlinear", _joint_family(grid, sc.vx_m, m_grid, k_grid, state), closed, step)
+    family, derivative = _joint_family(grid, sc.vx_m, m_grid, k_grid, state, lambda lam: d_log)
+    return ScenarioRun("nonlinear", family, derivative, closed, step)
 
 
 @dataclass(frozen=True)
@@ -346,6 +405,14 @@ def rotate_gaussian(
     wavefunction; a rotated pure Gaussian has complex width parameter
     alpha = 1/(4 Vx) - i Cxp/(2 Vx).  The global phase is dropped.
     """
+    mean_x, mean_p, vx_l, _, alpha = _rotated_moments(vx, x0, p0, lam)
+    u = x_axis - mean_x
+    psi = (2.0 * np.pi * vx_l) ** (-0.25) * np.exp(-alpha * u**2 + 1j * mean_p * u)
+    return psi
+
+
+def _rotated_moments(vx: float, x0: float, p0: float, lam: float) -> tuple[float, float, float, float, complex]:
+    """Means, X variance, XP covariance and width parameter alpha after a rotation by ``lam``."""
     vp = 1.0 / (4.0 * vx)
     c, s = math.cos(lam), math.sin(lam)
     mean_x = c * x0 + s * p0
@@ -353,9 +420,25 @@ def rotate_gaussian(
     vx_l = c * c * vx + s * s * vp
     cxp_l = c * s * (vp - vx)
     alpha = 1.0 / (4.0 * vx_l) - 1j * cxp_l / (2.0 * vx_l)
+    return mean_x, mean_p, vx_l, cxp_l, alpha
+
+
+def rotate_gaussian_dlog(
+    vx: float, x0: float, p0: float, lam: float, x_axis: np.ndarray
+) -> np.ndarray:
+    """d log psi / d lambda of ``rotate_gaussian``'s closed form: dpsi/dlambda = psi * this.
+
+    The means turn as (mean_x, mean_p)' = (mean_p, -mean_x), and
+    vx_l' = 2*cxp_l, cxp_l' = cos(2 lam)(vp - vx).  The dropped global
+    phase would add an imaginary constant, whose share of
+    2 Re(conj(O) dO) cancels.
+    """
+    mean_x, mean_p, vx_l, cxp_l, alpha = _rotated_moments(vx, x0, p0, lam)
+    d_vx = 2.0 * cxp_l
+    d_cxp = math.cos(2.0 * lam) * (1.0 / (4.0 * vx) - vx)
+    d_alpha = -d_vx / (4.0 * vx_l**2) - 1j * (d_cxp * vx_l - cxp_l * d_vx) / (2.0 * vx_l**2)
     u = x_axis - mean_x
-    psi = (2.0 * np.pi * vx_l) ** (-0.25) * np.exp(-alpha * u**2 + 1j * mean_p * u)
-    return psi
+    return -d_vx / (4.0 * vx_l) - d_alpha * u**2 + (2.0 * alpha * mean_p - 1j * mean_x) * u - 1j * mean_p**2
 
 
 def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
@@ -381,10 +464,13 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     # the Fourier transform is the quarter turn (x, p) -> (p, -x), which
     # commutes with rotations: psi_lam(p) is the position wavefunction of
     # the state with variances swapped and means (p0, -x0), rotated by lam
-    family = _joint_family(
-        grid, sc.vx_m, m_grid, k_grid, lambda lam: rotate_gaussian(vp_s, sc.p0, -sc.x0, lam, grid.points)
+    turned = (vp_s, sc.p0, -sc.x0)
+    family, derivative = _joint_family(
+        grid, sc.vx_m, m_grid, k_grid,
+        lambda lam: rotate_gaussian(*turned, lam, grid.points),
+        lambda lam: rotate_gaussian_dlog(*turned, lam, grid.points),
     )
-    return ScenarioRun("phase_coherent_squeezed", family, closed, _default_step(closed.crb))
+    return ScenarioRun("phase_coherent_squeezed", family, derivative, closed, _default_step(closed.crb))
 
 
 def gaussian_number_qfi(vx: float, vp: float, x0: float, p0: float) -> float:

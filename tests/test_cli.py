@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from qruler import cli
+from qruler import cli, scenarios
 from qruler.acceptance import CriterionResult
+from qruler.fisher import FisherReport
 from qruler.scenarios import SCENARIOS
 
 
@@ -252,15 +253,20 @@ class TestFisherCommand:
 
     def test_nonlinear_default_stencil_fits_the_sized_range(self, tmp_path):
         # the default step 1e-3*sqrt(crb) is 0.181 here: its stencil reaches
-        # 0.362, beyond the default lambda_pad 0.05, so the run sizes for it
+        # 0.362, beyond the default lambda_pad 0.05, so the run sizes for it;
+        # the command itself takes the exact derivative and writes no step
         out = tmp_path / "fnld"
         assert run_cli([
             "fisher", "--scenario", "nonlinear", "--vxs", "20", "--vxm", "0.25", "--out", str(out),
         ]) == 0
         payload = read_json(out / "fisher.json")
-        assert payload["step"] == pytest.approx(0.1811, rel=1e-3)
+        assert payload["step"] is None
         assert payload["closed_form"]["fisher"] == pytest.approx(3.048e-05, rel=1e-3)
         assert payload["agreement_rel"] < 1e-6  # measured 4.0e-10
+        run = SCENARIOS["nonlinear"](vx_s=20.0, vx_m=0.25).run()
+        assert run.default_step == pytest.approx(0.1811, rel=1e-3)
+        fd = run.fisher(step=run.default_step).fisher
+        assert fd == pytest.approx(payload["numerical"]["fisher"], rel=1e-12)  # measured 5.3e-14
 
     def test_nonlinear_step_too_large_fails_richardson(self, tmp_path, capsys):
         assert run_cli([
@@ -297,8 +303,20 @@ class TestFisherCommand:
         assert run_cli(["fisher", "--scenario", "sg", "--xi", "0", "--out", str(out)]) == 0
         payload = read_json(out / "fisher.json")
         assert payload["qfi"] == 0.0
+        # exact by default: the vacuum's i*tau*Gamma vanishes on every lag, so F is 0.0
+        assert payload["step"] is None
         assert payload["numerical"]["fisher"] == 0.0
         assert payload["agreement_rel"] is None
+
+    def test_exact_fisher_above_the_quantum_bound_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        # an understated bound F_Q = 1 beneath the exact F = 2 of linear (0.5, 0.5)
+        monkeypatch.setattr(scenarios, "closed_form_linear", lambda dx_s, dx_m: FisherReport(1.0, 1.0))
+        out = tmp_path / "fqx"
+        assert run_cli([
+            "fisher", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", "--out", str(out),
+        ]) == 3
+        assert "exact Fisher 1.99999" in capsys.readouterr().err
+        assert not (out / "fisher.json").exists()
 
 
 class TestScenarioCommand:
@@ -540,6 +558,19 @@ class TestExtremeWidths:
 
 
 class TestDeterminism:
+    def test_config_error_leaves_the_cached_parser_intact(self, tmp_path):
+        # the parser is built once per process; a rejected parse in between
+        # must not change what the next good call writes
+        out = tmp_path / "good"
+        good = ["fisher", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", "--out", str(out)]
+        cli.build_parser.cache_clear()
+        assert run_cli(good) == 0
+        first = {n: (out / n).read_bytes() for n in os.listdir(out)}
+        assert run_cli(["fisher", "--scenario", "linear", "--dxs", "half", "--out", str(tmp_path / "bad")]) == 2
+        assert run_cli(good) == 0
+        assert {n: (out / n).read_bytes() for n in os.listdir(out)} == first
+        assert cli.build_parser.cache_info().misses == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "det"
         args = [

@@ -326,6 +326,13 @@ class TestGates:
         assert dist.total_mass() == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(dist.density, raw, rtol=1e-14)
 
+    def test_scaled_arrays_share_the_norm(self):
+        # a density's derivative is divided by the density's own norm
+        mu, raw = unit_mass_density()
+        d_raw = np.ones_like(raw)
+        _finalize_density(mu, raw * (1.0 + 5e-7), scaled=(d_raw,))
+        np.testing.assert_allclose(d_raw, 1.0 / (1.0 + 5e-7), rtol=1e-14)
+
     def test_negative_gate_and_clip(self):
         assert NEGATIVE_CLIP == 1e-12
         mu, raw = unit_mass_density()

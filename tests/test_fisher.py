@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qruler.coherence import OutcomeDistribution
-from qruler.errors import GridMismatch, NonPositiveSigma, StepTooLarge
+from qruler.errors import GridMismatch, NonPositiveSigma, QuantumBoundExceeded, StepTooLarge
 from qruler.fisher import (
     FisherReport,
     closed_form_fn,
     closed_form_fp2,
     closed_form_linear,
     closed_form_phase,
+    fisher_from_derivative,
     fisher_from_family,
     qfi_pure,
 )
@@ -26,6 +27,28 @@ def gaussian_location_family(sigma, mu):
         return OutcomeDistribution(mu, dens)
 
     return family
+
+
+class TestFisherFromDerivative:
+    def test_gaussian_location_family(self):
+        # dp/dlambda = (mu - lambda)/sigma^2 * p, so F = 1/sigma^2 with no step
+        sigma, lam = 0.8, 0.3
+        mu = GeneratorGrid(-10.0, 10.0, 4001)
+        dist = gaussian_location_family(sigma, mu)(lam)
+        rep = fisher_from_derivative(dist, (mu.points - lam) / sigma**2 * dist.density, qfi=2.0)
+        # the cells below DENSITY_FLOOR hold 6.0e-12 of F
+        assert rep.fisher == pytest.approx(1.0 / sigma**2, rel=1e-10)
+        assert rep.qfi == 2.0
+
+    def test_above_the_quantum_bound_is_domain_error(self):
+        sigma = 0.8
+        mu = GeneratorGrid(-10.0, 10.0, 4001)
+        dist = gaussian_location_family(sigma, mu)(0.0)
+        dp = mu.points / sigma**2 * dist.density
+        with pytest.raises(QuantumBoundExceeded, match="exceeds quantum bound"):
+            fisher_from_derivative(dist, dp, qfi=1.0)
+        with pytest.raises(QuantumBoundExceeded):
+            fisher_from_derivative(dist, dp * np.nan, qfi=1.0)
 
 
 class TestFisherFromFamily:

@@ -28,6 +28,7 @@ from qruler.scenarios import (
     SGScenario,
     phase_distribution_ws,
     rotate_gaussian,
+    rotate_gaussian_dlog,
     run_linear,
     run_nonlinear,
     run_phase_coherent_squeezed,
@@ -67,16 +68,18 @@ def window_fourier_overlap(values, axis, spacing, window_sigma, centers, freqs,
     """Oracle: the joint overlap with its window and phases rebuilt per call.
 
     O[c, f] = N_w * sum_x e^{-(x - center_c)^2/(4 sw^2)} values(x) e^{i x freq_f} dx
-    with N_w = (window_sigma * sqrt(2*pi))^{-1/2}.  By default grouped as the
-    readout groups it: the real window times values*phases, one real GEMM
-    on interleaved real and imaginary columns.  ``complex_product`` takes
-    the complex product (window*values) @ e^{i x freq} instead.
+    with N_w = (window_sigma * sqrt(2*pi))^{-1/2}.  By default built and
+    grouped as the readout builds and groups it: phases from the two small
+    tables of ``_fourier_phases``, the real window times values*phases, one
+    real GEMM on interleaved real and imaginary columns.
+    ``complex_product`` takes the complex product (window*values) @ e^{i x freq},
+    with the phases from one complex exp, instead.
     """
     window = np.exp(-((axis[None, :] - centers[:, None]) ** 2) / (4.0 * window_sigma**2))
-    phases = np.exp(1j * np.outer(axis, freqs))
     if complex_product:
-        overlap = (window * values[None, :]) @ phases
+        overlap = (window * values[None, :]) @ np.exp(1j * np.outer(axis, freqs))
     else:
+        phases = scenarios._fourier_phases(axis, freqs)
         overlap = (window @ (values[:, None] * phases).view(np.float64)).view(complex)
     overlap *= spacing / math.sqrt(window_sigma * math.sqrt(2.0 * math.pi))
     return overlap
@@ -147,10 +150,35 @@ KIND_FIELDS = {
 
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
 def test_run_fisher_is_fisher_from_family(kind):
+    # with a step, the run's Fisher information is the finite-difference route, bit for bit
     run = SCENARIOS[kind](**KIND_FIELDS[kind]).run()
-    assert run.fisher() == fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+    assert run.fisher(step=run.default_step) == fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
     step = 2.0 * run.default_step
     assert run.fisher(0.3, step=step) == fisher_from_family(run.family, 0.3, step, qfi=run.qfi)
+
+
+# exact F against Richardson at the default step: measured <= 2.0e-12 relative (sg), 4.4e-13 (phase)
+EXACT_FD_REL = 3e-11
+
+
+@pytest.mark.parametrize("lam0", [0.0, 0.3])
+@pytest.mark.parametrize("kind", sorted(SCENARIOS))
+def test_exact_fisher_matches_finite_differences(kind, lam0):
+    run = SCENARIOS[kind](**KIND_FIELDS[kind]).run()
+    exact = run.fisher(lam0)
+    assert exact.qfi == run.qfi
+    assert exact.fisher == pytest.approx(run.fisher(lam0, step=run.default_step).fisher, rel=EXACT_FD_REL)
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIOS))
+def test_derivative_reads_the_family_member(kind):
+    # the exact route's p is the family's, bit for bit, with dp on its axes
+    run = SCENARIOS[kind](**KIND_FIELDS[kind]).run()
+    dist, dp = run.derivative(0.3)
+    member = run.family(0.3)
+    assert dist.mu_grid == member.mu_grid and dist.k_grid == member.k_grid
+    assert np.array_equal(dist.density, member.density)
+    assert dp.shape == dist.density.shape
 
 
 def test_grid_sizes_are_keyword_only():
@@ -460,6 +488,18 @@ class TestCoherentSqueezed:
         phase = exact[idx] / prop[idx] * abs(prop[idx]) / abs(exact[idx])
         np.testing.assert_allclose(prop * phase, exact, atol=1e-12)
 
+    def test_rotation_derivative_against_central_difference(self):
+        # the 4-point central difference at h = 5e-4 leaves <= 7.1e-12 of
+        # max|dpsi|, its h^4 error and roundoff
+        x = GeneratorGrid(-12.0, 12.0, 1024).points
+        h = 5e-4
+        for args in ((0.2, 1.0, 0.5), (1.25, 0.5, -1.0), (0.7, -0.3, 1.2), (0.5, 0.0, 0.0)):
+            for lam in (0.0, 0.3, 1.0, 2.5, -0.7):
+                f = lambda d: rotate_gaussian(*args, lam + d, x)  # noqa: E731
+                diff = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
+                exact = f(0.0) * rotate_gaussian_dlog(*args, lam, x)
+                assert np.max(np.abs(diff - exact)) <= 1e-10 * max(np.max(np.abs(exact)), 1.0)
+
     def test_rotated_gaussian_is_normalized(self):
         x = np.linspace(-20, 20, 4001)
         for lam in (0.0, 0.4, 1.3, math.pi):
@@ -505,6 +545,15 @@ class TestJointReadout:
         for sc, oracle, lam, dist in joint_members(case):
             ref = oracle(sc, lam, dist.mu_grid, dist.k_grid, complex_product=True).density
             assert np.max(np.abs(dist.density - ref)) <= 5e-14 * np.max(ref)
+
+    @pytest.mark.parametrize("m", (64, 100, 256))
+    def test_phase_tables_match_the_complex_exp(self, m):
+        # two 16-column tables in place of one [x, m] exp, on whole and partial blocks
+        axis = GeneratorGrid(-9.5, 9.5, 1024).points
+        freqs = GeneratorGrid(-6.2, 6.7, m).points
+        phases = scenarios._fourier_phases(axis, freqs)
+        assert phases.shape == (1024, m)
+        assert np.max(np.abs(phases - np.exp(1j * np.outer(axis, freqs)))) <= 3e-13  # measured 2.3e-14
 
     @pytest.mark.parametrize(("sc", "gate"), (
         (JOINT_CASES[1][0], 7e-13),  # measured 6.4e-14 of the peak
