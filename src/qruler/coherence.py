@@ -94,12 +94,13 @@ class CoherenceFunction:
         A signal shift lambda multiplies Gamma(tau) by exp(i tau lambda),
         translating p(mu) to p(mu - lambda).  Both invariants survive,
         Hermitian symmetry too, so the stored lags tau >= 0 are all it
-        shifts; the phase is built by cos/sin in one complex array.
+        shifts; the phase is built by cos/sin in the one complex array it
+        returns, tau*delta held in its real part until the cos.
         """
-        x = self.tau_grid * delta
-        phase = np.empty(len(x), dtype=complex)
-        np.cos(x, out=phase.real)
+        phase = np.empty(len(self.tau_grid), dtype=complex)
+        x = np.multiply(self.tau_grid, delta, out=phase.real)
         np.sin(x, out=phase.imag)
+        np.cos(x, out=x)
         return CoherenceFunction(self.tau_grid, np.multiply(self.values, phase, out=phase))
 
 
@@ -172,14 +173,17 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
 def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None, scaled=()) -> OutcomeDistribution:
     """Apply realness, nonnegativity and normalization gates to a density; a NaN fails each.
 
-    Each array in ``scaled`` (a density's derivative) is divided in place
-    by the same norm as the density.
+    A float64 ``raw`` becomes the density itself: it is clipped,
+    normalized and made read-only in place, so callers pass a fresh
+    array.  Any other is copied, a complex one once its imaginary part
+    passes the realness gate.  Each array in ``scaled`` (a density's
+    derivative) is divided in place by the same norm as the density.
     """
     if np.iscomplexobj(raw):
         max_imag = float(np.max(np.abs(raw.imag)))
         if not max_imag <= IMAG_TOL * max(1.0, float(np.max(np.abs(raw.real)))):
             raise NormalizationFailure(f"density not real: max |Im p| = {max_imag:.3e}")
-    dens = np.array(raw.real, dtype=float)
+    dens = raw if raw.dtype == np.float64 else np.array(raw.real, dtype=float)
     if not float(np.min(dens)) >= -NEGATIVE_CLIP:
         raise NormalizationFailure(
             f"density negative beyond tolerance: min p = {np.min(dens):.3e}"
@@ -221,8 +225,18 @@ def _dual_axis(gamma: CoherenceFunction) -> GeneratorGrid:
 
 
 def _transform(gamma: CoherenceFunction, values: np.ndarray) -> np.ndarray:
-    """dtau * sum_tau values(tau) e^{-i tau mu} over the M' lags of ``gamma``, Hermitian ``values`` on tau >= 0."""
-    return gamma.spacing * np.fft.fftshift(scipy.fft.hfft(values, 2 * len(values) - 1))
+    """dtau * sum_tau values(tau) e^{-i tau mu} over the M' lags of ``gamma``, Hermitian ``values`` on tau >= 0.
+
+    The ``hfft`` puts mu = 0 first; its two halves are scaled by dtau
+    straight into the one returned array in fftshift's order, negative
+    mu (the last h-1 outputs) before the h outputs mu >= 0.
+    """
+    h = len(values)
+    raw = scipy.fft.hfft(values, 2 * h - 1)
+    out = np.empty_like(raw)
+    np.multiply(gamma.spacing, raw[h:], out=out[: h - 1])
+    np.multiply(gamma.spacing, raw[:h], out=out[h - 1 :])
+    return out
 
 
 def statistics_with_derivative(gamma: CoherenceFunction) -> tuple[OutcomeDistribution, np.ndarray]:
@@ -322,8 +336,8 @@ def appendix_coherence(
     conj(psi(|p|)): the norm 1 only for a probe even in p (a real Gaussian
     centred at 0.7 gives 1.068), not 1/(2*pi).  For g itself the probe-only
     Gamma1 is 2*pi times ``coherence_function`` with the ideal ruler.
-    The quadrature takes off-grid amplitudes from a cubic spline of the
-    sampled probe, clamped to zero outside the grid.  ``tau_grid`` must be
+    The quadrature takes off-grid amplitudes from one complex cubic spline
+    of the sampled probe, clamped to zero outside the grid.  ``tau_grid`` must be
     uniform and symmetric, tau = -tau reversed; the integral is evaluated
     and stored on its lags tau >= 0 only, since a coherence function is
     Hermitian, Gamma(-tau) = conj(Gamma(tau)), and the raw negative-tau
@@ -346,9 +360,7 @@ def appendix_coherence(
     half_tau[0] = 0.0  # the middle lag, zero within tol, is Gamma(0)
     p = grid.points
     at = np.sqrt(p[None, :] ** 2 + half_tau[:, None])  # tau >= 0, so p^2 + tau >= 0 throughout
-    re = CubicSpline(p, probe.amplitudes.real, extrapolate=False)
-    im = CubicSpline(p, probe.amplitudes.imag, extrapolate=False)
-    shifted = np.nan_to_num(re(at) + 1j * im(at), nan=0.0)
+    shifted = np.nan_to_num(CubicSpline(p, probe.amplitudes, extrapolate=False)(at), nan=0.0)
     vals = np.sum(probe.amplitudes[None, :] * np.conj(shifted), axis=1) * grid.spacing
     vals.flags.writeable = False
     half_tau.flags.writeable = False

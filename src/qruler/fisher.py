@@ -69,10 +69,18 @@ def fisher_from_derivative(
     (or a NaN F) raises ``QuantumBoundExceeded``.
     """
     mask = dist.density >= DENSITY_FLOOR * np.max(dist.density)
-    f = float(np.sum(dp[mask] ** 2 / dist.density[mask]) * dist.cell)
+    f = _integrate(dp, mask, dist.density[mask], dist.cell)
     if qfi is not None and not f <= qfi * (1.0 + QFI_SLACK):
         raise QuantumBoundExceeded(f"exact Fisher {f} exceeds quantum bound {qfi}")
     return FisherReport(f, qfi)
+
+
+def _integrate(dp: np.ndarray, mask: np.ndarray, p0: np.ndarray, cell: float) -> float:
+    """sum dp^2 / p over the cells of ``mask``, times the cell; p0 is p on those cells."""
+    terms = dp[mask]
+    np.square(terms, out=terms)
+    terms /= p0
+    return float(np.sum(terms) * cell)
 
 
 def fisher_from_family(
@@ -88,21 +96,37 @@ def fisher_from_family(
     extrapolation correction changes F by more than 0.1%, or F exceeds
     the quantum bound ``qfi`` by more than ``QFI_SLACK``, the step is
     rejected as too large (or too small, drowned in roundoff).
+
+    The stencil streams: the central difference d1 of the +/- step
+    members, then d2 of the +/- 2*step members, each member dropped once
+    its difference is taken, and the Richardson combination is formed in
+    d1's array after d1's own F.  So at most the centre, d1, two members
+    and their difference are held at once, and the cells' densities p0
+    only after the last member.
     """
     if not step > 0:
         raise ValueError("step must be > 0")
     center = p_family(lambda0)
-    offsets = {d: p_family(lambda0 + d * step) for d in (-2, -1, 1, 2)}
-    for dist in offsets.values():
-        if dist.mu_grid != center.mu_grid or dist.k_grid != center.k_grid:
-            raise GridMismatch("family members must share an outcome grid")
-    d1 = (offsets[1].density - offsets[-1].density) / (2.0 * step)
-    d2 = (offsets[2].density - offsets[-2].density) / (4.0 * step)
-    dr = (4.0 * d1 - d2) / 3.0
+
+    def difference(d: int) -> np.ndarray:
+        """(p(lambda0 + d*step) - p(lambda0 - d*step)) / (2*d*step)."""
+        minus, plus = p_family(lambda0 - d * step), p_family(lambda0 + d * step)
+        for dist in (minus, plus):
+            if dist.mu_grid != center.mu_grid or dist.k_grid != center.k_grid:
+                raise GridMismatch("family members must share an outcome grid")
+        diff = np.subtract(plus.density, minus.density)
+        diff /= 2.0 * d * step
+        return diff
+
+    d1, d2 = difference(1), difference(2)
     mask = center.density >= DENSITY_FLOOR * np.max(center.density)
     p0, cell = center.density[mask], center.cell
-    f_r = float(np.sum(dr[mask] ** 2 / p0) * cell)
-    f_1 = float(np.sum(d1[mask] ** 2 / p0) * cell)
+    f_1 = _integrate(d1, mask, p0, cell)
+    dr = d1  # (4*d1 - d2)/3, in d1's array
+    dr *= 4.0
+    dr -= d2
+    dr /= 3.0
+    f_r = _integrate(dr, mask, p0, cell)
     residual = abs(f_1 - f_r) / max(f_r, 1e-300)
     # below ~1e-12 the family carries no resolvable information and the
     # relative residual is pure noise

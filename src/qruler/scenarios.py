@@ -256,23 +256,36 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
 # ---------------------------------------------------------------------------
 
 
-PHASE_BLOCK = 16  # fine columns per coarse column of the joint readout's phase table
+PHASE_BLOCK = 16  # fine columns per coarse column of the joint readout's phase tables
 
 
-def _fourier_phases(axis: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """e^{i x f} on [x, f] for uniform ``freqs``, with no [x, f] complex exp.
+def _fourier_phases(axis: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two small tables whose products are e^{i x f} on [x, f] for uniform ``freqs``.
 
-    Column 16a + b is the product of e^{i x f[16a]} and e^{i x (f[b] - f[0])},
-    two tables of 16 columns each (PHASE_BLOCK), written block by block
-    into the one [x, f] array.
+    Column 16a + b of e^{i x f} is coarse[:, a] * fine[:, b], with
+    coarse = e^{i x f[16a]} and fine = e^{i x (f[b] - f[0])}: 16 columns
+    each (PHASE_BLOCK) at 256 frequencies, and no [x, f] complex exp.
+    ``_write_phases`` forms the products.
     """
     coarse = np.exp(1j * np.outer(axis, freqs[::PHASE_BLOCK]))
     fine = np.exp(1j * np.outer(axis, freqs[:PHASE_BLOCK] - freqs[0]))
-    phases = np.empty((len(axis), len(freqs)), dtype=complex)
-    for a in range(coarse.shape[1]):
-        block = phases[:, a * PHASE_BLOCK : (a + 1) * PHASE_BLOCK]
-        np.multiply(coarse[:, a, None], fine[:, : block.shape[1]], out=block)
-    return phases
+    return coarse, fine
+
+
+def _write_phases(tables: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
+    """e^{i x f} into the [x, f] array ``out`` from ``_fourier_phases``' tables.
+
+    The whole blocks of PHASE_BLOCK columns take one broadcast multiply,
+    a partial last block a second.
+    """
+    coarse, fine = tables
+    n, m = out.shape
+    whole = m - m % PHASE_BLOCK
+    blocks = out[:, :whole].reshape(n, -1, PHASE_BLOCK)  # a view: it splits the unit-stride axis
+    np.multiply(coarse[:, : whole // PHASE_BLOCK, None], fine[:, None, :], out=blocks)
+    if whole < m:
+        np.multiply(coarse[:, -1, None], fine[:, : m - whole], out=out[:, whole:])
+    return out
 
 
 def _joint_family(
@@ -287,35 +300,49 @@ def _joint_family(
 
     Both joint kinds read out in momentum: a squeezed-coherent projection
     state is a Gaussian window of width w = 1/(2*sqrt(vx_m)), normalized by
-    (w*sqrt(2*pi))^{-1/2} and centered at -k, times e^{ipm}.  Window, phases
-    and scale are built once; a readout O = <phi_{m,k}|psi> on [k, m] is one
-    real × complex GEMM, window [k, p] @ psi*phases [p, m] read as
-    interleaved real and imaginary columns, through one reused [p, m]
-    buffer.  A member is |O|^2/(2*pi) on [m, k].  With dpsi/dlambda =
-    psi * ``d_log(lam)``, the derivative reads out dO from dpsi the same way,
-    and dp/dlambda = 2 Re(conj(O) dO)/(2*pi).
+    (w*sqrt(2*pi))^{-1/2} and centered at -k, times e^{ipm}.  Window, the
+    two phase tables of ``_fourier_phases`` and scale are built once, and
+    one [p, m] complex buffer: no [p, m] phase table is kept.  A readout
+    O = <phi_{m,k}|psi> on [k, m] writes the phases into the buffer,
+    multiplies psi in (psi the first operand, as the rounding of the
+    complex product depends on the order), and is one real × complex
+    GEMM, window [k, p] @ psi*phases [p, m] read as interleaved real and
+    imaginary columns.  A member is |O|^2/(2*pi) on [m, k], formed in
+    place.  With dpsi/dlambda = psi * ``d_log(lam)``, the derivative
+    reads out dO from dpsi the same way, and
+    dp/dlambda = 2 Re(conj(O) dO)/(2*pi).
     """
     width, axis = 1.0 / (2.0 * math.sqrt(vx_m)), grid.points
-    window = np.exp(-((axis[None, :] + k_grid.points[:, None]) ** 2) / (4.0 * width**2))
-    phases = _fourier_phases(axis, m_grid.points)
-    buffer = np.empty_like(phases)
+    window = np.add(axis[None, :], k_grid.points[:, None])  # then e^{-(p+k)^2/(4w^2)}, in place
+    np.square(window, out=window)
+    np.negative(window, out=window)
+    window /= 4.0 * width**2
+    np.exp(window, out=window)
+    tables = _fourier_phases(axis, m_grid.points)
+    buffer = np.empty((grid.n_points, m_grid.n_points), dtype=complex)
     scale = grid.spacing / math.sqrt(width * math.sqrt(2.0 * math.pi))
 
     def readout(psi: np.ndarray) -> np.ndarray:
-        np.multiply(psi[:, None], phases, out=buffer)
+        np.multiply(psi[:, None], _write_phases(tables, buffer), out=buffer)
         overlap = (window @ buffer.view(np.float64)).view(complex)  # [k, m]
         overlap *= scale
         return overlap
 
+    def density(overlap: np.ndarray) -> np.ndarray:
+        sq = np.abs(overlap.T)
+        np.square(sq, out=sq)
+        sq /= 2.0 * np.pi
+        return sq
+
     def family(lam: float) -> OutcomeDistribution:
-        return _finalize_density(m_grid, np.abs(readout(state(lam)).T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
+        return _finalize_density(m_grid, density(readout(state(lam))), k_grid=k_grid)
 
     def derivative(lam: float) -> tuple[OutcomeDistribution, np.ndarray]:
         psi = state(lam)
         overlap = readout(psi)
         d_overlap = readout(psi * d_log(lam))
         dp = 2.0 * (np.conj(overlap) * d_overlap).real.T / (2.0 * np.pi)
-        dist = _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid, scaled=(dp,))
+        dist = _finalize_density(m_grid, density(overlap), k_grid=k_grid, scaled=(dp,))
         return dist, dp
 
     return family, derivative

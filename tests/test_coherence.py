@@ -22,6 +22,7 @@ from qruler.coherence import (
     GaussianModel,
     OutcomeDistribution,
     _finalize_density,
+    _transform,
     appendix_coherence,
     coherence_function,
     coherence_time,
@@ -295,6 +296,16 @@ class TestHermitianTransform:
             assert p.mu_grid == ref.mu_grid
             # measured <= 8.4e-16 of the peak
             assert np.max(np.abs(p.density - ref.density)) <= 1e-14 * np.max(ref.density)
+
+    @pytest.mark.parametrize("name", sorted(BENCH_RUNS))
+    def test_transform_is_the_scaled_fftshifted_hfft(self, name):
+        # the halves written straight into one array are the shift of the whole, bit for bit
+        gamma = BENCH_RUNS[name]().gamma
+        for lam in (0.0, 0.37):
+            shifted = gamma.shifted(lam)
+            for values in (shifted.values, 1j * shifted.tau_grid * shifted.values):
+                oracle = shifted.spacing * np.fft.fftshift(scipy.fft.hfft(values, 2 * len(values) - 1))
+                assert np.array_equal(_transform(shifted, values), oracle)
 
     @pytest.mark.parametrize("name", sorted(BENCH_RUNS))
     def test_shifted_matches_complex_exp(self, name):

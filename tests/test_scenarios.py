@@ -16,7 +16,7 @@ from qruler.coherence import (
     wk_product,
 )
 from qruler.errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
-from qruler.fisher import closed_form_fp2, fisher_from_family, qfi_pure
+from qruler.fisher import DENSITY_FLOOR, closed_form_fp2, fisher_from_family, qfi_pure
 from qruler.grids import GeneratorGrid, grid_for_gaussian
 from qruler.ruler import make_gaussian_ruler, make_ideal_ruler
 from qruler.scenarios import (
@@ -69,8 +69,9 @@ def window_fourier_overlap(values, axis, spacing, window_sigma, centers, freqs,
 
     O[c, f] = N_w * sum_x e^{-(x - center_c)^2/(4 sw^2)} values(x) e^{i x freq_f} dx
     with N_w = (window_sigma * sqrt(2*pi))^{-1/2}.  By default built and
-    grouped as the readout builds and groups it: phases from the two small
-    tables of ``_fourier_phases``, the real window times values*phases, one
+    grouped as the readout builds and groups it: phases written by
+    ``_write_phases`` from the two small tables of ``_fourier_phases``,
+    the real window times values*phases, one
     real GEMM on interleaved real and imaginary columns.
     ``complex_product`` takes the complex product (window*values) @ e^{i x freq},
     with the phases from one complex exp, instead.
@@ -79,7 +80,8 @@ def window_fourier_overlap(values, axis, spacing, window_sigma, centers, freqs,
     if complex_product:
         overlap = (window * values[None, :]) @ np.exp(1j * np.outer(axis, freqs))
     else:
-        phases = scenarios._fourier_phases(axis, freqs)
+        phases = scenarios._write_phases(scenarios._fourier_phases(axis, freqs),
+                                         np.empty((len(axis), len(freqs)), dtype=complex))
         overlap = (window @ (values[:, None] * phases).view(np.float64)).view(complex)
     overlap *= spacing / math.sqrt(window_sigma * math.sqrt(2.0 * math.pi))
     return overlap
@@ -155,6 +157,60 @@ def test_run_fisher_is_fisher_from_family(kind):
     assert run.fisher(step=run.default_step) == fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
     step = 2.0 * run.default_step
     assert run.fisher(0.3, step=step) == fisher_from_family(run.family, 0.3, step, qfi=run.qfi)
+
+
+def five_member_fisher(family, lambda0, step):
+    """Oracle: Richardson F from all five members held at once, in the arithmetic the stencil streams."""
+    center = family(lambda0)
+    offsets = {d: family(lambda0 + d * step) for d in (-2, -1, 1, 2)}
+    d1 = (offsets[1].density - offsets[-1].density) / (2.0 * step)
+    d2 = (offsets[2].density - offsets[-2].density) / (4.0 * step)
+    dr = (4.0 * d1 - d2) / 3.0
+    mask = center.density >= DENSITY_FLOOR * np.max(center.density)
+    return float(np.sum(dr[mask] ** 2 / center.density[mask]) * center.cell)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_RUNS) + ["nonlinear", "phase-cs"])
+def test_streamed_stencil_matches_five_members(name):
+    # the five 1-D runs of fisher-1d and both joint kinds, bit for bit
+    run = BENCH_RUNS[name]() if name in BENCH_RUNS else SCENARIOS[name](**KIND_FIELDS[name]).run()
+    for lam0 in (0.0, 0.3):
+        got = fisher_from_family(run.family, lam0, run.default_step, qfi=run.qfi).fisher
+        assert got == five_member_fisher(run.family, lam0, run.default_step)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of one ``call()``, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_sg_fisher_evaluation_holds_few_densities():
+    # a 27,783-point member allocates only its density past its transform,
+    # and the stencil streams: measured 6.0 density sizes (11.15 with five members held)
+    run = BENCH_RUNS["sg-0.999"]()
+    size = run.family(0.0).density.nbytes
+    evaluate = lambda: fisher_from_family(run.family, 0.31, run.default_step, qfi=run.qfi)  # noqa: E731
+    evaluate()
+    assert traced_peak(evaluate) <= 7.0 * size
+
+
+@pytest.mark.parametrize("spec", (NonlinearScenario(0.5, 0.4, 0.3, 0.2), CoherentSqueezedScenario(0.5, 0.4, 0.3, 0.2)),
+                         ids=("nonlinear", "phase-cs"))
+def test_joint_build_and_fisher_keep_no_phase_table(spec):
+    # the fisher-joint op at the default 1024-point axis and 256 x 256 outcomes:
+    # measured 10.0 MB (15.5 MB with the [n, m] phase table and five members held)
+    def op():
+        run = spec.run()
+        fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
+
+    op()
+    assert traced_peak(op) <= 10.5e6
 
 
 # exact F against Richardson at the default step: measured <= 2.0e-12 relative (sg), 4.4e-13 (phase)
@@ -551,8 +607,7 @@ class TestJointReadout:
         # two 16-column tables in place of one [x, m] exp, on whole and partial blocks
         axis = GeneratorGrid(-9.5, 9.5, 1024).points
         freqs = GeneratorGrid(-6.2, 6.7, m).points
-        phases = scenarios._fourier_phases(axis, freqs)
-        assert phases.shape == (1024, m)
+        phases = scenarios._write_phases(scenarios._fourier_phases(axis, freqs), np.empty((1024, m), dtype=complex))
         assert np.max(np.abs(phases - np.exp(1j * np.outer(axis, freqs)))) <= 3e-13  # measured 2.3e-14
 
     @pytest.mark.parametrize(("sc", "gate"), (
