@@ -20,7 +20,8 @@ the signal, so each run builds its measurement once and the signal acts
 on the state only: the 1-D runs build the coherence function Gamma
 once, on its fast transform length, and shift it; the joint runs build
 the (m, k) projections once and apply them to the evolved state and its
-lambda-derivative.  ``SCENARIOS`` maps the five
+lambda-derivative, on the fewest state samples whose readout does not
+alias on the m axis (``state_points``).  ``SCENARIOS`` maps the five
 runnable kinds to their spec classes.  A spec's positional fields are its
 physical parameters, from which the command line derives its flags,
 required values and reported parameters; its grid sizes (and
@@ -56,7 +57,7 @@ from .fisher import (
     fisher_from_derivative,
     fisher_from_family,
 )
-from .grids import SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
+from .grids import MIN_POINTS, SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
 from .ruler import make_gaussian_ruler, make_ideal_ruler
 from .states import GaussianProbeSpec, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
@@ -257,6 +258,27 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
 
 
 PHASE_BLOCK = 16  # fine columns per coarse column of the joint readout's phase tables
+MAX_STATE_POINTS = 4096  # largest joint state grid: a 16 MB [n, m] buffer at m = 256
+
+
+def state_points(state_span: float, m_span: float) -> int:
+    """The fewest state samples, at least MIN_POINTS, whose readout does not alias on the m axis.
+
+    The readout is a Riemann sum over the state grid of a smooth,
+    Gaussian-decaying integrand, so its only sampling error is the images
+    O(k, m +/- 2*pi/dp) (Poisson summation).  With dp = state_span/(n-1),
+    2*pi/dp >= m_span puts every image off the outcome axis, where the
+    law it holds is negligible: n = ceil(1 + state_span*m_span/(2*pi)).
+    A count above MAX_STATE_POINTS, or a span out of float range, raises
+    ``GridTooNarrow`` before anything is allocated.
+    """
+    need = 1.0 + state_span * m_span / (2.0 * math.pi)
+    if not need <= MAX_STATE_POINTS:
+        raise GridTooNarrow(
+            f"the m axis of span {m_span!r} needs {need:.4g} state points over span {state_span!r}, "
+            f"above MAX_STATE_POINTS = {MAX_STATE_POINTS}"
+        )
+    return max(MIN_POINTS, math.ceil(need))
 
 
 def _fourier_phases(axis: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +332,8 @@ def _joint_family(
     imaginary columns.  A member is |O|^2/(2*pi) on [m, k], formed in
     place.  With dpsi/dlambda = psi * ``d_log(lam)``, the derivative
     reads out dO from dpsi the same way, and
-    dp/dlambda = 2 Re(conj(O) dO)/(2*pi).
+    dp/dlambda = 2 Re(conj(O) dO)/(2*pi) = (O.re dO.re + O.im dO.im)/pi,
+    one new [k, m] array: dO is dropped before the density is formed.
     """
     width, axis = 1.0 / (2.0 * math.sqrt(vx_m)), grid.points
     window = np.add(axis[None, :], k_grid.points[:, None])  # then e^{-(p+k)^2/(4w^2)}, in place
@@ -334,14 +357,19 @@ def _joint_family(
         sq /= 2.0 * np.pi
         return sq
 
+    def slope(overlap: np.ndarray, d_overlap: np.ndarray) -> np.ndarray:
+        dp = np.multiply(overlap.real, d_overlap.real)
+        dp += np.multiply(overlap.imag, d_overlap.imag, out=d_overlap.imag)  # in dO's place
+        dp /= np.pi
+        return dp.T
+
     def family(lam: float) -> OutcomeDistribution:
         return _finalize_density(m_grid, density(readout(state(lam))), k_grid=k_grid)
 
     def derivative(lam: float) -> tuple[OutcomeDistribution, np.ndarray]:
         psi = state(lam)
         overlap = readout(psi)
-        d_overlap = readout(psi * d_log(lam))
-        dp = 2.0 * (np.conj(overlap) * d_overlap).real.T / (2.0 * np.pi)
+        dp = slope(overlap, readout(psi * d_log(lam)))
         dist = _finalize_density(m_grid, density(overlap), k_grid=k_grid, scaled=(dp,))
         return dist, dp
 
@@ -354,7 +382,9 @@ class _JointSpec:
 
     ``vx_s`` and ``vx_m`` are X-quadrature variances of probe and ruler;
     the conjugate variances follow the minimum-uncertainty link of pure
-    uncorrelated Gaussians, vp = 1/(4*vx).
+    uncorrelated Gaussians, vp = 1/(4*vx).  The outcome axes take
+    ``m_points`` and ``k_points``; each runner derives the state grid's
+    count from its spans by ``state_points``.
     """
 
     vx_s: float
@@ -362,7 +392,6 @@ class _JointSpec:
     x0: float = 0.0
     p0: float = 0.0
     _: KW_ONLY
-    n_points: int = 1024
     m_points: int = 256
     k_points: int = 256
 
@@ -385,7 +414,9 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     """Evolve psi_lambda(p) = e^{-i lambda p^2} psi0(p), project on (m, k).
 
     The evolution is exact (diagonal in momentum); outcome grids cover
-    8 effective sigmas of the lambda-evolved state in each axis.
+    8 effective sigmas of the lambda-evolved state in each axis.  The
+    state grid spans 8 sigmas of the probe's momentum about p0, on
+    ``state_points`` of that span and the m axis's.
     """
     closed = closed_form_fp2(sc.vx_s, sc.vx_m, sc.p0)
     step = _default_step(closed.crb)
@@ -393,13 +424,13 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     vp_s = 1.0 / (4.0 * sc.vx_s)
     sigma_p = math.sqrt(vp_s)
     vp_m = 1.0 / (4.0 * sc.vx_m)
-    grid = grid_for_gaussian(sc.p0, sigma_p, sc.n_points)
-    probe = make_gaussian_probe(
-        GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid
-    )
     # free-spreading of the x-width under e^{-i lambda p^2}: vx + 4 lambda^2 vp
     m_half = SPAN_SIGMAS * math.sqrt(sc.vx_s + 4.0 * pad**2 * vp_s + sc.vx_m)
     m_half += 2.0 * pad * abs(sc.p0)
+    grid = grid_for_gaussian(sc.p0, sigma_p, state_points(2.0 * SPAN_SIGMAS * sigma_p, 2.0 * m_half))
+    probe = make_gaussian_probe(
+        GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid
+    )
     k_half = SPAN_SIGMAS * math.sqrt(vp_s + vp_m)
     m_grid = GeneratorGrid(sc.x0 - m_half, sc.x0 + m_half, sc.m_points)
     k_grid = GeneratorGrid(-sc.p0 - k_half, -sc.p0 + k_half, sc.k_points)
@@ -473,7 +504,9 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
 
     The rotation is applied exactly on the Gaussian's means and covariance,
     in momentum like ``nonlinear``; outcome grids are sized to cover the
-    whole rotation circle, so the family is valid for any angle.
+    whole rotation circle, so the family is valid for any angle.  The
+    state grid covers the same circle, on ``state_points`` of its span
+    and the m axis's.
     """
     vp_s = 1.0 / (4.0 * sc.vx_s)
     vp_m = 1.0 / (4.0 * sc.vx_m)
@@ -483,8 +516,8 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     radius = math.hypot(sc.x0, sc.p0)
     sig_max = math.sqrt(max(sc.vx_s, vp_s))
     half_state = SPAN_SIGMAS * sig_max + radius
-    grid = GeneratorGrid(-half_state, half_state, sc.n_points)
     m_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + sc.vx_m) + radius
+    grid = GeneratorGrid(-half_state, half_state, state_points(2.0 * half_state, 2.0 * m_half))
     k_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + vp_m) + radius
     m_grid = GeneratorGrid(-m_half, m_half, sc.m_points)
     k_grid = GeneratorGrid(-k_half, k_half, sc.k_points)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -17,9 +18,10 @@ from qruler.coherence import (
 )
 from qruler.errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
 from qruler.fisher import DENSITY_FLOOR, closed_form_fp2, fisher_from_family, qfi_pure
-from qruler.grids import GeneratorGrid, grid_for_gaussian
+from qruler.grids import MIN_POINTS, GeneratorGrid, grid_for_gaussian
 from qruler.ruler import make_gaussian_ruler, make_ideal_ruler
 from qruler.scenarios import (
+    MAX_STATE_POINTS,
     SCENARIOS,
     CoherentSqueezedScenario,
     LinearScenario,
@@ -37,6 +39,7 @@ from qruler.scenarios import (
     sg_closed_form_density,
     sg_fisher_variance,
     sg_wk_variance,
+    state_points,
 )
 from qruler.states import GaussianProbeSpec, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
@@ -93,9 +96,19 @@ def gaussian_probe(center, sigma, n_points, conjugate_center=0.0):
     return make_gaussian_probe(GaussianProbeSpec(center, sigma, conjugate_center), grid)
 
 
-def nonlinear_oracle(sc, lam, m_grid, k_grid, complex_product=False):
-    """Momentum-space projection of e^{-i lam p^2} psi0: windows centered at -k."""
-    probe = gaussian_probe(sc.p0, math.sqrt(1.0 / (4.0 * sc.vx_s)), sc.n_points, -sc.x0)
+def axis_span(grid):
+    return grid.g_max - grid.g_min
+
+
+def nonlinear_oracle(sc, lam, m_grid, k_grid, complex_product=False, denser=1):
+    """Momentum-space projection of e^{-i lam p^2} psi0: windows centered at -k.
+
+    The state grid is the run's, 8 sigmas of the probe's momentum on
+    ``state_points`` samples, or ``denser`` times as finely spaced.
+    """
+    sigma = math.sqrt(1.0 / (4.0 * sc.vx_s))
+    n = state_points(16.0 * sigma, axis_span(m_grid))
+    probe = gaussian_probe(sc.p0, sigma, denser * (n - 1) + 1, -sc.x0)
     grid = probe.grid
     psi = probe.amplitudes * np.exp(-1j * lam * grid.points**2)
     overlap = window_fourier_overlap(
@@ -105,16 +118,17 @@ def nonlinear_oracle(sc, lam, m_grid, k_grid, complex_product=False):
     return _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
 
 
-def coherent_squeezed_grid(sc):
-    """The symmetric state grid run_phase_coherent_squeezed samples on."""
+def coherent_squeezed_grid(sc, m_grid, denser=1):
+    """The symmetric state grid run_phase_coherent_squeezed samples on, or ``denser`` times as fine."""
     sig_max = math.sqrt(max(sc.vx_s, 1.0 / (4.0 * sc.vx_s)))
     half = 8.0 * sig_max + math.hypot(sc.x0, sc.p0)
-    return GeneratorGrid(-half, half, sc.n_points)
+    n = state_points(2.0 * half, axis_span(m_grid))
+    return GeneratorGrid(-half, half, denser * (n - 1) + 1)
 
 
-def coherent_squeezed_oracle(sc, lam, m_grid, k_grid, complex_product=False):
+def coherent_squeezed_oracle(sc, lam, m_grid, k_grid, complex_product=False, denser=1):
     """Momentum-space projection of the rotated Gaussian: windows centered at -k."""
-    grid = coherent_squeezed_grid(sc)
+    grid = coherent_squeezed_grid(sc, m_grid, denser)
     psi = rotate_gaussian(1.0 / (4.0 * sc.vx_s), sc.p0, -sc.x0, lam, grid.points)
     overlap = window_fourier_overlap(
         psi, grid.points, grid.spacing, 1.0 / (2.0 * math.sqrt(sc.vx_m)), -k_grid.points, m_grid.points,
@@ -130,7 +144,7 @@ def coherent_squeezed_position_oracle(sc, lam, m_grid, k_grid):
     wavefunction is rotate_gaussian's own, read out by a window of width
     sqrt(vx_m) centered at m with phase e^{ixk}.
     """
-    grid = coherent_squeezed_grid(sc)
+    grid = coherent_squeezed_grid(sc, m_grid)
     psi = rotate_gaussian(sc.vx_s, sc.x0, sc.p0, lam, grid.points)
     overlap = window_fourier_overlap(
         psi, grid.points, grid.spacing, math.sqrt(sc.vx_m), m_grid.points, k_grid.points
@@ -143,10 +157,8 @@ KIND_FIELDS = {
     "linear": {"dx_s": 0.5, "dx_m": 0.5},
     "phase": {"n_mean": 100.0, "dn_s": 5.0, "dphi_m": 0.1},
     "sg": {"xi": 0.9},
-    "nonlinear": {"vx_s": 0.25, "vx_m": 0.25, "n_points": 256, "m_points": 64,
-                  "k_points": 64, "lambda_pad": 0.32},
-    "phase-cs": {"vx_s": 0.2, "vx_m": 0.5, "x0": 1.0, "n_points": 256, "m_points": 64,
-                 "k_points": 64},
+    "nonlinear": {"vx_s": 0.25, "vx_m": 0.25, "m_points": 64, "k_points": 64, "lambda_pad": 0.32},
+    "phase-cs": {"vx_s": 0.2, "vx_m": 0.5, "x0": 1.0, "m_points": 64, "k_points": 64},
 }
 
 
@@ -203,14 +215,27 @@ def test_sg_fisher_evaluation_holds_few_densities():
 @pytest.mark.parametrize("spec", (NonlinearScenario(0.5, 0.4, 0.3, 0.2), CoherentSqueezedScenario(0.5, 0.4, 0.3, 0.2)),
                          ids=("nonlinear", "phase-cs"))
 def test_joint_build_and_fisher_keep_no_phase_table(spec):
-    # the fisher-joint op at the default 1024-point axis and 256 x 256 outcomes:
-    # measured 10.0 MB (15.5 MB with the [n, m] phase table and five members held)
+    # the fisher-joint op at 256 x 256 outcomes: measured 3.6 MB on its 64-point state
+    # grid (10.0 MB on a fixed 1024-point one, 15.5 MB with the [n, m] phase table
+    # and five members held as well)
     def op():
         run = spec.run()
         fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
 
     op()
     assert traced_peak(op) <= 10.5e6
+
+
+@pytest.mark.parametrize("spec", (NonlinearScenario(0.5, 0.4, 0.3, 0.2), CoherentSqueezedScenario(0.5, 0.4, 0.3, 0.2)),
+                         ids=("nonlinear", "phase-cs"))
+def test_exact_fisher_peaks_no_higher_than_finite_differences(spec):
+    # dp/dlambda takes one new [k, m] array and dO is dropped before the density
+    # is formed: measured 2.6 MB against the stencil's 3.1 MB (3.7 MB with four
+    # [k, m] temporaries for 2 Re(conj(O) dO))
+    run = spec.run()
+    run.fisher()
+    run.fisher(step=run.default_step)
+    assert traced_peak(run.fisher) <= traced_peak(lambda: run.fisher(step=run.default_step))
 
 
 # exact F against Richardson at the default step: measured <= 2.0e-12 relative (sg), 4.4e-13 (phase)
@@ -241,8 +266,10 @@ def test_grid_sizes_are_keyword_only():
     with pytest.raises(TypeError):
         LinearScenario(0.5, 0.5, 0.0, 0.0, 64)
     with pytest.raises(TypeError):
-        NonlinearScenario(0.25, 0.25, 0.0, 0.0, 256)
-    assert NonlinearScenario(0.25, 0.25, n_points=256, lambda_pad=0.1).n_points == 256
+        NonlinearScenario(0.25, 0.25, 0.0, 0.0, 128)
+    assert NonlinearScenario(0.25, 0.25, m_points=128, lambda_pad=0.1).m_points == 128
+    with pytest.raises(TypeError):  # the joint state grid's count is derived, not set
+        NonlinearScenario(0.25, 0.25, n_points=256)
 
 
 def test_runs_call_the_module_level_runner(monkeypatch, tmp_path):
@@ -636,6 +663,124 @@ class TestJointReadout:
         closed = run.closed_form
         assert closed.qfi == pytest.approx(4.255)
         assert closed.ratio_to_qfi == closed.fisher / closed.qfi
+
+
+def criterion_4_draws(seed, count):
+    """Joint specs drawn as acceptance criterion 4 draws them, ``count`` of each kind."""
+    rng = np.random.default_rng(seed)
+    for kind, x0_max in (("phase-cs", 1.5), ("nonlinear", 1.0)):
+        for _ in range(count):
+            yield SCENARIOS[kind](
+                vx_s=rng.uniform(0.2, 1.0), vx_m=rng.uniform(0.2, 1.0),
+                x0=rng.uniform(-x0_max, x0_max), p0=rng.uniform(-1.5, 1.5),
+            )
+
+
+def normal(x, mean, var):
+    return np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+
+# a nonlinear case whose state grid the sampling rule sets above MIN_POINTS (101
+# points): a wide ruler widens the m axis while the probe's momentum span stays
+WIDE_RULER_CASE = (NonlinearScenario(vx_s=0.2, vx_m=4.0, x0=0.3, p0=0.5, lambda_pad=0.3),
+                   run_nonlinear, nonlinear_oracle, 0.25)
+
+
+class TestStateSampling:
+    """Each joint run samples its state on the fewest points whose readout does not alias in m."""
+
+    def test_state_grid_is_the_fewest_that_span_the_m_axis(self, monkeypatch):
+        # 2*pi/dp >= the m span, and one point fewer falls short unless n is the floor
+        seen = []
+        real = scenarios._joint_family
+
+        def spy(grid, vx_m, m_grid, *rest):
+            seen.append((grid, m_grid))
+            return real(grid, vx_m, m_grid, *rest)
+
+        monkeypatch.setattr(scenarios, "_joint_family", spy)
+        # the rule sets n above the floor for these (measured 95, 103 and 101 points)
+        binding = (NonlinearScenario(0.2, 4.0), NonlinearScenario(0.25, 0.25, p0=1.5, lambda_pad=1.0),
+                   WIDE_RULER_CASE[0])
+        specs = [*binding, *(case[0] for case in JOINT_CASES), *criterion_4_draws(2401, 16)]
+        for sc in specs:
+            sc.run()
+        assert len(seen) == len(specs)
+        for i, (grid, m_grid) in enumerate(seen):
+            n, span, m_span = grid.n_points, axis_span(grid), axis_span(m_grid)
+            assert 2.0 * math.pi * (n - 1) / span >= m_span * (1.0 - 1e-12)
+            assert n == MIN_POINTS or 2.0 * math.pi * (n - 2) / span < m_span
+            assert n > MIN_POINTS if i < len(binding) else n <= 100  # the draws: measured 64 to 80
+
+    @pytest.mark.parametrize("spans", ((math.inf, 1.0), (1.0, math.nan), (1e200, 1e200), (1e3, 26.0)))
+    def test_a_count_out_of_range_is_too_narrow(self, spans):
+        with pytest.raises(GridTooNarrow, match="MAX_STATE_POINTS"):
+            state_points(*spans)
+
+    def test_the_count_is_the_ceiling_of_the_sampling_condition(self):
+        assert state_points(1.0, 1.0) == MIN_POINTS
+        assert state_points(2.0 * math.pi, 100.5) == 102
+        assert state_points(2.0 * math.pi, MAX_STATE_POINTS - 1.0) == MAX_STATE_POINTS
+
+    @pytest.mark.parametrize("case", (*JOINT_CASES, WIDE_RULER_CASE), ids=("nonlinear", "phase-cs", "wide-ruler"))
+    def test_four_times_denser_state_grid_agrees(self, case):
+        # measured F 7.6e-13 relative and densities 4.9e-12 of the peak (nonlinear),
+        # 6.8e-14 and 2.8e-14 (phase-cs), 4.3e-14 and 6.3e-15 (wide-ruler);
+        # gated 10x above the largest
+        sc, runner, oracle, last = case
+        run = runner(sc)
+        axes = run.family(0.0)
+        for lam in (0.0, run.default_step, -run.default_step, last):
+            dist = run.family(lam)
+            ref = oracle(sc, lam, dist.mu_grid, dist.k_grid, denser=4).density
+            assert np.max(np.abs(dist.density - ref)) <= 5e-11 * np.max(ref)
+        dense = lambda lam: oracle(sc, lam, axes.mu_grid, axes.k_grid, denser=4)  # noqa: E731
+        for lam0 in (0.0, last):
+            got = run.fisher(lam0, step=run.default_step).fisher
+            assert got == pytest.approx(fisher_from_family(dense, lam0, run.default_step).fisher, rel=8e-12)
+
+    @pytest.mark.parametrize(("kind", "gate"), (("nonlinear", 2e-8), ("phase-cs", 4e-10)))
+    def test_density_at_zero_is_the_blurred_normal(self, kind, gate):
+        # p(m, k) = N(m; x0, vx_s + vx_m) N(-k; p0, vp_s + vp_m), k reading -p; the
+        # 8-sigma state truncation sets the gap: measured 1.9e-9 (nonlinear) and
+        # 3.6e-11 (phase-cs) of the peak
+        for vx_s, vx_m, x0, p0 in ((0.3, 0.5, 0.2, 0.6), (0.25, 0.25, 0.0, 0.0), (1.0, 0.2, -1.0, 1.5),
+                                   (0.2, 1.0, 0.7, -1.2), (0.5, 0.4, 0.3, 0.2)):
+            dist = SCENARIOS[kind](vx_s, vx_m, x0, p0).run().family(0.0)
+            vp = 1.0 / (4.0 * vx_s) + 1.0 / (4.0 * vx_m)
+            ref = np.outer(normal(dist.mu_grid.points, x0, vx_s + vx_m), normal(-dist.k_grid.points, p0, vp))
+            assert np.max(np.abs(dist.density - ref)) <= gate * np.max(ref)
+
+    def test_far_displaced_probe_is_sampled_not_aliased(self, tmp_path):
+        # x0 = 40 widens the m axis to 96, which takes 1397 state points; a fixed
+        # 1024 aliased the readout onto the axis (density norm 2.0, exit 3)
+        out = tmp_path / "far"
+        assert cli.main(["fisher", "--scenario", "phase-cs", "--vxs", "0.5", "--vxm", "0.5",
+                         "--x0", "40", "--out", str(out)]) == 0
+        payload = json.loads((out / "fisher.json").read_text(encoding="utf-8"))
+        assert payload["numerical"]["fisher"] == pytest.approx(1600.0, rel=1e-9)  # measured 2.7e-11
+
+    @pytest.mark.parametrize("spec", (CoherentSqueezedScenario(0.5, 0.5, x0=1000.0), NonlinearScenario(0.25, 1e5)),
+                             ids=("phase-cs", "nonlinear"))
+    def test_too_wide_an_m_axis_fails_before_allocating(self, spec, monkeypatch):
+        def built(*args):
+            pytest.fail("the readout was built")
+
+        monkeypatch.setattr(scenarios, "_joint_family", built)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooNarrow, match="MAX_STATE_POINTS"):
+                spec.run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e4  # measured 2.0 KB: no state grid, probe or readout
+
+    def test_too_wide_an_m_axis_exits_3(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(scenarios, "_joint_family", lambda *args: pytest.fail("the readout was built"))
+        assert cli.main(["fisher", "--scenario", "phase-cs", "--vxs", "0.5", "--vxm", "0.5",
+                         "--x0", "1000", "--out", str(tmp_path / "x")]) == 3
+        assert "above MAX_STATE_POINTS" in capsys.readouterr().err
 
 
 class TestClosedFormQfi:
