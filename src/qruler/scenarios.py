@@ -1,11 +1,11 @@
 """Concrete measurement scenarios producing lambda-parameterized statistics.
 
-Four families:
+Three families:
 
 * linear shifts of a Gaussian probe read out by a Gaussian ruler (1-D),
-* phase shifts of a number-basis Gaussian on the continuum approximation,
-* phase shifts of a truncated geometric-series (non-Gaussian) probe under
-  an ideal phase measurement, periodic on (-pi, pi),
+* phase shifts on the integer number lattice, periodic on (-pi, pi), of a
+  Gaussian read out by a Gaussian ruler or of a truncated geometric-series
+  (non-Gaussian) probe under an ideal phase measurement,
 * joint (m, k) momentum readout by squeezed-coherent projections, driven
   either by the quadratic generator p^2 or by a phase-space rotation.
 
@@ -59,7 +59,7 @@ from .fisher import (
 )
 from .grids import MIN_POINTS, SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
 from .ruler import make_gaussian_ruler, make_ideal_ruler
-from .states import GaussianProbeSpec, SGProbeSpec, make_gaussian_probe, make_sg_probe
+from .states import GaussianProbeSpec, PureProbe, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +98,15 @@ def _default_step(crb: float | None) -> float:
 
 
 def _shift_run(
-    scenario: str, gamma: CoherenceFunction, closed: FisherReport, step: float
+    scenario: str, probe: PureProbe, width_m: float, closed: FisherReport, step: float
 ) -> ScenarioRun:
-    """A 1-D run: Gamma, stored by its lags tau >= 0, is built once and a
-    signal value only shifts it; the outcome grid is the dual of the
-    M' = 2*len(values) - 1 symmetric lags those stand for, and dp/dlambda
-    is the transform of i*tau*Gamma_lambda on the same lags."""
+    """A 1-D run: ``probe`` read out by a Gaussian ruler of width ``width_m`` (ideal at 0),
+    whose Gamma, stored by its lags tau >= 0, is built once and a signal value only
+    shifts; the outcome grid is the dual of the M' = 2*len(values) - 1 symmetric lags
+    those stand for, and dp/dlambda is the transform of i*tau*Gamma_lambda on the same lags."""
+    ruler = make_gaussian_ruler(width_m, probe.grid) if width_m > 0 else make_ideal_ruler(probe.grid)
+    gamma = coherence_function(probe, ruler)
+
     def family(lam: float) -> OutcomeDistribution:
         return statistics_from_coherence(gamma.shifted(lam))
 
@@ -111,16 +114,6 @@ def _shift_run(
         return statistics_with_derivative(gamma.shifted(lam))
 
     return ScenarioRun(scenario, family, derivative, closed, step, gamma=gamma)
-
-
-def _gaussian_shift_run(
-    scenario: str, spec: GaussianProbeSpec, n_points: int, width_m: float, closed: FisherReport
-) -> ScenarioRun:
-    """A Gaussian probe read out by a Gaussian ruler of width ``width_m``, ideal at 0."""
-    grid = grid_for_gaussian(spec.center, spec.sigma, n_points)
-    ruler = make_gaussian_ruler(width_m, grid) if width_m > 0 else make_ideal_ruler(grid)
-    gamma = coherence_function(make_gaussian_probe(spec, grid), ruler)
-    return _shift_run(scenario, gamma, closed, _default_step(closed.crb))
 
 
 @dataclass(frozen=True)
@@ -155,18 +148,23 @@ def run_linear(sc: LinearScenario) -> ScenarioRun:
     # phase slope -x0 puts the outcome distribution's center at +x0
     spec = GaussianProbeSpec(center=sc.p0, sigma=1.0 / (2.0 * sc.dx_s), conjugate_center=-sc.x0)
     closed = closed_form_linear(sc.dx_s, sc.dx_m)
-    return _gaussian_shift_run("linear", spec, sc.n_points, sc.dx_m, closed)
+    probe = make_gaussian_probe(spec, grid_for_gaussian(spec.center, spec.sigma, sc.n_points))
+    return _shift_run("linear", probe, sc.dx_m, closed, _default_step(closed.crb))
+
+
+# smallest pi/sigma_phi for the continuum closed form: the wrapped law's |F*sigma_phi^2 - 1|
+# is 4.5e-5 at 5, inside the 1e-4 of the 1-D Fisher checks, 4.3e-4 at 4.5 and 3.6e-6 at 5.5
+WRAP_SIGMAS = 5.0
+MAX_LATTICE_POINTS = 1 << 20  # largest phase number lattice: a 16 MB probe, dn_s up to 65,535
 
 
 @dataclass(frozen=True)
 class PhaseGaussianScenario:
-    """Phase shifts of a number-basis Gaussian, continuum approximation."""
+    """Phase shifts of a number-basis Gaussian on its integer number lattice."""
 
     n_mean: float
     dn_s: float
     dphi_m: float = 0.0  # 0 means ideal phase measurement
-    _: KW_ONLY
-    n_points: int = 1024
 
     def __post_init__(self):
         if not self.dn_s > 0:
@@ -179,21 +177,24 @@ class PhaseGaussianScenario:
 
 
 def run_phase_gaussian(sc: PhaseGaussianScenario) -> ScenarioRun:
-    """p(phi|lambda) for a bright number-basis Gaussian probe.
+    """p(phi|lambda) of a number-basis Gaussian, built as ``sg`` is: periodic on (-pi, pi).
 
-    Valid only when the mean excitation is large enough that the discrete
-    number spectrum can be treated as a real axis; the gate here is
-    n_mean >= 5 * dn_s, otherwise the grid would cross n = 0 with
-    non-negligible mass.
+    The probe sits on the integers n_mean +/- SPAN_SIGMAS*dn_s (extended up to MIN_POINTS),
+    where the ruler's symbol is the Fourier series of the wrapped Gaussian blur.  Gated on
+    n_mean >= SPAN_SIGMAS*dn_s (n >= 0) and pi/sigma_phi >= WRAP_SIGMAS, sigma_phi^2 = 1/(4 dn_s^2) + dphi_m^2.
     """
-    if sc.n_mean < 5.0 * sc.dn_s:
-        raise ContinuumApproxViolated(
-            f"need n_mean >= 5*dn_s for the continuum approximation, "
-            f"got n_mean={sc.n_mean}, dn_s={sc.dn_s}"
-        )
-    spec = GaussianProbeSpec(center=sc.n_mean, sigma=sc.dn_s)
-    closed = closed_form_phase(1.0 / (2.0 * sc.dn_s), sc.dphi_m)
-    return _gaussian_shift_run("phase_gaussian", spec, sc.n_points, sc.dphi_m, closed)
+    if not SPAN_SIGMAS * sc.dn_s <= sc.n_mean < math.inf:
+        raise ContinuumApproxViolated(f"need {SPAN_SIGMAS:g}*dn_s <= n_mean < inf: a number lattice in n >= 0")
+    sigma_phi = math.hypot(0.5 / sc.dn_s, sc.dphi_m)
+    if not sigma_phi <= math.pi / WRAP_SIGMAS:
+        raise ContinuumApproxViolated(f"phase width {sigma_phi!r} wraps: need pi/sigma_phi >= {WRAP_SIGMAS:g}")
+    lo = math.floor(sc.n_mean - SPAN_SIGMAS * sc.dn_s)
+    hi = max(math.ceil(sc.n_mean + SPAN_SIGMAS * sc.dn_s), lo + MIN_POINTS - 1)
+    if not hi - lo < MAX_LATTICE_POINTS:
+        raise GridTooNarrow(f"{hi - lo + 1} number states, above MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
+    probe = make_gaussian_probe(GaussianProbeSpec(sc.n_mean, sc.dn_s), GeneratorGrid(lo, hi, hi - lo + 1))
+    closed = closed_form_phase(0.5 / sc.dn_s, sc.dphi_m)
+    return _shift_run("phase_gaussian", probe, sc.dphi_m, closed, _default_step(closed.crb))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +249,7 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
     qfi = 2.0 * fisher  # QFI = 4 Var(N) = 2 F here, 0 for the vacuum
     closed = FisherReport(fisher, qfi)
     step = _default_step(min(var, sg_wk_variance(sc.xi)) if math.isfinite(var) else None)
-    gamma = coherence_function(probe, make_ideal_ruler(probe.grid))
-    return _shift_run("phase_sg", gamma, closed, step)
+    return _shift_run("phase_sg", probe, 0.0, closed, step)
 
 
 # ---------------------------------------------------------------------------

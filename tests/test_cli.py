@@ -318,6 +318,19 @@ class TestFisherCommand:
         assert "exact Fisher 1.99999" in capsys.readouterr().err
         assert not (out / "fisher.json").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--nmean", "100", "--dns", "5", "--dphim", "60"],
+        ["--nmean", "1920", "--dns", "23.42", "--dphim", "17.91"],
+    ], ids=["dphim-60", "fuzz-draw"])
+    def test_phase_blur_that_wraps_the_circle_is_domain_error(self, args, tmp_path, capsys):
+        # without the wrap gate the lattice gives F = 0 and 9.8e-140 against
+        # closed forms of 2.8e-4 and 3.1e-3
+        out = tmp_path / "fwrap"
+        assert run_cli(["fisher", "--scenario", "phase", *args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "wraps" in err and "Traceback" not in err
+        assert not (out / "fisher.json").exists()
+
 
 class TestScenarioCommand:
     def test_linear_distributions(self, tmp_path):

@@ -212,18 +212,26 @@ def test_sg_fisher_evaluation_holds_few_densities():
     assert traced_peak(evaluate) <= 7.0 * size
 
 
-@pytest.mark.parametrize("spec", (NonlinearScenario(0.5, 0.4, 0.3, 0.2), CoherentSqueezedScenario(0.5, 0.4, 0.3, 0.2)),
+@pytest.mark.parametrize("spec", (NonlinearScenario(0.01, 100.0), CoherentSqueezedScenario(0.5, 0.5, 40.0)),
                          ids=("nonlinear", "phase-cs"))
-def test_joint_build_and_fisher_keep_no_phase_table(spec):
-    # the fisher-joint op at 256 x 256 outcomes: measured 3.6 MB on its 64-point state
-    # grid (10.0 MB on a fixed 1024-point one, 15.5 MB with the [n, m] phase table
-    # and five members held as well)
+def test_joint_build_and_fisher_keep_no_phase_table(spec, monkeypatch):
+    # a build and a Richardson F at 256 x 256 outcomes, on specs whose state grids
+    # are large (n = 2041 and 1397), where an [n, m] complex phase table of n*m*16 B
+    # shows: measured 16.8 and 12.5 MB, about 3.4 MB and 1.6 tables; 24.1 and
+    # 17.5 MB with the table kept per run
+    sizes = []
+    joint = scenarios._joint_family
+    monkeypatch.setattr(scenarios, "_joint_family",
+                        lambda grid, *rest: sizes.append(grid.n_points) or joint(grid, *rest))
+
     def op():
         run = spec.run()
         fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
 
     op()
-    assert traced_peak(op) <= 10.5e6
+    table = sizes[0] * spec.m_points * 16
+    assert sizes[0] > 1000
+    assert traced_peak(op) <= 3.6e6 + 2.0 * table
 
 
 @pytest.mark.parametrize("spec", (NonlinearScenario(0.5, 0.4, 0.3, 0.2), CoherentSqueezedScenario(0.5, 0.4, 0.3, 0.2)),
@@ -344,6 +352,78 @@ class TestPhaseGaussian:
         with pytest.raises(ContinuumApproxViolated):
             run_phase_gaussian(PhaseGaussianScenario(n_mean=20.0, dn_s=5.0))
 
+    def test_lower_edge_keeps_the_lattice_in_n_nonnegative(self):
+        # n_mean >= SPAN_SIGMAS*dn_s: the lattice n_mean +/- 8*dn_s starts at n >= 0
+        for n_mean in (39.0, math.inf, math.nan):
+            with pytest.raises(ContinuumApproxViolated, match="n >= 0"):
+                run_phase_gaussian(PhaseGaussianScenario(n_mean, 5.0))
+        run = run_phase_gaussian(PhaseGaussianScenario(40.0, 5.0))
+        assert run.fisher().fisher == pytest.approx(100.0, rel=1e-10)
+
+    @pytest.mark.parametrize("spec, lattice", [
+        ((100.0, 5.0, 0.1), (60, 140)),
+        ((1000.0, 20.0, 0.01), (840, 1160)),
+        ((20.3, 1.0, 0.1), (12, 12 + MIN_POINTS - 1)),  # 8 sigmas span 17 states: extended upwards
+    ])
+    def test_probe_sits_on_the_integer_lattice(self, spec, lattice, monkeypatch):
+        seen = []
+        monkeypatch.setattr(scenarios, "coherence_function",
+                            lambda probe, ruler: seen.append(probe.grid) or coherence_function(probe, ruler))
+        run = run_phase_gaussian(PhaseGaussianScenario(*spec))
+        lo, hi = lattice
+        assert seen == [GeneratorGrid(lo, hi, hi - lo + 1)] and seen[0].spacing == 1.0
+        assert np.array_equal(run.gamma.tau_grid, np.arange(len(run.gamma.values)))
+        axis = run.family(0.0).mu_grid
+        assert -np.pi < axis.g_min and axis.g_max < np.pi
+        assert axis.spacing == pytest.approx(2.0 * np.pi / axis.n_points, rel=1e-15)
+
+    @pytest.mark.parametrize("spec", [(100.0, 5.0, 0.1), (100.0, 5.0, 0.0), (1000.0, 20.0, 0.01)])
+    def test_signal_is_periodic(self, spec):
+        # a shift by 2*pi multiplies Gamma by e^{2 pi i tau} = 1 on integer lags:
+        # measured <= 5.3e-14 of the peak density
+        run = run_phase_gaussian(PhaseGaussianScenario(*spec))
+        peak = float(np.max(run.family(0.0).density))
+        for lam in (0.0, 0.37, -1.1, 2.9):
+            for turns in (1, -2):
+                np.testing.assert_allclose(run.family(lam + 2.0 * np.pi * turns).density,
+                                           run.family(lam).density, rtol=0, atol=1e-12 * peak)
+
+    def test_narrow_lattice_matches_the_continuum_form(self):
+        # pi/sigma_phi = 6.16, above WRAP_SIGMAS: the exact lattice F sits 2.6e-7 from 1/sigma_phi^2
+        run = run_phase_gaussian(PhaseGaussianScenario(20.0, 1.0, 0.1))
+        assert run.fisher().fisher == pytest.approx(run.closed_form.fisher, rel=2.6e-6)
+
+    @pytest.mark.parametrize("spec", [(12.0, 1.0, 0.5), (100.0, 5.0, math.nan)])
+    def test_wrap_gate(self, spec):
+        # pi/sigma_phi = 4.44 at (12, 1, 0.5), where the lattice F parts from the
+        # continuum form by 5.4e-4
+        with pytest.raises(ContinuumApproxViolated, match="wraps"):
+            run_phase_gaussian(PhaseGaussianScenario(*spec))
+
+    def test_wrap_gate_threshold(self):
+        # sigma_phi at pi/WRAP_SIGMAS runs, a hair above it does not
+        dn_s = 10.0
+        dphi_m = math.sqrt((math.pi / scenarios.WRAP_SIGMAS) ** 2 - 1.0 / (4.0 * dn_s**2))
+        run_phase_gaussian(PhaseGaussianScenario(100.0, dn_s, dphi_m * (1.0 - 1e-12)))
+        with pytest.raises(ContinuumApproxViolated):
+            run_phase_gaussian(PhaseGaussianScenario(100.0, dn_s, dphi_m * (1.0 + 1e-12)))
+
+    def test_lattice_above_the_ceiling_is_refused_before_allocation(self, monkeypatch):
+        # dn_s = 1e8 asks for 1.6e9 number states; the run must fail before it builds
+        # a probe or a ruler on them
+        monkeypatch.setattr(scenarios, "make_gaussian_probe", lambda *a: pytest.fail("probe built"))
+        monkeypatch.setattr(scenarios, "_shift_run", lambda *a: pytest.fail("ruler built"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooNarrow, match="MAX_LATTICE_POINTS"):
+                run_phase_gaussian(PhaseGaussianScenario(1e9, 1e8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e3
+        with pytest.raises(GridTooNarrow):
+            run_phase_gaussian(PhaseGaussianScenario(8.0 * 65536.0, 65536.0))
+
     def test_numerical_fisher_matches_closed_form(self):
         run = run_phase_gaussian(PhaseGaussianScenario(100.0, 5.0, dphi_m=0.1))
         rep = run.fisher()
@@ -448,7 +528,8 @@ def direct_shift_density(gamma, lam, mu):
 
 
 # (run, its probe built from the spec, its ruler on the probe's grid);
-# a linear probe has momentum width 1/(2*dx_s) and phase slope -x0
+# a linear probe has momentum width 1/(2*dx_s) and phase slope -x0, a
+# phase probe sits on the integers n_mean +/- 8*dn_s
 SHIFT_RUNS = {
     "linear": (lambda: run_linear(LinearScenario(0.5, 0.5, x0=0.3, n_points=64)),
                lambda: gaussian_probe(0.0, 1.0, 64, -0.3),
@@ -456,8 +537,8 @@ SHIFT_RUNS = {
     "linear-ideal": (lambda: run_linear(LinearScenario(0.5, 0.0, n_points=100)),
                      lambda: gaussian_probe(0.0, 1.0, 100),
                      make_ideal_ruler),
-    "phase": (lambda: run_phase_gaussian(PhaseGaussianScenario(100.0, 5.0, 0.1, n_points=128)),
-              lambda: gaussian_probe(100.0, 5.0, 128),
+    "phase": (lambda: run_phase_gaussian(PhaseGaussianScenario(100.0, 5.0, 0.1)),
+              lambda: make_gaussian_probe(GaussianProbeSpec(100.0, 5.0), GeneratorGrid(60, 140, 81)),
               lambda grid: make_gaussian_ruler(0.1, grid)),
     "sg-0.5": (lambda: run_phase_sg(SGScenario(xi=0.5)),
                lambda: make_sg_probe(SGProbeSpec(xi=0.5)), make_ideal_ruler),
