@@ -38,7 +38,7 @@ class StepTooLarge(DomainError):
 
 
 class QuantumBoundExceeded(DomainError):
-    """An exact-derivative Fisher information above the quantum bound F_Q."""
+    """A Fisher information above the quantum bound F_Q, by either route."""
 
 
 class ContinuumApproxViolated(DomainError):

@@ -24,6 +24,7 @@ SPAN_SIGMAS = 8.0
 # largest float step at the bounds, as a share of the spacing: a coarser
 # float lattice rounds the points to uneven steps, or onto each other
 ULP_SHARE = 1e-6
+MAX_LATTICE_POINTS = 1 << 20  # largest number lattice (phase, sg): a 16 MB probe, phase's dn_s up to 65,535
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,11 @@ the signal, so each run builds its measurement once and the signal acts
 on the state only: the 1-D runs build the coherence function Gamma
 once, on its fast transform length, and shift it; the joint runs build
 the (m, k) projections once and apply them to the evolved state and its
-lambda-derivative, on the fewest state samples whose readout does not
-alias on the m axis (``state_points``).  ``SCENARIOS`` maps the five
-runnable kinds to their spec classes.  A spec's positional fields are its
-physical parameters, from which the command line derives its flags,
-required values and reported parameters; its grid sizes (and
+lambda-derivative, on the state grid dual to the m axis
+(``state_grid``), where a readout is one FFT per window.  ``SCENARIOS``
+maps the five runnable kinds to their spec classes.  A spec's positional
+fields are its physical parameters, from which the command line derives
+its flags, required values and reported parameters; its grid sizes (and
 ``lambda_pad``) are keyword-only and are not flags.  Acceptance builds
 its runs through the same table.  ``phase_distribution_ws`` takes the
 phase density of a blurred squeezed vacuum through sg's periodic
@@ -38,6 +38,7 @@ from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from .coherence import (
     CoherenceFunction,
@@ -57,7 +58,7 @@ from .fisher import (
     fisher_from_derivative,
     fisher_from_family,
 )
-from .grids import MIN_POINTS, SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
+from .grids import MAX_LATTICE_POINTS, MIN_POINTS, SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
 from .ruler import make_gaussian_ruler, make_ideal_ruler
 from .states import GaussianProbeSpec, PureProbe, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
@@ -155,7 +156,6 @@ def run_linear(sc: LinearScenario) -> ScenarioRun:
 # smallest pi/sigma_phi for the continuum closed form: the wrapped law's |F*sigma_phi^2 - 1|
 # is 4.5e-5 at 5, inside the 1e-4 of the 1-D Fisher checks, 4.3e-4 at 4.5 and 3.6e-6 at 5.5
 WRAP_SIGMAS = 5.0
-MAX_LATTICE_POINTS = 1 << 20  # largest phase number lattice: a 16 MB probe, dn_s up to 65,535
 
 
 @dataclass(frozen=True)
@@ -257,57 +257,27 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
 # ---------------------------------------------------------------------------
 
 
-PHASE_BLOCK = 16  # fine columns per coarse column of the joint readout's phase tables
-MAX_STATE_POINTS = 4096  # largest joint state grid: a 16 MB [n, m] buffer at m = 256
+MAX_STATE_POINTS = 4096  # largest joint state grid: an 8 MB [k, p] window at k = 256
 
 
-def state_points(state_span: float, m_span: float) -> int:
-    """The fewest state samples, at least MIN_POINTS, whose readout does not alias on the m axis.
+def state_grid(center: float, half: float, m_grid: GeneratorGrid) -> GeneratorGrid:
+    """The state grid over ``center`` +/- ``half`` dual to the m axis: dp*dm = 2*pi/M, M = m_grid.n_points.
 
     The readout is a Riemann sum over the state grid of a smooth,
     Gaussian-decaying integrand, so its only sampling error is the images
-    O(k, m +/- 2*pi/dp) (Poisson summation).  With dp = state_span/(n-1),
-    2*pi/dp >= m_span puts every image off the outcome axis, where the
-    law it holds is negligible: n = ceil(1 + state_span*m_span/(2*pi)).
-    A count above MAX_STATE_POINTS, or a span out of float range, raises
-    ``GridTooNarrow`` before anything is allocated.
+    O(k, m +/- 2*pi/dp) (Poisson summation); 2*pi/dp = M*dm exceeds the
+    m span, so every image is off the outcome axis.  The grid takes
+    n = max(MIN_POINTS, ceil(2*half/dp) + 1) points; a count above
+    MAX_STATE_POINTS, or a NaN or infinite span, raises ``GridTooNarrow``
+    before anything is allocated.
     """
-    need = 1.0 + state_span * m_span / (2.0 * math.pi)
-    if not need <= MAX_STATE_POINTS:
-        raise GridTooNarrow(
-            f"the m axis of span {m_span!r} needs {need:.4g} state points over span {state_span!r}, "
-            f"above MAX_STATE_POINTS = {MAX_STATE_POINTS}"
-        )
-    return max(MIN_POINTS, math.ceil(need))
-
-
-def _fourier_phases(axis: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two small tables whose products are e^{i x f} on [x, f] for uniform ``freqs``.
-
-    Column 16a + b of e^{i x f} is coarse[:, a] * fine[:, b], with
-    coarse = e^{i x f[16a]} and fine = e^{i x (f[b] - f[0])}: 16 columns
-    each (PHASE_BLOCK) at 256 frequencies, and no [x, f] complex exp.
-    ``_write_phases`` forms the products.
-    """
-    coarse = np.exp(1j * np.outer(axis, freqs[::PHASE_BLOCK]))
-    fine = np.exp(1j * np.outer(axis, freqs[:PHASE_BLOCK] - freqs[0]))
-    return coarse, fine
-
-
-def _write_phases(tables: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
-    """e^{i x f} into the [x, f] array ``out`` from ``_fourier_phases``' tables.
-
-    The whole blocks of PHASE_BLOCK columns take one broadcast multiply,
-    a partial last block a second.
-    """
-    coarse, fine = tables
-    n, m = out.shape
-    whole = m - m % PHASE_BLOCK
-    blocks = out[:, :whole].reshape(n, -1, PHASE_BLOCK)  # a view: it splits the unit-stride axis
-    np.multiply(coarse[:, : whole // PHASE_BLOCK, None], fine[:, None, :], out=blocks)
-    if whole < m:
-        np.multiply(coarse[:, -1, None], fine[:, : m - whole], out=out[:, whole:])
-    return out
+    dp = 2.0 * math.pi / (m_grid.n_points * m_grid.spacing)
+    cells = 2.0 * half / dp
+    if not cells + 1.0 <= MAX_STATE_POINTS:
+        raise GridTooNarrow(f"{cells + 1.0:.4g} state points at the m axis's dual spacing {dp!r}, "
+                            f"above MAX_STATE_POINTS = {MAX_STATE_POINTS}")
+    n = max(MIN_POINTS, math.ceil(cells) + 1)
+    return GeneratorGrid(center - 0.5 * (n - 1) * dp, center + 0.5 * (n - 1) * dp, n)
 
 
 def _joint_family(
@@ -322,34 +292,36 @@ def _joint_family(
 
     Both joint kinds read out in momentum: a squeezed-coherent projection
     state is a Gaussian window of width w = 1/(2*sqrt(vx_m)), normalized by
-    (w*sqrt(2*pi))^{-1/2} and centered at -k, times e^{ipm}.  Window, the
-    two phase tables of ``_fourier_phases`` and scale are built once, and
-    one [p, m] complex buffer: no [p, m] phase table is kept.  A readout
-    O = <phi_{m,k}|psi> on [k, m] writes the phases into the buffer,
-    multiplies psi in (psi the first operand, as the rounding of the
-    complex product depends on the order), and is one real × complex
-    GEMM, window [k, p] @ psi*phases [p, m] read as interleaved real and
-    imaginary columns.  A member is |O|^2/(2*pi) on [m, k], formed in
-    place.  With dpsi/dlambda = psi * ``d_log(lam)``, the derivative
-    reads out dO from dpsi the same way, and
+    (w*sqrt(2*pi))^{-1/2} and centered at -k, times e^{ipm}.  On a
+    ``state_grid``, dual to the m axis, e^{i p_j m_l} is
+    e^{i p_0 m_l} e^{i j dp m_0} e^{2 pi i jl/M}, so the readout
+    O = <phi_{m,k}|psi> on [k, m] is a short-time Fourier transform: each
+    window row times psi e^{i j dp m_0}, folded modulo M when n > M, and
+    one length-M inverse FFT.  The phase e^{i p_0 m_l} is dropped: it
+    cancels in |O|^2 and in Re(conj(O) dO).  The window, its norm and dp
+    in it, and the twist e^{i j dp m_0} are built once.  A member is
+    |O|^2/(2*pi) on [m, k], formed in place.  With
+    dpsi/dlambda = psi * ``d_log(lam)``, the derivative reads out dO from
+    dpsi the same way, and
     dp/dlambda = 2 Re(conj(O) dO)/(2*pi) = (O.re dO.re + O.im dO.im)/pi,
     one new [k, m] array: dO is dropped before the density is formed.
     """
-    width, axis = 1.0 / (2.0 * math.sqrt(vx_m)), grid.points
+    width, axis, m = 1.0 / (2.0 * math.sqrt(vx_m)), grid.points, m_grid.n_points
     window = np.add(axis[None, :], k_grid.points[:, None])  # then e^{-(p+k)^2/(4w^2)}, in place
     np.square(window, out=window)
     np.negative(window, out=window)
     window /= 4.0 * width**2
     np.exp(window, out=window)
-    tables = _fourier_phases(axis, m_grid.points)
-    buffer = np.empty((grid.n_points, m_grid.n_points), dtype=complex)
-    scale = grid.spacing / math.sqrt(width * math.sqrt(2.0 * math.pi))
+    window *= grid.spacing / math.sqrt(width * math.sqrt(2.0 * math.pi))
+    twist = np.exp(1j * grid.spacing * m_grid.g_min * np.arange(grid.n_points))
 
     def readout(psi: np.ndarray) -> np.ndarray:
-        np.multiply(psi[:, None], _write_phases(tables, buffer), out=buffer)
-        overlap = (window @ buffer.view(np.float64)).view(complex)  # [k, m]
-        overlap *= scale
-        return overlap
+        twisted = psi * twist
+        rows = np.zeros((len(window), m), dtype=complex)  # [k, m], zero past n
+        np.multiply(window[:, :m], twisted[:m], out=rows[:, : grid.n_points])
+        for j in range(m, grid.n_points, m):  # e^{2 pi i jl/M} has period M in j: fold
+            rows[:, : grid.n_points - j] += window[:, j : j + m] * twisted[j : j + m]
+        return scipy.fft.ifft(rows, norm="forward", overwrite_x=True)  # in rows' place
 
     def density(overlap: np.ndarray) -> np.ndarray:
         sq = np.abs(overlap.T)
@@ -383,8 +355,8 @@ class _JointSpec:
     ``vx_s`` and ``vx_m`` are X-quadrature variances of probe and ruler;
     the conjugate variances follow the minimum-uncertainty link of pure
     uncorrelated Gaussians, vp = 1/(4*vx).  The outcome axes take
-    ``m_points`` and ``k_points``; each runner derives the state grid's
-    count from its spans by ``state_points``.
+    ``m_points`` and ``k_points``; each runner samples its state on the
+    ``state_grid`` dual to its m axis, whose count follows from the spans.
     """
 
     vx_s: float
@@ -415,8 +387,8 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
 
     The evolution is exact (diagonal in momentum); outcome grids cover
     8 effective sigmas of the lambda-evolved state in each axis.  The
-    state grid spans 8 sigmas of the probe's momentum about p0, on
-    ``state_points`` of that span and the m axis's.
+    state grid spans 8 sigmas of the probe's momentum about p0, on the
+    ``state_grid`` dual to the m axis.
     """
     closed = closed_form_fp2(sc.vx_s, sc.vx_m, sc.p0)
     step = _default_step(closed.crb)
@@ -427,13 +399,13 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     # free-spreading of the x-width under e^{-i lambda p^2}: vx + 4 lambda^2 vp
     m_half = SPAN_SIGMAS * math.sqrt(sc.vx_s + 4.0 * pad**2 * vp_s + sc.vx_m)
     m_half += 2.0 * pad * abs(sc.p0)
-    grid = grid_for_gaussian(sc.p0, sigma_p, state_points(2.0 * SPAN_SIGMAS * sigma_p, 2.0 * m_half))
-    probe = make_gaussian_probe(
-        GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid
-    )
     k_half = SPAN_SIGMAS * math.sqrt(vp_s + vp_m)
     m_grid = GeneratorGrid(sc.x0 - m_half, sc.x0 + m_half, sc.m_points)
     k_grid = GeneratorGrid(-sc.p0 - k_half, -sc.p0 + k_half, sc.k_points)
+    grid = state_grid(sc.p0, SPAN_SIGMAS * sigma_p, m_grid)
+    probe = make_gaussian_probe(
+        GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid
+    )
     p_axis = grid.points
     d_log = -1j * p_axis**2  # d/dlambda of e^{-i lambda p^2}, over itself
 
@@ -463,40 +435,36 @@ def rotate_gaussian(
     wavefunction; a rotated pure Gaussian has complex width parameter
     alpha = 1/(4 Vx) - i Cxp/(2 Vx).  The global phase is dropped.
     """
-    mean_x, mean_p, vx_l, _, alpha = _rotated_moments(vx, x0, p0, lam)
+    mean_x, mean_p, vx_l, alpha = _rotated_moments(vx, x0, p0, lam)
     u = x_axis - mean_x
     psi = (2.0 * np.pi * vx_l) ** (-0.25) * np.exp(-alpha * u**2 + 1j * mean_p * u)
     return psi
 
 
-def _rotated_moments(vx: float, x0: float, p0: float, lam: float) -> tuple[float, float, float, float, complex]:
-    """Means, X variance, XP covariance and width parameter alpha after a rotation by ``lam``."""
+def _rotated_moments(vx: float, x0: float, p0: float, lam: float) -> tuple[float, float, float, complex]:
+    """Means, X variance and width parameter alpha after a rotation by ``lam``."""
     vp = 1.0 / (4.0 * vx)
     c, s = math.cos(lam), math.sin(lam)
     mean_x = c * x0 + s * p0
     mean_p = -s * x0 + c * p0
     vx_l = c * c * vx + s * s * vp
-    cxp_l = c * s * (vp - vx)
-    alpha = 1.0 / (4.0 * vx_l) - 1j * cxp_l / (2.0 * vx_l)
-    return mean_x, mean_p, vx_l, cxp_l, alpha
+    alpha = 1.0 / (4.0 * vx_l) - 1j * c * s * (vp - vx) / (2.0 * vx_l)
+    return mean_x, mean_p, vx_l, alpha
 
 
 def rotate_gaussian_dlog(
     vx: float, x0: float, p0: float, lam: float, x_axis: np.ndarray
 ) -> np.ndarray:
-    """d log psi / d lambda of ``rotate_gaussian``'s closed form: dpsi/dlambda = psi * this.
+    """-i N psi / psi for ``rotate_gaussian``'s psi, N = (x^2 - d^2/dx^2)/2 the rotation's generator.
 
-    The means turn as (mean_x, mean_p)' = (mean_p, -mean_x), and
-    vx_l' = 2*cxp_l, cxp_l' = cos(2 lam)(vp - vx).  The dropped global
-    phase would add an imaginary constant, whose share of
-    2 Re(conj(O) dO) cancels.
+    With psi'/psi = g = -2 alpha u + i mean_p, psi''/psi = g^2 - 2 alpha,
+    as ``nonlinear``'s d log psi is -i p^2.  It is d log psi / d lambda up
+    to the rate of the global phase ``rotate_gaussian`` drops, an
+    imaginary constant whose share of 2 Re(conj(O) dO) cancels.
     """
-    mean_x, mean_p, vx_l, cxp_l, alpha = _rotated_moments(vx, x0, p0, lam)
-    d_vx = 2.0 * cxp_l
-    d_cxp = math.cos(2.0 * lam) * (1.0 / (4.0 * vx) - vx)
-    d_alpha = -d_vx / (4.0 * vx_l**2) - 1j * (d_cxp * vx_l - cxp_l * d_vx) / (2.0 * vx_l**2)
-    u = x_axis - mean_x
-    return -d_vx / (4.0 * vx_l) - d_alpha * u**2 + (2.0 * alpha * mean_p - 1j * mean_x) * u - 1j * mean_p**2
+    mean_x, mean_p, _, alpha = _rotated_moments(vx, x0, p0, lam)
+    g = -2.0 * alpha * (x_axis - mean_x) + 1j * mean_p
+    return -0.5j * (x_axis**2 - g * g + 2.0 * alpha)
 
 
 def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
@@ -505,8 +473,8 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     The rotation is applied exactly on the Gaussian's means and covariance,
     in momentum like ``nonlinear``; outcome grids are sized to cover the
     whole rotation circle, so the family is valid for any angle.  The
-    state grid covers the same circle, on ``state_points`` of its span
-    and the m axis's.
+    state grid covers the same circle, on the ``state_grid`` dual to the
+    m axis.
     """
     vp_s = 1.0 / (4.0 * sc.vx_s)
     vp_m = 1.0 / (4.0 * sc.vx_m)
@@ -517,10 +485,10 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     sig_max = math.sqrt(max(sc.vx_s, vp_s))
     half_state = SPAN_SIGMAS * sig_max + radius
     m_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + sc.vx_m) + radius
-    grid = GeneratorGrid(-half_state, half_state, state_points(2.0 * half_state, 2.0 * m_half))
     k_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + vp_m) + radius
     m_grid = GeneratorGrid(-m_half, m_half, sc.m_points)
     k_grid = GeneratorGrid(-k_half, k_half, sc.k_points)
+    grid = state_grid(0.0, half_state, m_grid)
     # the Fourier transform is the quarter turn (x, p) -> (p, -x), which
     # commutes with rotations: psi_lam(p) is the position wavefunction of
     # the state with variances swapped and means (p0, -x0), rotated by lam

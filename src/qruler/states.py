@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistribution, GridTooNarrow, InvalidGrid, NonPositiveSigma, XiOutOfDisc
-from .grids import SPAN_SIGMAS, GeneratorGrid, integer_grid
+from .grids import MAX_LATTICE_POINTS, SPAN_SIGMAS, GeneratorGrid, integer_grid
 
 SG_TAIL_TOLERANCE = 1e-12
 SG_MIN_NMAX = 64  # grid resolution floor of the sg phase axis
@@ -117,13 +117,17 @@ def make_sg_probe(spec: SGProbeSpec) -> PureProbe:
     Amplitudes are used as stated, c_n = sqrt(1-|xi|^2) xi^n, not
     renormalized: the truncation rule keeps the missing tail mass below
     1e-12, well inside the unit-norm invariant.  An explicit ``n_max``
-    below the grid floor of 64 is refused, never raised to it.
+    below the grid floor of 64 is refused, never raised to it, and a
+    derived or explicit lattice above MAX_LATTICE_POINTS states raises
+    ``GridTooNarrow`` before anything is allocated.
     """
     n_max = spec.n_max
     if n_max is None:
         n_max = max(sg_n_max(spec.xi), SG_MIN_NMAX)
     elif n_max < SG_MIN_NMAX:
         raise InvalidGrid(f"n_max={n_max} is below the grid floor {SG_MIN_NMAX}")
+    if not n_max < MAX_LATTICE_POINTS:
+        raise GridTooNarrow(f"{n_max + 1} number states, above MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
     tail = abs(spec.xi) ** (2 * (n_max + 1))
     if tail >= SG_TAIL_TOLERANCE:
         raise XiOutOfDisc(

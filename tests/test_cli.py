@@ -103,6 +103,14 @@ class TestWkProbeSpec:
             "--out", str(tmp_path / "x"),
         ]) == 3
 
+    @pytest.mark.parametrize("args", (["fisher", "--scenario", "sg", "--xi", "0.99999999"],
+                                      ["wk", "--probe", "sg:xi=0.5,nmax=1e9", "--ruler", "ideal"]),
+                             ids=("fisher-xi", "wk-nmax"))
+    def test_sg_lattice_above_the_ceiling_exits_3(self, args, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np, "arange", lambda *a, **kw: pytest.fail("the lattice was allocated"))
+        assert run_cli([*args, "--out", str(tmp_path / "x")]) == 3
+        assert "above MAX_LATTICE_POINTS" in capsys.readouterr().err
+
     def test_sg_nmax_below_the_floor_is_domain_error(self, tmp_path):
         out = tmp_path / "x"
         assert run_cli([
@@ -315,7 +323,7 @@ class TestFisherCommand:
         assert run_cli([
             "fisher", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", "--out", str(out),
         ]) == 3
-        assert "exact Fisher 1.99999" in capsys.readouterr().err
+        assert "Fisher 1.99999" in capsys.readouterr().err
         assert not (out / "fisher.json").exists()
 
     @pytest.mark.parametrize("args", [

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qruler.coherence import OutcomeDistribution
-from qruler.errors import GridMismatch, NonPositiveSigma, QuantumBoundExceeded, StepTooLarge
+from qruler.errors import DegenerateDistribution, GridMismatch, NonPositiveSigma, QuantumBoundExceeded, StepTooLarge
 from qruler.fisher import (
+    FISHER_FLOOR,
+    QFI_SLACK,
     FisherReport,
     closed_form_fn,
     closed_form_fp2,
@@ -245,5 +247,23 @@ class TestFisherReport:
         assert math.isinf(rep.crb)
 
     def test_quantum_bound_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(QuantumBoundExceeded, match="exceeds quantum bound 4.0"):
             FisherReport(fisher=5.0, qfi=4.0)
+
+    def test_bound_headroom_is_relative_plus_the_floor(self):
+        FisherReport(4.0 * (1.0 + QFI_SLACK), qfi=4.0)
+        FisherReport(FISHER_FLOOR, qfi=0.0)  # roundoff F at a zero bound
+        cases = ((4.0 * (1.0 + 2.0 * QFI_SLACK), 4.0), (2.0 * FISHER_FLOOR, 0.0), (math.nan, 1.0), (1.0, math.nan))
+        for fisher, qfi in cases:
+            with pytest.raises(QuantumBoundExceeded):
+                FisherReport(fisher, qfi)
+
+    @pytest.mark.parametrize("fisher", (-1e-30, -1.0, math.nan))
+    def test_negative_or_nan_fisher_is_domain_error(self, fisher):
+        with pytest.raises(DegenerateDistribution):
+            FisherReport(fisher)
+
+    def test_richardson_above_the_bound_is_the_same_error(self):
+        mu = GeneratorGrid(-10.0, 10.0, 4001)
+        with pytest.raises(QuantumBoundExceeded, match="exceeds quantum bound"):
+            fisher_from_family(gaussian_location_family(0.8, mu), 0.0, 1e-3, qfi=1.0)

@@ -17,7 +17,7 @@ from qruler.coherence import (
     wk_product,
 )
 from qruler.errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
-from qruler.fisher import DENSITY_FLOOR, closed_form_fp2, fisher_from_family, qfi_pure
+from qruler.fisher import DENSITY_FLOOR, FISHER_FLOOR, closed_form_fp2, fisher_from_family, qfi_pure
 from qruler.grids import MIN_POINTS, GeneratorGrid, grid_for_gaussian
 from qruler.ruler import make_gaussian_ruler, make_ideal_ruler
 from qruler.scenarios import (
@@ -39,7 +39,7 @@ from qruler.scenarios import (
     sg_closed_form_density,
     sg_fisher_variance,
     sg_wk_variance,
-    state_points,
+    state_grid,
 )
 from qruler.states import GaussianProbeSpec, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
@@ -66,26 +66,16 @@ def rotate_by_propagator(
     return (kernel @ psi0) * grid.spacing
 
 
-def window_fourier_overlap(values, axis, spacing, window_sigma, centers, freqs,
-                           complex_product=False):
-    """Oracle: the joint overlap with its window and phases rebuilt per call.
+def window_fourier_overlap(values, axis, spacing, window_sigma, centers, freqs):
+    """Oracle: the joint overlap as a direct sum, its window and phases rebuilt per call.
 
     O[c, f] = N_w * sum_x e^{-(x - center_c)^2/(4 sw^2)} values(x) e^{i x freq_f} dx
-    with N_w = (window_sigma * sqrt(2*pi))^{-1/2}.  By default built and
-    grouped as the readout builds and groups it: phases written by
-    ``_write_phases`` from the two small tables of ``_fourier_phases``,
-    the real window times values*phases, one
-    real GEMM on interleaved real and imaginary columns.
-    ``complex_product`` takes the complex product (window*values) @ e^{i x freq},
-    with the phases from one complex exp, instead.
+    with N_w = (window_sigma * sqrt(2*pi))^{-1/2}: the complex product
+    (window*values) @ e^{i x freq}, its phases from one complex exp on
+    any grid, so no FFT, fold or dual spacing enters it.
     """
     window = np.exp(-((axis[None, :] - centers[:, None]) ** 2) / (4.0 * window_sigma**2))
-    if complex_product:
-        overlap = (window * values[None, :]) @ np.exp(1j * np.outer(axis, freqs))
-    else:
-        phases = scenarios._write_phases(scenarios._fourier_phases(axis, freqs),
-                                         np.empty((len(axis), len(freqs)), dtype=complex))
-        overlap = (window @ (values[:, None] * phases).view(np.float64)).view(complex)
+    overlap = (window * values[None, :]) @ np.exp(1j * np.outer(axis, freqs))
     overlap *= spacing / math.sqrt(window_sigma * math.sqrt(2.0 * math.pi))
     return overlap
 
@@ -100,39 +90,42 @@ def axis_span(grid):
     return grid.g_max - grid.g_min
 
 
-def nonlinear_oracle(sc, lam, m_grid, k_grid, complex_product=False, denser=1):
-    """Momentum-space projection of e^{-i lam p^2} psi0: windows centered at -k.
+def finer(grid, denser):
+    """``grid``'s span on ``denser`` times as many steps."""
+    return GeneratorGrid(grid.g_min, grid.g_max, denser * (grid.n_points - 1) + 1)
 
-    The state grid is the run's, 8 sigmas of the probe's momentum on
-    ``state_points`` samples, or ``denser`` times as finely spaced.
-    """
-    sigma = math.sqrt(1.0 / (4.0 * sc.vx_s))
-    n = state_points(16.0 * sigma, axis_span(m_grid))
-    probe = gaussian_probe(sc.p0, sigma, denser * (n - 1) + 1, -sc.x0)
-    grid = probe.grid
+
+def state_half(sc):
+    """The half-span a joint run's state grid covers: 8 sigmas of the probe's momentum
+    (``nonlinear``), and for ``phase-cs`` of its larger quadrature plus the rotation circle."""
+    if isinstance(sc, NonlinearScenario):
+        return 8.0 * math.sqrt(1.0 / (4.0 * sc.vx_s))
+    return 8.0 * math.sqrt(max(sc.vx_s, 1.0 / (4.0 * sc.vx_s))) + math.hypot(sc.x0, sc.p0)
+
+
+def joint_grid(sc, m_grid, denser=1):
+    """A joint run's state grid, about p0 (``nonlinear``) or 0 (``phase-cs``), or ``denser`` times as fine."""
+    center = sc.p0 if isinstance(sc, NonlinearScenario) else 0.0
+    return finer(state_grid(center, state_half(sc), m_grid), denser)
+
+
+def nonlinear_oracle(sc, lam, m_grid, k_grid, denser=1):
+    """Momentum-space projection of e^{-i lam p^2} psi0: windows centered at -k."""
+    grid = joint_grid(sc, m_grid, denser)
+    probe = make_gaussian_probe(GaussianProbeSpec(sc.p0, math.sqrt(1.0 / (4.0 * sc.vx_s)), -sc.x0), grid)
     psi = probe.amplitudes * np.exp(-1j * lam * grid.points**2)
     overlap = window_fourier_overlap(
-        psi, grid.points, grid.spacing, 1.0 / (2.0 * math.sqrt(sc.vx_m)), -k_grid.points, m_grid.points,
-        complex_product,
+        psi, grid.points, grid.spacing, 1.0 / (2.0 * math.sqrt(sc.vx_m)), -k_grid.points, m_grid.points
     )
     return _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
 
 
-def coherent_squeezed_grid(sc, m_grid, denser=1):
-    """The symmetric state grid run_phase_coherent_squeezed samples on, or ``denser`` times as fine."""
-    sig_max = math.sqrt(max(sc.vx_s, 1.0 / (4.0 * sc.vx_s)))
-    half = 8.0 * sig_max + math.hypot(sc.x0, sc.p0)
-    n = state_points(2.0 * half, axis_span(m_grid))
-    return GeneratorGrid(-half, half, denser * (n - 1) + 1)
-
-
-def coherent_squeezed_oracle(sc, lam, m_grid, k_grid, complex_product=False, denser=1):
+def coherent_squeezed_oracle(sc, lam, m_grid, k_grid, denser=1):
     """Momentum-space projection of the rotated Gaussian: windows centered at -k."""
-    grid = coherent_squeezed_grid(sc, m_grid, denser)
+    grid = joint_grid(sc, m_grid, denser)
     psi = rotate_gaussian(1.0 / (4.0 * sc.vx_s), sc.p0, -sc.x0, lam, grid.points)
     overlap = window_fourier_overlap(
-        psi, grid.points, grid.spacing, 1.0 / (2.0 * math.sqrt(sc.vx_m)), -k_grid.points, m_grid.points,
-        complex_product,
+        psi, grid.points, grid.spacing, 1.0 / (2.0 * math.sqrt(sc.vx_m)), -k_grid.points, m_grid.points
     )
     return _finalize_density(m_grid, np.abs(overlap.T) ** 2 / (2.0 * np.pi), k_grid=k_grid)
 
@@ -144,7 +137,7 @@ def coherent_squeezed_position_oracle(sc, lam, m_grid, k_grid):
     wavefunction is rotate_gaussian's own, read out by a window of width
     sqrt(vx_m) centered at m with phase e^{ixk}.
     """
-    grid = coherent_squeezed_grid(sc, m_grid)
+    grid = joint_grid(sc, m_grid)
     psi = rotate_gaussian(sc.vx_s, sc.x0, sc.p0, lam, grid.points)
     overlap = window_fourier_overlap(
         psi, grid.points, grid.spacing, math.sqrt(sc.vx_m), m_grid.points, k_grid.points
@@ -216,9 +209,8 @@ def test_sg_fisher_evaluation_holds_few_densities():
                          ids=("nonlinear", "phase-cs"))
 def test_joint_build_and_fisher_keep_no_phase_table(spec, monkeypatch):
     # a build and a Richardson F at 256 x 256 outcomes, on specs whose state grids
-    # are large (n = 2041 and 1397), where an [n, m] complex phase table of n*m*16 B
-    # shows: measured 16.8 and 12.5 MB, about 3.4 MB and 1.6 tables; 24.1 and
-    # 17.5 MB with the table kept per run
+    # are large (n = 2049 and 1402, folded onto M = 256), where an [n, m] complex
+    # phase table of n*m*16 B would show: measured 8.3 and 6.9 MB, each under one table
     sizes = []
     joint = scenarios._joint_family
     monkeypatch.setattr(scenarios, "_joint_family",
@@ -619,6 +611,13 @@ class TestCoherentSqueezed:
         rep = run.fisher()
         assert rep.fisher == pytest.approx(0.0, abs=1e-8)
 
+    def test_zero_quantum_bound_passes_roundoff(self):
+        # F_Q = 0: the Richardson F is roundoff (measured 9.4e-26), under FISHER_FLOOR
+        run = CoherentSqueezedScenario(0.5, 0.5).run()
+        rep = run.fisher(0.37, step=run.default_step)
+        assert rep.qfi == 0.0
+        assert 0.0 <= rep.fisher <= FISHER_FLOOR
+
     def test_displaced_vacuum(self):
         run = run_phase_coherent_squeezed(
             CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5, x0=math.sqrt(2.0))
@@ -653,16 +652,20 @@ class TestCoherentSqueezed:
         np.testing.assert_allclose(prop * phase, exact, atol=1e-12)
 
     def test_rotation_derivative_against_central_difference(self):
-        # the 4-point central difference at h = 5e-4 leaves <= 7.1e-12 of
-        # max|dpsi|, its h^4 error and roundoff
+        # -i N psi differs from d psi/d lambda of rotate_gaussian, which drops the
+        # global phase, by i c psi with one real rate c; with c fitted, the 4-point
+        # central difference at h = 5e-4 leaves <= 8.0e-12 of max|dpsi|, its h^4
+        # error and roundoff
         x = GeneratorGrid(-12.0, 12.0, 1024).points
         h = 5e-4
         for args in ((0.2, 1.0, 0.5), (1.25, 0.5, -1.0), (0.7, -0.3, 1.2), (0.5, 0.0, 0.0)):
             for lam in (0.0, 0.3, 1.0, 2.5, -0.7):
                 f = lambda d: rotate_gaussian(*args, lam + d, x)  # noqa: E731
                 diff = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
-                exact = f(0.0) * rotate_gaussian_dlog(*args, lam, x)
-                assert np.max(np.abs(diff - exact)) <= 1e-10 * max(np.max(np.abs(exact)), 1.0)
+                psi = f(0.0)
+                exact = psi * rotate_gaussian_dlog(*args, lam, x)
+                c = np.vdot(1j * psi, diff - exact).real / np.vdot(psi, psi).real
+                assert np.max(np.abs(diff - exact - 1j * c * psi)) <= 1e-10 * max(np.max(np.abs(exact)), 1.0)
 
     def test_rotated_gaussian_is_normalized(self):
         x = np.linspace(-20, 20, 4001)
@@ -681,6 +684,16 @@ JOINT_CASES = (
 )
 
 
+# (spec, runner, oracle, last angle) of joint cases whose state grids hold
+# more points than their m axes
+FOLDED_CASES = (
+    (NonlinearScenario(vx_s=0.05, vx_m=4.0, x0=0.3, p0=0.5, m_points=64, k_points=64, lambda_pad=0.3),
+     run_nonlinear, nonlinear_oracle, 0.25),
+    (CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5, x0=10.0, p0=-3.0, m_points=64, k_points=64),
+     run_phase_coherent_squeezed, coherent_squeezed_oracle, 0.7),
+)
+
+
 def joint_members(case):
     """Each family member of a joint case with the spec and oracle that recompute it."""
     sc, runner, oracle, last = case
@@ -689,38 +702,35 @@ def joint_members(case):
         yield sc, oracle, lam, run.family(lam)
 
 
-class TestJointReadout:
-    """The once-built (m, k) readout is bit-identical to the per-call overlap."""
+def assert_matches_oracle(case):
+    """Every member of ``case`` against its direct sum on the same state grid, within 5e-14 of the peak."""
+    for sc, oracle, lam, dist in joint_members(case):
+        ref = oracle(sc, lam, dist.mu_grid, dist.k_grid).density
+        assert np.max(np.abs(dist.density - ref)) <= 5e-14 * np.max(ref)
 
+
+class TestJointReadout:
+    """The once-built (m, k) readout, one FFT per window, against the direct complex-product sum."""
+
+    # one FFT per window in place of the direct sum moves the density by
+    # rounding only: 3.4e-15 of the peak at most
     def test_nonlinear_matches_oracle(self):
-        for sc, oracle, lam, dist in joint_members(JOINT_CASES[0]):
-            ref = oracle(sc, lam, dist.mu_grid, dist.k_grid)
-            assert np.array_equal(dist.density, ref.density)
+        assert_matches_oracle(JOINT_CASES[0])
 
     def test_coherent_squeezed_matches_oracle(self):
-        for sc, oracle, lam, dist in joint_members(JOINT_CASES[1]):
-            ref = oracle(sc, lam, dist.mu_grid, dist.k_grid)
-            assert np.array_equal(dist.density, ref.density)
+        assert_matches_oracle(JOINT_CASES[1])
 
-    @pytest.mark.parametrize("case", JOINT_CASES, ids=("nonlinear", "phase-cs"))
-    def test_real_gemm_matches_complex_product(self, case):
-        # regrouping (window*psi) @ e^{i x f} as window @ (psi*phases) moves the
-        # density by rounding only: 4.5e-15 of the peak at most, gated 10x above
-        for sc, oracle, lam, dist in joint_members(case):
-            ref = oracle(sc, lam, dist.mu_grid, dist.k_grid, complex_product=True).density
-            assert np.max(np.abs(dist.density - ref)) <= 5e-14 * np.max(ref)
-
-    @pytest.mark.parametrize("m", (64, 100, 256))
-    def test_phase_tables_match_the_complex_exp(self, m):
-        # two 16-column tables in place of one [x, m] exp, on whole and partial blocks
-        axis = GeneratorGrid(-9.5, 9.5, 1024).points
-        freqs = GeneratorGrid(-6.2, 6.7, m).points
-        phases = scenarios._write_phases(scenarios._fourier_phases(axis, freqs), np.empty((1024, m), dtype=complex))
-        assert np.max(np.abs(phases - np.exp(1j * np.outer(axis, freqs)))) <= 3e-13  # measured 2.3e-14
+    @pytest.mark.parametrize("case", FOLDED_CASES, ids=("nonlinear", "phase-cs"))
+    def test_folded_readout_matches_oracle(self, case):
+        # more state samples than m points: the window rows fold modulo M before
+        # the FFT (n = 229 and 193 at M = 64; measured 2.0e-15 and 4.2e-15 of the peak)
+        sc, runner, *_ = case
+        assert joint_grid(sc, runner(sc).family(0.0).mu_grid).n_points > sc.m_points
+        assert_matches_oracle(case)
 
     @pytest.mark.parametrize(("sc", "gate"), (
-        (JOINT_CASES[1][0], 7e-13),  # measured 6.4e-14 of the peak
-        (CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5), 8e-10),  # measured 7.5e-11
+        (JOINT_CASES[1][0], 7e-13),  # measured 1.5e-14 of the peak
+        (CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5), 8e-10),  # measured 2.5e-14
     ), ids=("displaced", "vacuum"))
     def test_momentum_readout_matches_position_readout(self, sc, gate):
         # the momentum readout against a position-space window on
@@ -761,17 +771,18 @@ def normal(x, mean, var):
     return np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
-# a nonlinear case whose state grid the sampling rule sets above MIN_POINTS (101
+# a nonlinear case whose state grid the sampling rule sets above MIN_POINTS (102
 # points): a wide ruler widens the m axis while the probe's momentum span stays
 WIDE_RULER_CASE = (NonlinearScenario(vx_s=0.2, vx_m=4.0, x0=0.3, p0=0.5, lambda_pad=0.3),
                    run_nonlinear, nonlinear_oracle, 0.25)
 
 
 class TestStateSampling:
-    """Each joint run samples its state on the fewest points whose readout does not alias in m."""
+    """Each joint run samples its state on the grid dual to its m axis, on the fewest points that span the state."""
 
     def test_state_grid_is_the_fewest_that_span_the_m_axis(self, monkeypatch):
-        # 2*pi/dp >= the m span, and one point fewer falls short unless n is the floor
+        # dp*dm = 2*pi/M, so 2*pi/dp = M*dm exceeds the m span; the grid spans the
+        # state's 8 sigmas, and one point fewer falls short unless n is the floor
         seen = []
         real = scenarios._joint_family
 
@@ -780,34 +791,44 @@ class TestStateSampling:
             return real(grid, vx_m, m_grid, *rest)
 
         monkeypatch.setattr(scenarios, "_joint_family", spy)
-        # the rule sets n above the floor for these (measured 95, 103 and 101 points)
+        # the rule sets n above the floor for these (measured 95, 104 and 102 points)
         binding = (NonlinearScenario(0.2, 4.0), NonlinearScenario(0.25, 0.25, p0=1.5, lambda_pad=1.0),
                    WIDE_RULER_CASE[0])
         specs = [*binding, *(case[0] for case in JOINT_CASES), *criterion_4_draws(2401, 16)]
         for sc in specs:
             sc.run()
         assert len(seen) == len(specs)
-        for i, (grid, m_grid) in enumerate(seen):
-            n, span, m_span = grid.n_points, axis_span(grid), axis_span(m_grid)
-            assert 2.0 * math.pi * (n - 1) / span >= m_span * (1.0 - 1e-12)
-            assert n == MIN_POINTS or 2.0 * math.pi * (n - 2) / span < m_span
+        for i, (sc, (grid, m_grid)) in enumerate(zip(specs, seen)):
+            n, dp, half = grid.n_points, grid.spacing, state_half(sc)
+            assert dp * m_grid.spacing * m_grid.n_points == pytest.approx(2.0 * math.pi, rel=1e-12)
+            assert 2.0 * math.pi / dp > axis_span(m_grid)
+            assert grid == joint_grid(sc, m_grid)
+            assert axis_span(grid) >= 2.0 * half * (1.0 - 1e-12)
+            assert n == MIN_POINTS or (n - 2) * dp < 2.0 * half
             assert n > MIN_POINTS if i < len(binding) else n <= 100  # the draws: measured 64 to 80
 
-    @pytest.mark.parametrize("spans", ((math.inf, 1.0), (1.0, math.nan), (1e200, 1e200), (1e3, 26.0)))
+    @pytest.mark.parametrize("spans", ((math.inf, 1.0), (math.nan, 1.0), (1e200, 1.0), (500.0, 26.0)))
     def test_a_count_out_of_range_is_too_narrow(self, spans):
+        # (state half-span, m span) at M = 256: non-finite, overflowing, and 4,156 points
+        half, m_span = spans
         with pytest.raises(GridTooNarrow, match="MAX_STATE_POINTS"):
-            state_points(*spans)
+            state_grid(0.0, half, GeneratorGrid(-0.5 * m_span, 0.5 * m_span, 256))
 
     def test_the_count_is_the_ceiling_of_the_sampling_condition(self):
-        assert state_points(1.0, 1.0) == MIN_POINTS
-        assert state_points(2.0 * math.pi, 100.5) == 102
-        assert state_points(2.0 * math.pi, MAX_STATE_POINTS - 1.0) == MAX_STATE_POINTS
+        # n = max(MIN_POINTS, ceil(2*half/dp) + 1), centred, at dp = 2*pi/(M*dm) = 0.5 here
+        m_grid = GeneratorGrid(-127.5 * math.pi / 64.0, 127.5 * math.pi / 64.0, 256)
+        for half, n in ((1.0, MIN_POINTS), (50.1, 202), (1023.74, MAX_STATE_POINTS)):
+            grid = state_grid(3.0, half, m_grid)
+            assert grid.n_points == n
+            assert grid.spacing == pytest.approx(0.5, rel=1e-12)
+            assert 0.5 * (grid.g_min + grid.g_max) == pytest.approx(3.0, rel=1e-12)
+        with pytest.raises(GridTooNarrow, match="MAX_STATE_POINTS"):
+            state_grid(3.0, 1023.76, m_grid)
 
     @pytest.mark.parametrize("case", (*JOINT_CASES, WIDE_RULER_CASE), ids=("nonlinear", "phase-cs", "wide-ruler"))
     def test_four_times_denser_state_grid_agrees(self, case):
-        # measured F 7.6e-13 relative and densities 4.9e-12 of the peak (nonlinear),
-        # 6.8e-14 and 2.8e-14 (phase-cs), 4.3e-14 and 6.3e-15 (wide-ruler);
-        # gated 10x above the largest
+        # measured F 2.3e-14 relative and densities 2.0e-15 of the peak (nonlinear),
+        # 4.4e-14 and 1.6e-14 (phase-cs), 4.4e-14 and 8.7e-15 (wide-ruler)
         sc, runner, oracle, last = case
         run = runner(sc)
         axes = run.family(0.0)
@@ -823,8 +844,8 @@ class TestStateSampling:
     @pytest.mark.parametrize(("kind", "gate"), (("nonlinear", 2e-8), ("phase-cs", 4e-10)))
     def test_density_at_zero_is_the_blurred_normal(self, kind, gate):
         # p(m, k) = N(m; x0, vx_s + vx_m) N(-k; p0, vp_s + vp_m), k reading -p; the
-        # 8-sigma state truncation sets the gap: measured 1.9e-9 (nonlinear) and
-        # 3.6e-11 (phase-cs) of the peak
+        # state grids span 8 sigmas or more (at the MIN_POINTS floor, 1.2 to 2.8
+        # times that): measured 1.8e-14 (nonlinear) and 2.0e-14 (phase-cs) of the peak
         for vx_s, vx_m, x0, p0 in ((0.3, 0.5, 0.2, 0.6), (0.25, 0.25, 0.0, 0.0), (1.0, 0.2, -1.0, 1.5),
                                    (0.2, 1.0, 0.7, -1.2), (0.5, 0.4, 0.3, 0.2)):
             dist = SCENARIOS[kind](vx_s, vx_m, x0, p0).run().family(0.0)
@@ -855,7 +876,7 @@ class TestStateSampling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2e4  # measured 2.0 KB: no state grid, probe or readout
+        assert peak <= 2e4  # measured 2.5 KB: no state grid, probe or readout
 
     def test_too_wide_an_m_axis_exits_3(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(scenarios, "_joint_family", lambda *args: pytest.fail("the readout was built"))

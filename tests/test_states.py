@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qruler.errors import GridTooNarrow, InvalidGrid, NonPositiveSigma, XiOutOfDisc
-from qruler.grids import GeneratorGrid, grid_for_gaussian
+from qruler.grids import MAX_LATTICE_POINTS, GeneratorGrid, grid_for_gaussian
 from qruler.states import (
     SG_MIN_NMAX,
     GaussianProbeSpec,
@@ -91,6 +91,19 @@ class TestSGProbe:
         assert make_sg_probe(SGProbeSpec(xi=0.5, n_max=SG_MIN_NMAX)).grid.n_points == 65
         # the automatic truncation (20 at xi=0.5) keeps its floor
         assert make_sg_probe(SGProbeSpec(xi=0.5)).grid.n_points == 65
+
+    @pytest.mark.parametrize("spec", (SGProbeSpec(xi=0.99999999), SGProbeSpec(xi=0.5, n_max=10**9)),
+                             ids=("derived", "explicit"))
+    def test_lattice_above_the_ceiling_is_refused_before_allocating(self, spec, monkeypatch):
+        # sg_n_max(0.99999999) is 1.38e9 number states, about 22 GB of amplitudes
+        monkeypatch.setattr(np, "arange", lambda *args, **kw: pytest.fail("the lattice was allocated"))
+        with pytest.raises(GridTooNarrow, match="MAX_LATTICE_POINTS"):
+            make_sg_probe(spec)
+
+    def test_the_largest_lattice_is_allowed(self):
+        assert make_sg_probe(SGProbeSpec(xi=0.5, n_max=MAX_LATTICE_POINTS - 1)).grid.n_points == MAX_LATTICE_POINTS
+        with pytest.raises(GridTooNarrow):
+            make_sg_probe(SGProbeSpec(xi=0.5, n_max=MAX_LATTICE_POINTS))
 
     def test_xi_out_of_disc(self):
         with pytest.raises(XiOutOfDisc):
