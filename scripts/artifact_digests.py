@@ -64,7 +64,8 @@ LAMBDAS = {"linear": "0,0.5", "phase": "0,0.05", "sg": "0,1", "nonlinear": "0,0.
            "phase-cs": "0,0.3"}
 # flags no README example passes: user-built grids, an explicit step
 # (which for nonlinear widens lambda_pad), a nonlinear run whose default
-# step needs more than lambda_pad, the deep sg probe (13,810 number
+# step would need more than lambda_pad (its exact F reads axes sized for
+# lambda_pad alone), the deep sg probe (13,810 number
 # states) and a narrow seed
 FLAG_EXAMPLES = {
     "grid-wk": "wk --probe gaussian:sigma=1 --ruler ideal --grid gmin=-10,gmax=10,n=300",

@@ -46,7 +46,7 @@ from .coherence import (
 from .errors import ConfigError, DegenerateDistribution, DomainError
 from .grids import GeneratorGrid, grid_for_gaussian
 from .output import write_csv, write_json, write_manifest
-from .ruler import make_gaussian_ruler, make_ideal_ruler, validate_ruler
+from .ruler import make_gaussian_ruler, validate_ruler
 from .scenarios import SCENARIOS
 from .states import GaussianProbeSpec, PureProbe, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
@@ -139,9 +139,7 @@ def _build_probe(kind: str, params: dict, grid_spec: str | None) -> PureProbe:
 
 
 def _build_ruler(kind: str, params: dict, grid: GeneratorGrid):
-    if kind == "ideal":
-        return make_ideal_ruler(grid)
-    return make_gaussian_ruler(params.get("dphi", 0.5), grid)
+    return make_gaussian_ruler(params.get("dphi", 0.5 if kind == "gaussian" else 0.0), grid)
 
 
 # ---------------------------------------------------------------------------

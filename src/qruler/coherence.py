@@ -45,7 +45,7 @@ from .states import PureProbe
 GAMMA0_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
 IMAG_TOL = 1e-10
-NEGATIVE_CLIP = 1e-12
+NEGATIVE_CLIP = 1e-12  # of the density's peak, which grows as 1/sigma
 NORM_HARD_TOL = 1e-6
 
 
@@ -171,7 +171,7 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
 
 
 def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None, scaled=()) -> OutcomeDistribution:
-    """Apply realness, nonnegativity and normalization gates to a density; a NaN fails each.
+    """Apply realness, nonnegativity (min p >= -NEGATIVE_CLIP * max p) and normalization gates; a NaN fails each.
 
     A float64 ``raw`` becomes the density itself: it is clipped,
     normalized and made read-only in place, so callers pass a fresh
@@ -184,10 +184,9 @@ def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None, scaled=()
         if not max_imag <= IMAG_TOL * max(1.0, float(np.max(np.abs(raw.real)))):
             raise NormalizationFailure(f"density not real: max |Im p| = {max_imag:.3e}")
     dens = raw if raw.dtype == np.float64 else np.array(raw.real, dtype=float)
-    if not float(np.min(dens)) >= -NEGATIVE_CLIP:
-        raise NormalizationFailure(
-            f"density negative beyond tolerance: min p = {np.min(dens):.3e}"
-        )
+    low, peak = float(np.min(dens)), float(np.max(dens))
+    if not low >= -NEGATIVE_CLIP * peak:
+        raise NormalizationFailure(f"density negative beyond tolerance: min p = {low:.3e} at peak {peak:.3e}")
     np.clip(dens, 0.0, None, out=dens)
     dist = OutcomeDistribution(mu_grid=mu, density=dens, k_grid=k_grid)
     norm = dist.total_mass()

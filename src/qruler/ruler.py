@@ -73,9 +73,9 @@ class ValidationReport:
 
 
 def make_gaussian_ruler(delta_phi_m: float, grid: GeneratorGrid) -> RulerSeed:
-    """Gaussian seed with symbol K(tau) = exp(-dphi^2 tau^2 / 2) / (2*pi)."""
-    if not delta_phi_m > 0:
-        raise NonPositiveSigma(f"delta_phi_m must be > 0, got {delta_phi_m}")
+    """Gaussian seed with symbol K(tau) = exp(-dphi^2 tau^2 / 2) / (2*pi); width 0 is the ideal ruler."""
+    if not delta_phi_m >= 0:
+        raise NonPositiveSigma(f"delta_phi_m must be >= 0, got {delta_phi_m}")
     try:
         rate = -0.5 * delta_phi_m**2
     except OverflowError:
@@ -87,9 +87,7 @@ def make_gaussian_ruler(delta_phi_m: float, grid: GeneratorGrid) -> RulerSeed:
 
 def make_ideal_ruler(grid: GeneratorGrid) -> RulerSeed:
     """Projection-valued limit: flat symbol 1/(2*pi), no measurement blur."""
-    symbol = np.full(grid.n_points, FLAT_DIAGONAL, dtype=complex)
-    symbol.flags.writeable = False
-    return RulerSeed(grid, symbol)
+    return make_gaussian_ruler(0.0, grid)
 
 
 def _section_extremes(t: np.ndarray) -> tuple[float, float]:

@@ -5,7 +5,7 @@ Three families:
 * linear shifts of a Gaussian probe read out by a Gaussian ruler (1-D),
 * phase shifts on the integer number lattice, periodic on (-pi, pi), of a
   Gaussian read out by a Gaussian ruler or of a truncated geometric-series
-  (non-Gaussian) probe under an ideal phase measurement,
+  (non-Gaussian) probe under an ideal phase measurement (ruler width 0),
 * joint (m, k) momentum readout by squeezed-coherent projections, driven
   either by the quadratic generator p^2 or by a phase-space rotation.
 
@@ -14,7 +14,8 @@ Each ``run_*`` takes a frozen spec dataclass and returns a
 distribution on a fixed grid, whose ``derivative`` adds the exact
 dp/dlambda there, and whose ``fisher`` method is the one route from a
 run to its Fisher information: exact by default, by finite differences
-of ``family`` at a given step; a spec's ``run()`` calls its
+of ``family`` at a given step (``default_step`` derives one from the
+closed-form CRB); a spec's ``run()`` calls its
 module-level ``run_*`` by name.  The ruler's POVM does not depend on
 the signal, so each run builds its measurement once and the signal acts
 on the state only: the 1-D runs build the coherence function Gamma
@@ -24,8 +25,8 @@ lambda-derivative, on the state grid dual to the m axis
 (``state_grid``), where a readout is one FFT per window.  ``SCENARIOS``
 maps the five runnable kinds to their spec classes.  A spec's positional
 fields are its physical parameters, from which the command line derives
-its flags, required values and reported parameters; its grid sizes (and
-``lambda_pad``) are keyword-only and are not flags.  Acceptance builds
+its flags, required values and reported parameters; the joint specs'
+axis sizes and ``lambda_pad`` are keyword-only and are not flags.  Acceptance builds
 its runs through the same table.  ``phase_distribution_ws`` takes the
 phase density of a blurred squeezed vacuum through sg's periodic
 transform, from a Poisson-kernel Gamma on even integer lags.
@@ -43,6 +44,7 @@ import scipy.fft
 from .coherence import (
     CoherenceFunction,
     OutcomeDistribution,
+    _dual_axis,
     _finalize_density,
     coherence_function,
     statistics_from_coherence,
@@ -59,25 +61,30 @@ from .fisher import (
     fisher_from_family,
 )
 from .grids import MAX_LATTICE_POINTS, MIN_POINTS, SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
-from .ruler import make_gaussian_ruler, make_ideal_ruler
+from .ruler import make_gaussian_ruler
 from .states import GaussianProbeSpec, PureProbe, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioRun:
-    """A prepared scenario: outcome statistics as a function of the signal."""
+    """A prepared scenario: outcome statistics as a function of the signal, and its closed form at lambda = 0."""
 
     scenario: str
     family: Callable[[float], OutcomeDistribution]
     derivative: Callable[[float], tuple[OutcomeDistribution, np.ndarray]]  # (p, exact dp/dlambda)
     closed_form: FisherReport
-    default_step: float
     gamma: CoherenceFunction | None = None
 
     @property
     def qfi(self) -> float | None:
         """The probe's quantum Fisher information, from the closed form."""
         return self.closed_form.qfi
+
+    @property
+    def default_step(self) -> float:
+        """A Richardson step for ``fisher``: 1e-3 of the closed-form CRB's root, 1e-4 without a finite CRB."""
+        crb = self.closed_form.crb
+        return 1e-3 * math.sqrt(crb) if 0 < crb < math.inf else 1e-4
 
     def fisher(self, lambda0: float = 0.0, step: float | None = None) -> FisherReport:
         """Numerical Fisher information at ``lambda0``: exact from ``derivative``,
@@ -87,26 +94,17 @@ class ScenarioRun:
         return fisher_from_family(self.family, lambda0, step, qfi=self.qfi)
 
 
-def _default_step(crb: float | None) -> float:
-    if crb is None or not math.isfinite(crb) or crb <= 0:
-        return 1e-4
-    return 1e-3 * math.sqrt(crb)
-
-
 # ---------------------------------------------------------------------------
 # 1-D scenarios backed by the coherence-function transform
 # ---------------------------------------------------------------------------
 
 
-def _shift_run(
-    scenario: str, probe: PureProbe, width_m: float, closed: FisherReport, step: float
-) -> ScenarioRun:
-    """A 1-D run: ``probe`` read out by a Gaussian ruler of width ``width_m`` (ideal at 0),
+def _shift_run(scenario: str, probe: PureProbe, width_m: float, closed: FisherReport) -> ScenarioRun:
+    """A 1-D run: ``probe`` read out by a Gaussian ruler of width ``width_m`` (the ideal ruler at 0),
     whose Gamma, stored by its lags tau >= 0, is built once and a signal value only
     shifts; the outcome grid is the dual of the M' = 2*len(values) - 1 symmetric lags
     those stand for, and dp/dlambda is the transform of i*tau*Gamma_lambda on the same lags."""
-    ruler = make_gaussian_ruler(width_m, probe.grid) if width_m > 0 else make_ideal_ruler(probe.grid)
-    gamma = coherence_function(probe, ruler)
+    gamma = coherence_function(probe, make_gaussian_ruler(width_m, probe.grid))
 
     def family(lam: float) -> OutcomeDistribution:
         return statistics_from_coherence(gamma.shifted(lam))
@@ -114,7 +112,7 @@ def _shift_run(
     def derivative(lam: float) -> tuple[OutcomeDistribution, np.ndarray]:
         return statistics_with_derivative(gamma.shifted(lam))
 
-    return ScenarioRun(scenario, family, derivative, closed, step, gamma=gamma)
+    return ScenarioRun(scenario, family, derivative, closed, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,6 @@ class LinearScenario:
     dx_m: float  # 0 means ideal (projective) position readout
     x0: float = 0.0
     p0: float = 0.0
-    _: KW_ONLY
-    n_points: int = 512
 
     def __post_init__(self):
         if not self.dx_s > 0:
@@ -144,13 +140,16 @@ def run_linear(sc: LinearScenario) -> ScenarioRun:
     Built in the generator (momentum) eigenbasis: the probe has momentum
     width 1/(2*dx_s) and a linear phase encoding the position center, the
     ruler kernel is exp(-dx_m^2 (p-p')^2 / 2)/(2*pi).  A signal value
-    multiplies the coherence function by exp(i*tau*lambda).
+    multiplies the coherence function by exp(i*tau*lambda).  An x0 whose
+    SPAN_SIGMAS-sigma law leaves the outcome axis would wrap: it raises ``GridTooNarrow``.
     """
     # phase slope -x0 puts the outcome distribution's center at +x0
     spec = GaussianProbeSpec(center=sc.p0, sigma=1.0 / (2.0 * sc.dx_s), conjugate_center=-sc.x0)
     closed = closed_form_linear(sc.dx_s, sc.dx_m)
-    probe = make_gaussian_probe(spec, grid_for_gaussian(spec.center, spec.sigma, sc.n_points))
-    return _shift_run("linear", probe, sc.dx_m, closed, _default_step(closed.crb))
+    run = _shift_run("linear", make_gaussian_probe(spec, grid_for_gaussian(spec.center, spec.sigma)), sc.dx_m, closed)
+    if not abs(sc.x0) + SPAN_SIGMAS * math.hypot(sc.dx_s, sc.dx_m) <= (half := _dual_axis(run.gamma).g_max):
+        raise GridTooNarrow(f"x0={sc.x0!r} and {SPAN_SIGMAS:g} sigmas leave the outcome axis +/- {half!r}")
+    return run
 
 
 # smallest pi/sigma_phi for the continuum closed form: the wrapped law's |F*sigma_phi^2 - 1|
@@ -194,7 +193,7 @@ def run_phase_gaussian(sc: PhaseGaussianScenario) -> ScenarioRun:
         raise GridTooNarrow(f"{hi - lo + 1} number states, above MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
     probe = make_gaussian_probe(GaussianProbeSpec(sc.n_mean, sc.dn_s), GeneratorGrid(lo, hi, hi - lo + 1))
     closed = closed_form_phase(0.5 / sc.dn_s, sc.dphi_m)
-    return _shift_run("phase_gaussian", probe, sc.dphi_m, closed, _default_step(closed.crb))
+    return _shift_run("phase_gaussian", probe, sc.dphi_m, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +206,6 @@ class SGScenario:
     """Ideal phase measurement over the geometric-series probe."""
 
     xi: complex
-    _: KW_ONLY
-    n_max: int | None = None
 
     def run(self) -> ScenarioRun:
         return run_phase_sg(self)
@@ -241,15 +238,12 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
     transform is a Fourier series over integer tau, and outcomes are the
     M' phases phi_k = 2*pi*k/M' on (-pi, pi), where
     M' = 2*len(gamma.values) - 1 >= 2*n_max + 1 is the transform length
-    of ``coherence_function``.
+    of ``coherence_function`` and n_max = ``sg_n_max(xi)``.
     """
-    probe = make_sg_probe(SGProbeSpec(xi=sc.xi, n_max=sc.n_max))
     var = sg_fisher_variance(sc.xi)
     fisher = 0.0 if math.isinf(var) else 1.0 / var
     qfi = 2.0 * fisher  # QFI = 4 Var(N) = 2 F here, 0 for the vacuum
-    closed = FisherReport(fisher, qfi)
-    step = _default_step(min(var, sg_wk_variance(sc.xi)) if math.isfinite(var) else None)
-    return _shift_run("phase_sg", probe, 0.0, closed, step)
+    return _shift_run("phase_sg", make_sg_probe(SGProbeSpec(xi=sc.xi)), 0.0, FisherReport(fisher, qfi))
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +380,19 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     """Evolve psi_lambda(p) = e^{-i lambda p^2} psi0(p), project on (m, k).
 
     The evolution is exact (diagonal in momentum); outcome grids cover
-    8 effective sigmas of the lambda-evolved state in each axis.  The
-    state grid spans 8 sigmas of the probe's momentum about p0, on the
+    8 effective sigmas of the lambda-evolved state in each axis for
+    |lambda| <= ``lambda_pad``, and a member outside that range (a
+    Richardson stencil's included) raises ``GridTooNarrow``.  The state
+    grid spans 8 sigmas of the probe's momentum about p0, on the
     ``state_grid`` dual to the m axis.
     """
     closed = closed_form_fp2(sc.vx_s, sc.vx_m, sc.p0)
-    step = _default_step(closed.crb)
-    pad = max(sc.lambda_pad, 2.0 * step)  # the default stencil reaches lambda = +/- 2*step
     vp_s = 1.0 / (4.0 * sc.vx_s)
     sigma_p = math.sqrt(vp_s)
     vp_m = 1.0 / (4.0 * sc.vx_m)
     # free-spreading of the x-width under e^{-i lambda p^2}: vx + 4 lambda^2 vp
-    m_half = SPAN_SIGMAS * math.sqrt(sc.vx_s + 4.0 * pad**2 * vp_s + sc.vx_m)
-    m_half += 2.0 * pad * abs(sc.p0)
+    m_half = SPAN_SIGMAS * math.sqrt(sc.vx_s + 4.0 * sc.lambda_pad**2 * vp_s + sc.vx_m)
+    m_half += 2.0 * sc.lambda_pad * abs(sc.p0)
     k_half = SPAN_SIGMAS * math.sqrt(vp_s + vp_m)
     m_grid = GeneratorGrid(sc.x0 - m_half, sc.x0 + m_half, sc.m_points)
     k_grid = GeneratorGrid(-sc.p0 - k_half, -sc.p0 + k_half, sc.k_points)
@@ -410,12 +404,12 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     d_log = -1j * p_axis**2  # d/dlambda of e^{-i lambda p^2}, over itself
 
     def state(lam: float) -> np.ndarray:
-        if abs(lam) > pad * (1.0 + 1e-9):
-            raise GridTooNarrow(f"|lambda|={abs(lam)} exceeds the sized range {pad}")
+        if abs(lam) > sc.lambda_pad * (1.0 + 1e-9):
+            raise GridTooNarrow(f"|lambda|={abs(lam)} exceeds the sized range {sc.lambda_pad}")
         return probe.amplitudes * np.exp(-1j * lam * p_axis**2)
 
     family, derivative = _joint_family(grid, sc.vx_m, m_grid, k_grid, state, lambda lam: d_log)
-    return ScenarioRun("nonlinear", family, derivative, closed, step)
+    return ScenarioRun("nonlinear", family, derivative, closed)
 
 
 @dataclass(frozen=True)
@@ -498,7 +492,7 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
         lambda lam: rotate_gaussian(*turned, lam, grid.points),
         lambda lam: rotate_gaussian_dlog(*turned, lam, grid.points),
     )
-    return ScenarioRun("phase_coherent_squeezed", family, derivative, closed, _default_step(closed.crb))
+    return ScenarioRun("phase_coherent_squeezed", family, derivative, closed)
 
 
 def gaussian_number_qfi(vx: float, vp: float, x0: float, p0: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import scipy.fft
 
 from qruler import cli, scenarios
 from qruler.acceptance import CriterionResult
+from qruler.errors import GridTooNarrow
 from qruler.fisher import FisherReport
 from qruler.scenarios import SCENARIOS
 
@@ -166,6 +168,14 @@ class TestWkProbeSpec:
         assert np.array_equal(tau, -tau[::-1])
         assert np.array_equal(re, re[::-1]) and np.array_equal(im[:mid], -im[:mid:-1])
 
+    def test_width_zero_is_the_ideal_ruler(self, tmp_path):
+        ideal, zero = tmp_path / "ideal", tmp_path / "zero"
+        assert run_cli(["wk", "--probe", "sg:xi=0.9", "--ruler", "ideal", "--out", str(ideal)]) == 0
+        assert run_cli(["wk", "--probe", "sg:xi=0.9", "--ruler", "gaussian:dphi=0", "--out", str(zero)]) == 0
+        for name in ("coherence.csv", "statistics.csv"):
+            assert (ideal / name).read_bytes() == (zero / name).read_bytes()
+        assert read_json(ideal / "summary.json") == {**read_json(zero / "summary.json"), "ruler": "ideal"}
+
     def test_sg_under_gaussian_phase_blur(self, tmp_path):
         out = tmp_path / "blur"
         assert run_cli([
@@ -259,10 +269,10 @@ class TestFisherCommand:
         assert payload["step"] == 0.03
         assert payload["numerical"]["fisher"] == pytest.approx(4.0, rel=1e-6)
 
-    def test_nonlinear_default_stencil_fits_the_sized_range(self, tmp_path):
-        # the default step 1e-3*sqrt(crb) is 0.181 here: its stencil reaches
-        # 0.362, beyond the default lambda_pad 0.05, so the run sizes for it;
-        # the command itself takes the exact derivative and writes no step
+    def test_nonlinear_stencil_past_lambda_pad_is_too_narrow(self, tmp_path):
+        # the command takes the exact derivative, on axes sized for lambda_pad = 0.05
+        # alone; the default step 1e-3*sqrt(crb) is 0.181 here, so its stencil reaches
+        # 0.362 and needs a spec built with that lambda_pad
         out = tmp_path / "fnld"
         assert run_cli([
             "fisher", "--scenario", "nonlinear", "--vxs", "20", "--vxm", "0.25", "--out", str(out),
@@ -271,10 +281,16 @@ class TestFisherCommand:
         assert payload["step"] is None
         assert payload["closed_form"]["fisher"] == pytest.approx(3.048e-05, rel=1e-3)
         assert payload["agreement_rel"] < 1e-6  # measured 4.0e-10
-        run = SCENARIOS["nonlinear"](vx_s=20.0, vx_m=0.25).run()
+        spec = SCENARIOS["nonlinear"](vx_s=20.0, vx_m=0.25)
+        run = spec.run()
         assert run.default_step == pytest.approx(0.1811, rel=1e-3)
-        fd = run.fisher(step=run.default_step).fisher
-        assert fd == pytest.approx(payload["numerical"]["fisher"], rel=1e-12)  # measured 5.3e-14
+        with pytest.raises(GridTooNarrow, match="sized range"):
+            run.fisher(step=run.default_step)
+        wide = dataclasses.replace(spec, lambda_pad=2.0 * run.default_step).run()
+        exact = wide.fisher().fisher
+        assert wide.fisher(step=wide.default_step).fisher == pytest.approx(exact, rel=1e-12)  # measured 2e-16
+        # the m axis sized for 0.05 against the one sized for 0.362: measured 1.5e-12
+        assert payload["numerical"]["fisher"] == pytest.approx(exact, rel=1e-11)
 
     def test_nonlinear_step_too_large_fails_richardson(self, tmp_path, capsys):
         assert run_cli([
@@ -370,6 +386,33 @@ class TestScenarioCommand:
             "--out", str(tmp_path / "bad"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("x0", ["99", "150", "1e6"])
+    def test_linear_center_off_the_axis_exits_3(self, x0, tmp_path, capsys):
+        # the (0.5, 0.5) axis spans +/- 100.24 and the law 8 sigmas = 5.66 about x0,
+        # so |x0| <= 94.58; x0 = 99 used to print mean 93.15, x0 = 150 mean -50.67
+        assert run_cli([
+            "scenario", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", "--x0", x0,
+            "--out", str(tmp_path / "far"),
+        ]) == 3
+        assert "leave the outcome axis" in capsys.readouterr().err
+
+    def test_linear_center_inside_the_axis(self, tmp_path):
+        out = tmp_path / "near"
+        assert run_cli([
+            "scenario", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", "--x0", "94",
+            "--out", str(out),
+        ]) == 0
+        record = read_json(out / "summary.json")["distributions"][0]
+        assert record["mean"] == pytest.approx(94.0, rel=1e-12)
+        assert record["variance"] == pytest.approx(0.5, rel=1e-9)
+
+    def test_sharp_phase_law_passes_the_negativity_gate(self, tmp_path):
+        # min p = -1.6e-12 is FFT roundoff on a peak of about 1,600: -1.0e-15 of it
+        assert run_cli([
+            "scenario", "--scenario", "phase", "--nmean", "16000.3", "--dns", "2000",
+            "--lambdas=0,-0.03", "--out", str(tmp_path / "sharp"),
+        ]) == 0
 
 
 class TestEmptyLambdas:

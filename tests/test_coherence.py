@@ -345,16 +345,20 @@ class TestGates:
         np.testing.assert_allclose(d_raw, 1.0 / (1.0 + 5e-7), rtol=1e-14)
 
     def test_negative_gate_and_clip(self):
+        # the gate is relative to the peak, min p >= -NEGATIVE_CLIP * max p, since
+        # roundoff grows with it: the law 1e4 times narrower passes at -2e-9 < -1e-12
         assert NEGATIVE_CLIP == 1e-12
-        mu, raw = unit_mass_density()
-        tail = raw.copy()
-        tail[0] = -2e-12
-        with pytest.raises(NormalizationFailure, match="negative"):
-            _finalize_density(mu, tail)
-        tail[0] = -5e-13
-        dist = _finalize_density(mu, tail)
-        assert dist.density[0] == 0.0
-        assert np.min(dist.density) == 0.0
+        for narrower in (1.0, 1e4):
+            mu, raw = unit_mass_density()
+            mu = GeneratorGrid(mu.g_min / narrower, mu.g_max / narrower, mu.n_points)
+            tail = raw * narrower
+            tail[0] = -2.0 * NEGATIVE_CLIP * np.max(tail)
+            with pytest.raises(NormalizationFailure, match="negative"):
+                _finalize_density(mu, tail)
+            tail[0] = -0.5 * NEGATIVE_CLIP * np.max(tail)
+            dist = _finalize_density(mu, tail)
+            assert dist.density[0] == 0.0
+            assert np.min(dist.density) == 0.0
 
     def test_gamma0_real_gate(self):
         # hfft drops Im Gamma(0), so a stored Gamma must have 2 |Im Gamma(0)| <= SYMMETRY_TOL

@@ -184,9 +184,16 @@ def test_imaginary_k0_is_not_in_the_section():
 
 
 def test_non_positive_width():
+    # a negative or NaN width is refused; width 0 is the ideal ruler, its flat symbol bit for bit
     grid = GeneratorGrid(-8.0, 8.0, 128)
-    with pytest.raises(NonPositiveSigma):
-        make_gaussian_ruler(0.0, grid)
+    for dphi in (-1e-300, -0.5, math.nan, -math.inf):
+        with pytest.raises(NonPositiveSigma):
+            make_gaussian_ruler(dphi, grid)
+    symbol = make_gaussian_ruler(0.0, grid).symbol
+    flat = np.full(grid.n_points, FLAT_DIAGONAL, dtype=complex)
+    assert symbol.dtype == flat.dtype and symbol.tobytes() == flat.tobytes()
+    assert not symbol.flags.writeable
+    assert make_ideal_ruler(grid).symbol.tobytes() == flat.tobytes()
 
 
 @settings(max_examples=15, deadline=None)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from test_coherence import BENCH_RUNS, grid_lags, trace_coherence
 
 from qruler import acceptance, cli, scenarios
@@ -17,8 +18,16 @@ from qruler.coherence import (
     wk_product,
 )
 from qruler.errors import ContinuumApproxViolated, GridTooNarrow, NonPositiveSigma
-from qruler.fisher import DENSITY_FLOOR, FISHER_FLOOR, closed_form_fp2, fisher_from_family, qfi_pure
-from qruler.grids import MIN_POINTS, GeneratorGrid, grid_for_gaussian
+from qruler.fisher import (
+    DENSITY_FLOOR,
+    FISHER_FLOOR,
+    closed_form_fn,
+    closed_form_fp2,
+    closed_form_linear,
+    fisher_from_family,
+    qfi_pure,
+)
+from qruler.grids import MIN_POINTS, SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
 from qruler.ruler import make_gaussian_ruler, make_ideal_ruler
 from qruler.scenarios import (
     MAX_STATE_POINTS,
@@ -289,6 +298,10 @@ def test_derivative_reads_the_family_member(kind):
 def test_grid_sizes_are_keyword_only():
     with pytest.raises(TypeError):
         LinearScenario(0.5, 0.5, 0.0, 0.0, 64)
+    with pytest.raises(TypeError):  # the 1-D specs set no grid size: 512 points, sg_n_max(xi)
+        LinearScenario(0.5, 0.5, n_points=64)
+    with pytest.raises(TypeError):
+        SGScenario(0.9, n_max=300)
     with pytest.raises(TypeError):
         NonlinearScenario(0.25, 0.25, 0.0, 0.0, 128)
     assert NonlinearScenario(0.25, 0.25, m_points=128, lambda_pad=0.1).m_points == 128
@@ -440,6 +453,16 @@ class TestPhaseGaussian:
         with pytest.raises(GridTooNarrow):
             run_phase_gaussian(PhaseGaussianScenario(8.0 * 65536.0, 65536.0))
 
+    @pytest.mark.parametrize("spec", [(64000.3, 8000.0), (128000.3, 16000.0)])
+    def test_sharp_lattice_passes_the_negativity_gate(self, spec):
+        # min p reaches -1.6e-12 in absolute terms but at most -8.0e-15 of the
+        # peak, FFT roundoff; F is within 1.6e-11 of the closed form by both routes
+        run = run_phase_gaussian(PhaseGaussianScenario(*spec))
+        for lam in (0.01, -0.03):
+            assert run.family(lam).total_mass() == pytest.approx(1.0, abs=1e-12)
+        for report in (run.fisher(), run.fisher(step=run.default_step)):
+            assert report.fisher == pytest.approx(run.closed_form.fisher, rel=2e-10)
+
     def test_numerical_fisher_matches_closed_form(self):
         run = run_phase_gaussian(PhaseGaussianScenario(100.0, 5.0, dphi_m=0.1))
         rep = run.fisher()
@@ -457,8 +480,8 @@ class TestSG:
     def test_density_closed_form_deep_truncation(self):
         # the default 1e-12 tail rule leaves ~1e-6 residuals near |xi| = 1;
         # a deeper truncation brings the sampled series to the closed form
-        run = run_phase_sg(SGScenario(xi=0.9, n_max=300))
-        p = run.family(0.0)
+        probe = make_sg_probe(SGProbeSpec(xi=0.9, n_max=300))
+        p = scenarios._shift_run("phase_sg", probe, 0.0, run_phase_sg(SGScenario(xi=0.9)).closed_form).family(0.0)
         np.testing.assert_allclose(
             p.density, sg_closed_form_density(0.9, p.mu_grid.points), atol=1e-10
         )
@@ -543,14 +566,17 @@ def direct_shift_density(gamma, lam, mu):
     return dens / (np.sum(dens) * mu.spacing)
 
 
-# (run, its probe built from the spec, its ruler on the probe's grid);
-# a linear probe has momentum width 1/(2*dx_s) and phase slope -x0, a
-# phase probe sits on the integers n_mean +/- 8*dn_s
+# (run, its probe built from the spec, its ruler on the probe's grid); the
+# linear runs read 64- and 100-point probes (momentum width 1/(2*dx_s), phase
+# slope -x0) through ``_shift_run``, a phase probe sits on the integers
+# n_mean +/- 8*dn_s
 SHIFT_RUNS = {
-    "linear": (lambda: run_linear(LinearScenario(0.5, 0.5, x0=0.3, n_points=64)),
+    "linear": (lambda: scenarios._shift_run("linear", gaussian_probe(0.0, 1.0, 64, -0.3), 0.5,
+                                            closed_form_linear(0.5, 0.5)),
                lambda: gaussian_probe(0.0, 1.0, 64, -0.3),
                lambda grid: make_gaussian_ruler(0.5, grid)),
-    "linear-ideal": (lambda: run_linear(LinearScenario(0.5, 0.0, n_points=100)),
+    "linear-ideal": (lambda: scenarios._shift_run("linear", gaussian_probe(0.0, 1.0, 100), 0.0,
+                                                  closed_form_linear(0.5, 0.0)),
                      lambda: gaussian_probe(0.0, 1.0, 100),
                      make_ideal_ruler),
     "phase": (lambda: run_phase_gaussian(PhaseGaussianScenario(100.0, 5.0, 0.1)),
@@ -768,7 +794,7 @@ class TestJointReadout:
 
     @pytest.mark.parametrize(("sc", "gate"), (
         (JOINT_CASES[1][0], 7e-13),  # measured 1.5e-14 of the peak
-        (CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5), 8e-10),  # measured 2.5e-14
+        (CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5), 2.5e-13),  # measured 2.5e-14
     ), ids=("displaced", "vacuum"))
     def test_momentum_readout_matches_position_readout(self, sc, gate):
         # the momentum readout against a position-space window on
@@ -805,8 +831,109 @@ def criterion_4_draws(seed, count):
             )
 
 
-def normal(x, mean, var):
-    return np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# the generators r^T h r / 2 of the joint kinds, r = (x, p): p^2 and the number operator plus 1/2
+GENERATORS = {"nonlinear": np.diag([0.0, 2.0]), "phase-cs": np.eye(2)}
+
+
+def gaussian_law(kind, vx_s, vx_m, x0, p0, lam):
+    """Mean and covariance of (x, p) at ``lam``, and their lambda-derivatives.
+
+    The probe N((x0, p0), diag(vx_s, 1/(4 vx_s))) moves under e^{-i lam G}
+    by the symplectic map S = exp(lam J h) of G = r^T h r / 2: the shear
+    [[1, 2 lam], [0, 1]] for ``nonlinear``, the rotation for ``phase-cs``.
+    The ruler adds diag(vx_m, 1/(4 vx_m)); the run's k reads -p.
+    """
+    jh = J @ GENERATORS[kind]
+    s = scipy.linalg.expm(lam * jh)
+    mean = s @ [x0, p0]
+    turned = s @ np.diag([vx_s, 0.25 / vx_s]) @ s.T
+    d_turned = jh @ turned
+    return mean, turned + np.diag([vx_m, 0.25 / vx_m]), jh @ mean, d_turned + d_turned.T
+
+
+def gaussian_fisher(kind, vx_s, vx_m, x0, p0, lam):
+    """F = dmu^T C^-1 dmu + tr((C^-1 dC)^2)/2 of the normal family (Kay 1993, section 3.9)."""
+    _, cov, d_mean, d_cov = gaussian_law(kind, vx_s, vx_m, x0, p0, lam)
+    ratio = np.linalg.solve(cov, d_cov)
+    return float(d_mean @ np.linalg.solve(cov, d_mean) + 0.5 * np.trace(ratio @ ratio))
+
+
+def gaussian_qfi(kind, vx_s, x0, p0):
+    """4 Var(G) of the probe: 4 (tr((h S)^2)/2 + r0^T h S h r0 + tr((h J)^2)/8), S its covariance."""
+    h, r0 = GENERATORS[kind], np.array([x0, p0])
+    hs, hj = h @ np.diag([vx_s, 0.25 / vx_s]), h @ J
+    return float(4.0 * (0.5 * np.trace(hs @ hs) + r0 @ hs @ h @ r0 + 0.125 * np.trace(hj @ hj)))
+
+
+def normal_density(dist, mean, cov):
+    """The bivariate normal on a joint member's (m, k) cells, k reading -p."""
+    r = np.stack(np.meshgrid(dist.mu_grid.points - mean[0], -dist.k_grid.points - mean[1], indexing="ij"))
+    quad = np.einsum("i...,ij,j...->...", r, np.linalg.inv(cov), r)
+    return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
+
+
+# (vx_s, vx_m, x0, p0) of specs read against the normal law
+LAW_SPECS = ((0.3, 0.5, 0.2, 0.6), (0.25, 0.25, 0.0, 0.0), (1.0, 0.2, -1.0, 1.5), (0.2, 1.0, 0.7, -1.2),
+             (0.5, 0.4, 0.3, 0.2))
+
+
+class TestGaussianLaw:
+    """Each joint kind's outcome law is the normal N(S r0, S Sigma_s S^T + Sigma_m) at every lambda."""
+
+    def test_normal_family_is_the_closed_forms(self):
+        # at lambda = 0 over 200 draws: measured 4.4e-16 (F) and 2.2e-16 (QFI) relative
+        rng = np.random.default_rng(2701)
+        for _ in range(200):
+            vx_s, vx_m = rng.uniform(0.05, 5.0, 2)
+            x0, p0 = rng.uniform(-2.0, 2.0, 2)
+            fp2 = closed_form_fp2(vx_s, vx_m, p0)
+            fn = closed_form_fn(vx_s, 0.25 / vx_s, vx_m, 0.25 / vx_m, x0, p0)
+            assert gaussian_fisher("nonlinear", vx_s, vx_m, x0, p0, 0.0) == pytest.approx(fp2.fisher, rel=1e-14)
+            assert gaussian_fisher("phase-cs", vx_s, vx_m, x0, p0, 0.0) == pytest.approx(fn.fisher, rel=1e-14)
+            assert gaussian_qfi("nonlinear", vx_s, x0, p0) == pytest.approx(fp2.qfi, rel=1e-14)
+            assert gaussian_qfi("phase-cs", vx_s, x0, p0) == pytest.approx(
+                scenarios.gaussian_number_qfi(vx_s, 0.25 / vx_s, x0, p0), rel=1e-14)
+
+    @pytest.mark.parametrize(("kind", "lambdas"), (("nonlinear", (0.01, 0.03, -0.04)), ("phase-cs", (0.3, 1.0, 2.5))))
+    def test_exact_fisher_off_zero_is_the_normal_family(self, kind, lambdas):
+        # measured 4.2e-10 (nonlinear) and 4.4e-10 (phase-cs) relative; the vacuum's F is 0 on both
+        for spec in LAW_SPECS:
+            run = SCENARIOS[kind](*spec).run()
+            for lam0 in lambdas:
+                assert run.fisher(lam0).fisher == pytest.approx(
+                    gaussian_fisher(kind, *spec, lam0), rel=5e-9, abs=FISHER_FLOOR)
+
+    @pytest.mark.parametrize(("kind", "lambdas", "gate"), (
+        ("nonlinear", (0.0, 0.025, -0.04, 0.05), 3e-13),  # measured 2.1e-14 of the peak
+        ("phase-cs", (0.0, 0.3, 1.0, 2.5, -2.0), 4e-12),  # measured 3.9e-13, at lambda = -2
+    ), ids=("nonlinear", "phase-cs"))
+    def test_density_is_the_blurred_normal(self, kind, lambdas, gate):
+        for spec in LAW_SPECS:
+            run = SCENARIOS[kind](*spec).run()
+            for lam in lambdas:
+                dist = run.family(lam)
+                ref = normal_density(dist, *gaussian_law(kind, *spec, lam)[:2])
+                assert np.max(np.abs(dist.density - ref)) <= gate * np.max(ref)
+
+    @pytest.mark.parametrize("kind", ("nonlinear", "phase-cs"))
+    def test_axes_hold_the_law_over_the_lambda_range(self, kind):
+        # each axis holds mean +/- SPAN_SIGMAS sd of the law at every lambda the run
+        # takes: +/- lambda_pad for nonlinear, where one m end meets it exactly, and
+        # the whole circle for phase-cs; 1e-12 of the span is the only slack
+        specs = [SCENARIOS[kind](*spec) for spec in LAW_SPECS]
+        specs += [case[0] for case in (*JOINT_CASES, *FOLDED_CASES, WIDE_RULER_CASE)
+                  if isinstance(case[0], SCENARIOS[kind])]
+        specs += [sc for sc in criterion_4_draws(2401, 16) if isinstance(sc, SCENARIOS[kind])]
+        for sc in specs:
+            dist = sc.run().family(0.0)
+            lambdas = (-sc.lambda_pad, sc.lambda_pad) if kind == "nonlinear" else np.linspace(-np.pi, np.pi, 721)
+            for lam in lambdas:
+                mean, cov, *_ = gaussian_law(kind, sc.vx_s, sc.vx_m, sc.x0, sc.p0, lam)
+                reach = SPAN_SIGMAS * np.sqrt(np.diag(cov))
+                for axis, center, half in ((dist.mu_grid, mean[0], reach[0]), (dist.k_grid, -mean[1], reach[1])):
+                    slack = 1e-12 * axis_span(axis)
+                    assert axis.g_min <= center - half + slack and center + half - slack <= axis.g_max
 
 
 # a nonlinear case whose state grid the sampling rule sets above MIN_POINTS (102
@@ -878,18 +1005,6 @@ class TestStateSampling:
         for lam0 in (0.0, last):
             got = run.fisher(lam0, step=run.default_step).fisher
             assert got == pytest.approx(fisher_from_family(dense, lam0, run.default_step).fisher, rel=8e-12)
-
-    @pytest.mark.parametrize(("kind", "gate"), (("nonlinear", 2e-8), ("phase-cs", 4e-10)))
-    def test_density_at_zero_is_the_blurred_normal(self, kind, gate):
-        # p(m, k) = N(m; x0, vx_s + vx_m) N(-k; p0, vp_s + vp_m), k reading -p; the
-        # state grids span 8 sigmas or more (at the MIN_POINTS floor, 1.2 to 2.8
-        # times that): measured 1.8e-14 (nonlinear) and 2.0e-14 (phase-cs) of the peak
-        for vx_s, vx_m, x0, p0 in ((0.3, 0.5, 0.2, 0.6), (0.25, 0.25, 0.0, 0.0), (1.0, 0.2, -1.0, 1.5),
-                                   (0.2, 1.0, 0.7, -1.2), (0.5, 0.4, 0.3, 0.2)):
-            dist = SCENARIOS[kind](vx_s, vx_m, x0, p0).run().family(0.0)
-            vp = 1.0 / (4.0 * vx_s) + 1.0 / (4.0 * vx_m)
-            ref = np.outer(normal(dist.mu_grid.points, x0, vx_s + vx_m), normal(-dist.k_grid.points, p0, vp))
-            assert np.max(np.abs(dist.density - ref)) <= gate * np.max(ref)
 
     def test_far_displaced_probe_is_sampled_not_aliased(self, tmp_path):
         # x0 = 40 widens the m axis to 96, which takes 1397 state points; a fixed
