@@ -42,9 +42,9 @@ KNOWN_GAPS = (
     "ruler.kernel_bytes reads the nominal n^2*16 bytes of the Toeplitz view that "
     "RulerSeed.kernel returns over its 2n-1 mirrored lags, not memory that exists "
     "(perfbench/spans.py _kernel).",
-    "cli-readme's op_ms.p50 is the median over a cycle of seven commands (about 5 to 110 ms), "
-    "so it reads the 4th-fastest command and its neighbours, which move with the host's speed "
-    "state by more than the metric's 25 % bound with no code change.",
+    "cli-readme's op_ms.p50 is the median over a cycle of seven commands (about 0.6 to 6 ms "
+    "each in process), so it reads the 4th-fastest command and its neighbours, which move with "
+    "the host's speed state by more than the metric's 25 % bound with no code change.",
 )
 
 

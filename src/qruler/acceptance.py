@@ -268,8 +268,9 @@ def criterion_8_ruler_legitimacy() -> CriterionResult:
         rep = validate_ruler(seed)
         checked.append((seed, rep))
         rec.require(
-            rep.all_pass and rep.diagonal_residual < 1e-10,
-            f"gaussian seed dphi={dphi}: all pass, diag residual {rep.diagonal_residual:.2e}",
+            rep.all_pass and rep.diagonal_residual < 1e-10 and rep.positivity_route == "gaussian-bound",
+            f"gaussian seed dphi={dphi}: all pass by the gaussian bound, diag residual {rep.diagonal_residual:.2e}, "
+            f"min eig >= {rep.min_eigenvalue_lower_bound:.2e}, max eig >= {rep.max_eigenvalue_lower_bound:.6f}",
         )
     doubled = RulerSeed(grid, make_gaussian_ruler(0.5, grid).symbol * 2.0)
     rep_d = validate_ruler(doubled)
@@ -284,14 +285,21 @@ def criterion_8_ruler_legitimacy() -> CriterionResult:
     indefinite = RulerSeed(grid, half)
     rep_i = validate_ruler(indefinite)
     checked.append((indefinite, rep_i))
-    rec.require(not rep_i.positive, f"random hermitian kernel: positivity fails (min eig {rep_i.min_eigenvalue:.3e})")
-    # the real-form extremes against eigvalsh of the dense complex section
-    gap = 0.0
+    rec.require(
+        not rep_i.positive and rep_i.positivity_route == "real-form",
+        f"random hermitian kernel: positivity fails in the real form (min eig {rep_i.min_eigenvalue:.3e})",
+    )
+    # against eigvalsh of the dense complex section: the certified bounds lie
+    # below its extremes, and the real-form extremes match them
+    gap, bounds_hold = 0.0, True
     for seed, rep in checked:
         eig = np.linalg.eigvalsh(seed.kernel * grid.spacing)
-        scale = max(abs(eig[0]), abs(eig[-1]))
-        gap = max(gap, abs(rep.min_eigenvalue - eig[0]) / scale, abs(rep.max_eigenvalue - eig[-1]) / scale)
-    rec.require(gap <= 1e-13, f"extreme eigenvalues vs dense eigvalsh: gap {gap:.1e} of max|eig| <= 1e-13")
+        bounds_hold &= rep.min_eigenvalue_lower_bound <= eig[0] and rep.max_eigenvalue_lower_bound <= eig[-1]
+        if rep.positivity_route == "real-form":
+            scale = max(abs(eig[0]), abs(eig[-1]))
+            gap = max(gap, abs(rep.min_eigenvalue - eig[0]) / scale, abs(rep.max_eigenvalue - eig[-1]) / scale)
+    rec.require(bounds_hold, f"certified bounds <= dense eigvalsh extremes on all {len(checked)} seeds")
+    rec.require(gap <= 1e-13, f"real-form extremes vs dense eigvalsh: gap {gap:.1e} of max|eig| <= 1e-13")
     return rec
 
 

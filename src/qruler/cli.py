@@ -252,9 +252,9 @@ def _parse_lambdas(raw: str | None) -> list[float]:
 def _cmd_scenario(args):
     lambdas = _parse_lambdas(args.lambdas)
     run, params = _scenario_run(args, 1.05 * max((abs(v) for v in lambdas), default=0.0))
-    artifacts, records = {}, []
+    artifacts, records, members = {}, [], {}
     for idx, lam in enumerate(lambdas):
-        dist = run.family(lam)
+        dist = members[lam] = run.family(lam)
         name = f"distribution_{idx:03d}.csv"
         record = {"lambda": lam, "file": name, "mass": dist.total_mass()}
         if dist.k_grid is None:
@@ -270,7 +270,7 @@ def _cmd_scenario(args):
     summary["closed_form"] = {"fisher": run.closed_form.fisher, "crb": run.closed_form.crb}
     if run.gamma is not None:
         summary["tau_c"] = coherence_time(run.gamma)
-        summary["wk_product"] = wk_product(run.gamma, run.family(0.0))
+        summary["wk_product"] = wk_product(run.gamma, members.get(0.0) or run.family(0.0))
     artifacts["summary.json"] = summary
     print(f"scenario[{run.scenario}]: wrote {len(records)} distribution(s)")
     return artifacts, True

@@ -368,6 +368,20 @@ class TestScenarioCommand:
         assert summary["distributions"][1]["mean"] == pytest.approx(1.7, abs=1e-9)
         assert summary["wk_product"] == pytest.approx(math.sqrt(math.pi), abs=1e-6)
 
+    @pytest.mark.parametrize("lambdas, members", [("0,0.3,0.6", [0.0, 0.3, 0.6]), ("0.3", [0.3, 0.0])])
+    def test_wk_product_reuses_the_zero_member(self, lambdas, members, tmp_path, monkeypatch):
+        calls, build = [], cli._scenario_run
+
+        def counted(*args):
+            run, params = build(*args)
+            return dataclasses.replace(run, family=lambda lam: calls.append(lam) or run.family(lam)), params
+
+        monkeypatch.setattr(cli, "_scenario_run", counted)
+        out = tmp_path / "sg"
+        assert run_cli(["scenario", "--scenario", "sg", "--xi", "0.9", "--lambdas", lambdas, "--out", str(out)]) == 0
+        assert calls == members
+        assert read_json(out / "summary.json")["wk_product"] == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
     def test_joint_distribution_csv(self, tmp_path):
         out = tmp_path / "joint"
         assert run_cli([

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from qruler.errors import GridMismatch, NonPositiveSigma
 from qruler.grids import GeneratorGrid, grid_for_gaussian
 from qruler.ruler import (
     DIAGONAL_TOL,
+    EPS,
     FLAT_DIAGONAL,
     POSITIVITY_REL_TOL,
     RulerSeed,
-    ValidationReport,
+    _gaussian_bounds,
+    _section_extremes,
     make_gaussian_ruler,
     make_ideal_ruler,
     validate_ruler,
@@ -39,13 +42,32 @@ def dense_report(seed):
     diag_imag = float(np.max(np.abs(np.diagonal(k).imag)))
     eigvals = np.linalg.eigvalsh(k * seed.grid.spacing)
     lo, hi = float(eigvals[0]), float(eigvals[-1])
-    return ValidationReport(
+    return SimpleNamespace(
         flat_diagonal=max(diag_res, diag_imag) <= DIAGONAL_TOL,
         diagonal_residual=max(diag_res, diag_imag),
         positive=lo >= -POSITIVITY_REL_TOL * max(hi, 0.0),
         min_eigenvalue=lo,
         max_eigenvalue=hi,
     )
+
+
+def section(seed):
+    """The dense section K(g_a - g_b) * dg, Im K(0) dropped as validate_ruler drops it."""
+    k = np.array(seed.kernel) * seed.grid.spacing
+    np.fill_diagonal(k, k[0, 0].real)
+    return k
+
+
+def rayleigh_min(k):
+    """v* K v / v* v in long double for eigh's lowest eigenvector v: above lambda_min, free of eigh's own error.
+
+    A dense eigensolver is backward stable, so its eigenvalues may sit about
+    n*eps*||K|| from the exact ones; it reads -1.4e-14 for the 512-point
+    ideal ruler, whose exact lambda_min is 0.  Any Rayleigh quotient is an
+    upper bound on lambda_min, and in long double it carries no such error.
+    """
+    v = np.linalg.eigh(k)[1][:, 0].astype(np.clongdouble)
+    return float((v.conj() @ (k.astype(np.clongdouble) @ v)).real / (v.conj() @ v).real)
 
 
 def test_gaussian_kernel_values():
@@ -100,7 +122,9 @@ def test_unit_width_passes_validation():
     report = validate_ruler(make_gaussian_ruler(1.0, grid))
     assert report.all_pass
     assert report.diagonal_residual < 1e-10
-    assert report.min_eigenvalue >= -1e-10 * report.max_eigenvalue
+    assert report.positivity_route == "gaussian-bound"
+    assert report.min_eigenvalue_lower_bound >= -1e-10 * report.max_eigenvalue_lower_bound
+    assert report.min_eigenvalue is None and report.max_eigenvalue is None
 
 
 def test_ideal_ruler_passes_validation():
@@ -153,10 +177,13 @@ def test_positivity_gate_trips_at_its_tolerance(factor, positive):
     ids=["gaussian", "ideal", "doubled", "random-hermitian", "offset-blur"],
 )
 def test_symbol_report_equals_dense_report(build):
-    # The O(1) diagonal check gives the dense route's values bit for bit; the
-    # section's real form gives its extreme eigenvalues to roundoff.  An even
-    # and an odd n cover the odd middle row; the random-hermitian and
-    # offset-blur symbols are complex, so they cover the coupled n x n form.
+    # The O(1) diagonal check gives the dense route's values bit for bit, and
+    # the verdict is the dense route's whichever route reached it.  The
+    # section's real form, called directly since the Gaussian bound certifies
+    # the Gaussian seeds without it, gives the dense extreme eigenvalues to
+    # roundoff, and a real-form report holds exactly those.  An even and an
+    # odd n cover the odd middle row; the random-hermitian and offset-blur
+    # symbols are complex, so they cover the coupled n x n form.
     for n in (160, 161):
         grid = grid_for_gaussian(0.3, 1.2, n)
         seed = RulerSeed(grid, build(grid))
@@ -164,9 +191,16 @@ def test_symbol_report_equals_dense_report(build):
         assert got.flat_diagonal == want.flat_diagonal
         assert got.diagonal_residual == want.diagonal_residual
         assert got.positive == want.positive
+        lo, hi = _section_extremes(seed.symbol * grid.spacing)
         scale = max(abs(want.min_eigenvalue), abs(want.max_eigenvalue))
-        assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-13 * scale
-        assert abs(got.max_eigenvalue - want.max_eigenvalue) <= 1e-13 * scale
+        assert abs(lo - want.min_eigenvalue) <= 1e-13 * scale
+        assert abs(hi - want.max_eigenvalue) <= 1e-13 * scale
+        if got.positivity_route == "real-form":
+            assert (got.min_eigenvalue, got.max_eigenvalue) == (lo, hi)
+        else:
+            assert got.positivity_route == "gaussian-bound" and got.positive
+        assert got.min_eigenvalue_lower_bound <= rayleigh_min(section(seed))
+        assert got.max_eigenvalue_lower_bound <= want.max_eigenvalue * (1.0 + n * EPS)
 
 
 def test_imaginary_k0_is_not_in_the_section():
@@ -174,13 +208,18 @@ def test_imaginary_k0_is_not_in_the_section():
     # Hermitian eigensolver reads only the real part of a diagonal
     for n in (160, 161):
         grid = grid_for_gaussian(0.3, 1.2, n)
-        seed = RulerSeed(grid, offset_blur_symbol(grid) + 1e-3j * (grid.tau_grid == 0))
-        report = validate_ruler(seed)
+        real = RulerSeed(grid, offset_blur_symbol(grid))
+        seed = RulerSeed(grid, real.symbol + 1e-3j * (grid.tau_grid == 0))
+        report, want = validate_ruler(seed), validate_ruler(real)
         assert not report.flat_diagonal
         assert report.diagonal_residual == pytest.approx(1e-3, rel=1e-12)
+        assert report.positive and report.positivity_route == want.positivity_route == "gaussian-bound"
+        assert report.min_eigenvalue_lower_bound == want.min_eigenvalue_lower_bound
+        assert report.max_eigenvalue_lower_bound == want.max_eigenvalue_lower_bound
         eig = np.linalg.eigvalsh(seed.kernel * grid.spacing)
         atol = 1e-13 * max(abs(eig[0]), abs(eig[-1]))
-        np.testing.assert_allclose([report.min_eigenvalue, report.max_eigenvalue], eig[[0, -1]], rtol=0, atol=atol)
+        lo, hi = _section_extremes(real.symbol * grid.spacing)
+        np.testing.assert_allclose([lo, hi], eig[[0, -1]], rtol=0, atol=atol)
 
 
 def test_non_positive_width():
@@ -201,3 +240,60 @@ def test_non_positive_width():
 def test_gaussian_seeds_always_legitimate(dphi):
     grid = GeneratorGrid(-6.0, 6.0, 96)
     assert validate_ruler(make_gaussian_ruler(dphi, grid)).all_pass
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096, 32768])
+def test_every_gaussian_seed_takes_the_certificate(n, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the real form ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    grid = grid_for_gaussian(0.0, 1.0, n)
+    for dphi in (0.0, 0.01, 0.05, 0.5, 1.0, 3.0, 50.0, 1e4):  # at 1e4 the symbol is 0 beyond lag 0
+        report = validate_ruler(make_gaussian_ruler(dphi, grid))
+        assert report.all_pass and report.positivity_route == "gaussian-bound", dphi
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dphi=st.one_of(st.just(0.0), st.floats(0.01, 50.0)),
+    n=st.integers(64, 256),
+    offset=st.floats(-3.0, 3.0),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_gaussian_bounds_hold(dphi, n, offset, scale):
+    # the certified lower bound sits below lambda_min, and the quotient below
+    # lambda_max up to the dense eigensolver's backward error n*eps*||K||
+    grid = grid_for_gaussian(0.0, 1.0, n)
+    seed = RulerSeed(grid, scale * np.exp(1j * offset * grid.tau_grid) * make_gaussian_ruler(dphi, grid).symbol)
+    lo, rho = _gaussian_bounds(seed.symbol * grid.spacing)
+    k = section(seed)
+    assert lo <= rayleigh_min(k)
+    assert rho <= np.linalg.eigvalsh(k)[-1] * (1.0 + n * EPS)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 4e307])
+def test_a_non_finite_symbol_is_not_certified(bad):
+    # An infinite lag, or one so large that the roundoff term overflows,
+    # makes the bounds -inf and +inf, and -inf >= -tol * inf; a NaN lag makes
+    # them NaN.  Each goes to the real form, whatever it makes of the section.
+    grid = GeneratorGrid(-8.0, 8.0, 64)
+    symbol = np.array(make_ideal_ruler(grid).symbol)
+    symbol[5] = bad
+    with np.errstate(all="ignore"):
+        try:
+            report = validate_ruler(RulerSeed(grid, symbol))
+        except np.linalg.LinAlgError:  # the real form's eigensolver refuses a NaN or inf section
+            return
+    assert report.positivity_route == "real-form"
+
+
+def test_bound_charges_its_own_rounding():
+    # The ideal ruler's float reference is its symbol bit for bit, so the l1
+    # distance is 0; the bound still charges the rounding of the reference,
+    # at least eps per unit of the symbol's mass sum_{|k|<n} |t_k|.
+    grid = GeneratorGrid(-8.0, 8.0, 64)
+    t = make_ideal_ruler(grid).symbol * grid.spacing
+    lo, rho = _gaussian_bounds(t)
+    assert rho == pytest.approx(t[0].real * grid.n_points, rel=1e-14)
+    assert lo <= -EPS * (2.0 * np.sum(np.abs(t)) - abs(t[0]))
