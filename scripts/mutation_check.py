@@ -14,7 +14,7 @@ tree is never edited.
 A defect whose expected test is None is a known gap: it is reported like
 the others, and its outcome does not set the exit status.  Exits 0 when
 every other defect is caught and every old line is found.  A defect takes
-2 to 12 s on a 2-core host (74 defects in about 6 min), so this script
+2 to 12 s on a 2-core host (77 defects in about 6 min), so this script
 is not part of the test suite.
 """
 
@@ -175,6 +175,15 @@ DEFECTS = [
      "        plus[-1, -1] *= 0.5",
      "        pass",
      RULER_ORACLE),
+    ("src/qruler/ruler.py",
+     "        plus[-1, -1] *= 0.5",
+     "        plus[-1, -1] *= 1.0",
+     RULER_ORACLE),
+    # a NaN or infinite lag, refused before either route runs
+    ("src/qruler/ruler.py",
+     "    if not np.isfinite(t).all():",
+     "    if False:",
+     "tests/test_ruler.py::test_a_non_finite_symbol_is_not_certified"),
     ("src/qruler/ruler.py",
      "    t[0] = t[0].real",
      "    pass",
@@ -364,6 +373,11 @@ DEFECTS = [
      "    if not n_max < MAX_LATTICE_POINTS:",
      "    if False:",
      "tests/test_cli.py::TestWkProbeSpec::test_sg_lattice_above_the_ceiling_exits_3"),
+    # each budget objective's optimum: the nonlinear one is a maximum
+    ("src/qruler/budget.py",
+     'OBJECTIVES = {"linear": (linear_objective, np.argmin), "nonlinear": (nonlinear_objective, np.argmax)}',
+     'OBJECTIVES = {"linear": (linear_objective, np.argmin), "nonlinear": (nonlinear_objective, np.argmin)}',
+     "tests/test_budget.py::TestSweep::test_nonlinear_maximum_bin"),
     # the m axis's drift 2*lambda*p0 under the shear, over +/- lambda_pad
     ("src/qruler/scenarios.py",
      "    m_half += 2.0 * sc.lambda_pad * abs(sc.p0)",

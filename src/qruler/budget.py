@@ -5,7 +5,10 @@ The budget fixes C = 1/vx_s + 1/vx_m, the total inverse-variance
 1/vx_s = s*C and 1/vx_m = (1-s)*C.  The linear objective minimizes the
 signal variance vx_s + vx_m (optimum: balanced split); the quadratic
 generator maximizes (vx_m/vx_s)/(vx_m+vx_s)^2 = C^2 s^3 (1-s) (optimum:
-probe coherence three times the measurement's).
+probe coherence three times the measurement's).  ``OBJECTIVES`` holds these
+two, the ones ``sweep_budget`` tabulates and the command line offers.  The
+rotation generator's F_N has no optimum under this budget: it grows
+without bound, about 4/(s C^2), as s -> 0.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonPositiveBudget
-from .fisher import closed_form_fn
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SPLIT_EPS = 1e-6
@@ -131,46 +133,28 @@ def optimize_nonlinear(c: float) -> NonlinearOptimum:
     )
 
 
+# name -> (objective, the index of its optimum over a sweep's values)
+OBJECTIVES = {"linear": (linear_objective, np.argmin), "nonlinear": (nonlinear_objective, np.argmax)}
+
+
 @dataclass(frozen=True, eq=False)
 class BudgetSweep:
     splits: np.ndarray
     values: np.ndarray
-    optimum_index: int  # argmin for linear, argmax otherwise
+    optimum_index: int  # argmin for linear, argmax for nonlinear
 
 
-def sweep_budget(
-    c: float,
-    objective: str,
-    n_samples: int,
-    displacements: tuple[float, float] | None = None,
-) -> BudgetSweep:
-    """Tabulate an objective over splits s in (0, 1) for plotting.
-
-    ``objective`` is one of "linear" (:func:`linear_objective`, minimized),
-    "nonlinear" (:func:`nonlinear_objective`, maximized) or "fn"
-    (rotation-generator Fisher with displacements (x0, p0), maximized).
-    """
+def sweep_budget(c: float, objective: str, n_samples: int) -> BudgetSweep:
+    """Tabulate an ``OBJECTIVES`` entry over splits s in (0, 1) for plotting."""
     if not c > 0:
         raise NonPositiveBudget(f"budget must be > 0, got {c}")
     if n_samples < 16:
         raise ValueError("n_samples must be >= 16")
-    splits = np.linspace(SPLIT_EPS, 1.0 - SPLIT_EPS, n_samples)
-
-    def value(s: float) -> float:
-        if objective == "linear":
-            return linear_objective(c, s)
-        if objective == "nonlinear":
-            return nonlinear_objective(c, s)
-        if objective == "fn":
-            x0, p0 = displacements if displacements is not None else (0.0, 0.0)
-            vx_s, vx_m = 1.0 / (s * c), 1.0 / ((1.0 - s) * c)
-            return closed_form_fn(
-                vx_s, 1.0 / (4.0 * vx_s), vx_m, 1.0 / (4.0 * vx_m), x0, p0
-            ).fisher
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-
-    values = np.array([value(s) for s in splits])
-    idx = int(np.argmin(values) if objective == "linear" else np.argmax(values))
+    f, optimum = OBJECTIVES[objective]
+    splits = np.linspace(SPLIT_EPS, 1.0 - SPLIT_EPS, n_samples)
+    values = np.array([f(c, s) for s in splits])
     splits.flags.writeable = False
     values.flags.writeable = False
-    return BudgetSweep(splits=splits, values=values, optimum_index=idx)
+    return BudgetSweep(splits=splits, values=values, optimum_index=int(optimum(values)))

@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from .acceptance import CRITERIA, run_all
-from .budget import optimize_linear, optimize_nonlinear, sweep_budget
+from .budget import OBJECTIVES, optimize_linear, optimize_nonlinear, sweep_budget
 from .coherence import (
     coherence_function,
     coherence_time,
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("optimize", help="coherence-budget optimization")
-    p.add_argument("--objective", choices=("linear", "nonlinear"), required=True)
+    p.add_argument("--objective", choices=tuple(OBJECTIVES), required=True)
     p.add_argument("--budget", type=_finite_float, required=True)
     p.add_argument("--sweep-samples", type=int, dest="sweep_samples")
     _add_common(p)

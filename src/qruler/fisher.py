@@ -137,17 +137,13 @@ def qfi_pure(probe: PureProbe, power: str) -> float:
     """Quantum Fisher information 4*Var(G) of a pure probe.
 
     On a grid of generator eigenvalues g the operator acts by
-    multiplication: by g for power="G", by g**2 for power="G2", the
-    square of the grid variable.
+    multiplication: by g**k, k = 1 for power="G" and k = 2 for power="G2",
+    so 4*Var(G) = 4*(moment(2k) - moment(k)**2).
     """
     if power not in ("G", "G2"):
         raise ValueError("power must be 'G' or 'G2'")
-    g = probe.grid.points
-    op = g**2 if power == "G2" else g
-    w = np.abs(probe.amplitudes) ** 2 * probe.grid.spacing
-    m1 = float(np.sum(op * w))
-    m2 = float(np.sum(op**2 * w))
-    return 4.0 * (m2 - m1 * m1)
+    k = 2 if power == "G2" else 1
+    return 4.0 * (probe.moment(2 * k) - probe.moment(k) ** 2)
 
 
 def closed_form_linear(dx_s: float, dx_m: float) -> FisherReport:

@@ -47,8 +47,8 @@ maps it to a real symmetric matrix (Cantoni and Butler 1976; Lee 1980).  With
 p = ceil(n/2), q = floor(n/2), A the leading p x p block of T and H the p x p
 Hankel H[a, b] = t_{a+b-(n-1)}, Q* T Q is [[Re P, Im P'^T], [Im P', Re D]]
 with P = W (A + H) W, P' its first q rows, D = (A - H)[:q, :q] and W the
-identity but for 1/sqrt(2) on an odd n's middle row.  For a real symbol the
-coupling Im P' vanishes and the two real blocks are diagonalized apart.
+identity but for 1/sqrt(2) on an odd n's middle row.  One real n x n matrix
+serves every symbol: for a real one the coupling Im P' is zero.
 """
 
 from __future__ import annotations
@@ -143,9 +143,6 @@ def _section_extremes(t: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of the Hermitian Toeplitz section of t, t[0] real, from its real form."""
     n = t.size
     p, q = (n + 1) // 2, n // 2
-    real = not t.imag.any()
-    if real:
-        t = t.real
     lead = _toeplitz(t[:p])
     hankel = sliding_window_view(np.conj(t[::-1][: 2 * p - 1]), p)  # [a, b] -> t_{a+b-(n-1)}
     plus = lead + hankel
@@ -154,9 +151,6 @@ def _section_extremes(t: np.ndarray) -> tuple[float, float]:
         plus[-1, :-1] *= np.sqrt(0.5)
         plus[:-1, -1] *= np.sqrt(0.5)
         plus[-1, -1] *= 0.5
-    if real:
-        a, b = np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)
-        return float(min(a[0], b[0])), float(max(a[-1], b[-1]))
     m = np.empty((n, n))
     m[:p, :p] = plus.real
     m[p:, p:] = minus.real
@@ -177,7 +171,7 @@ def _gaussian_bounds(t: np.ndarray) -> tuple[float, float]:
     ratio = float(mag[far]) / c if c > 0 else 1.0
     rate = min(math.log(ratio) / far**2, 0.0) if ratio > 0 else MIN_RATE
     a = math.atan2(t[1].imag, t[1].real)
-    with np.errstate(all="ignore"):  # a NaN or infinite symbol gives bounds validate_ruler does not certify
+    with np.errstate(all="ignore"):  # a lag near the float range overflows to bounds validate_ruler does not certify
         y = t * np.exp(-1j * a * k) if a else t  # |t_k - g_k| = |y_k - c e^{r k^2}|; a = 0 is an exact no-op
         envelope = c * np.exp(rate * k2)
         dist = np.abs(y - envelope)
@@ -197,14 +191,16 @@ def validate_ruler(seed: RulerSeed) -> ValidationReport:
     discretized operator), with Im K(0) dropped as a Hermitian eigensolver
     drops it.  The O(n) Gaussian-reference bound of the module docstring
     certifies it when it can.  Otherwise the extreme eigenvalues come from
-    the section's real form, built from the symbol in O(n^2): two real
-    ceil(n/2) blocks for a real symbol, one real n x n matrix otherwise.
-    The smallest may be slightly negative from discretization, hence the
-    relative tolerance.
+    the section's real form, one real n x n matrix built from the symbol
+    in O(n^2).  The smallest may be slightly negative from discretization,
+    hence the relative tolerance.  A NaN or infinite lag in the scaled
+    symbol raises ``DegenerateDistribution`` before either route runs.
     """
     k0 = seed.symbol[0]
     diag_res = float(max(abs(k0.real - FLAT_DIAGONAL), abs(k0.imag)))
     t = seed.symbol * seed.grid.spacing
+    if not np.isfinite(t).all():
+        raise DegenerateDistribution("the ruler symbol times the grid spacing holds a NaN or infinite lag")
     t[0] = t[0].real
     lo_bound, hi_bound = _gaussian_bounds(t)
     lo = hi = None

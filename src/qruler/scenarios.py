@@ -22,20 +22,21 @@ on the state only: the 1-D runs build the coherence function Gamma
 once, on its fast transform length, and shift it; the joint runs build
 the (m, k) projections once and apply them to the evolved state and its
 lambda-derivative, on the state grid dual to the m axis
-(``state_grid``), where a readout is one FFT per window.  ``SCENARIOS``
-maps the five runnable kinds to their spec classes.  A spec's positional
-fields are its physical parameters, from which the command line derives
-its flags, required values and reported parameters; the joint specs'
-axis sizes and ``lambda_pad`` are keyword-only and are not flags.  Acceptance builds
-its runs through the same table.  ``phase_distribution_ws`` takes the
-phase density of a blurred squeezed vacuum through sg's periodic
-transform, from a Poisson-kernel Gamma on even integer lags.
+(``state_grid``), where a readout is one FFT per window; both joint axes
+take ``JOINT_POINTS`` points.  ``SCENARIOS`` maps the five runnable kinds
+to their spec classes.  A spec's positional fields are its physical
+parameters, from which the command line derives its flags, required values
+and reported parameters; ``nonlinear``'s ``lambda_pad`` is keyword-only
+and is not a flag.  Acceptance builds its runs through the same table.
+``phase_distribution_ws`` takes the phase density of a blurred squeezed
+vacuum through sg's periodic transform, from a Poisson-kernel Gamma on
+even integer lags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -251,6 +252,7 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
 # ---------------------------------------------------------------------------
 
 
+JOINT_POINTS = 256  # points on each joint outcome axis, m and k
 MAX_STATE_POINTS = 4096  # largest joint state grid: an 8 MB [k, p] window at k = 256
 
 
@@ -349,7 +351,7 @@ class _JointSpec:
     ``vx_s`` and ``vx_m`` are X-quadrature variances of probe and ruler;
     the conjugate variances follow the minimum-uncertainty link of pure
     uncorrelated Gaussians, vp = 1/(4*vx).  The outcome axes take
-    ``m_points`` and ``k_points``; each runner samples its state on the
+    ``JOINT_POINTS`` each; each runner samples its state on the
     ``state_grid`` dual to its m axis, whose count follows from the spans.
     """
 
@@ -357,9 +359,6 @@ class _JointSpec:
     vx_m: float
     x0: float = 0.0
     p0: float = 0.0
-    _: KW_ONLY
-    m_points: int = 256
-    k_points: int = 256
 
     def __post_init__(self):
         if not self.vx_s > 0 or not self.vx_m > 0:
@@ -394,8 +393,8 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     m_half = SPAN_SIGMAS * math.sqrt(sc.vx_s + 4.0 * sc.lambda_pad**2 * vp_s + sc.vx_m)
     m_half += 2.0 * sc.lambda_pad * abs(sc.p0)
     k_half = SPAN_SIGMAS * math.sqrt(vp_s + vp_m)
-    m_grid = GeneratorGrid(sc.x0 - m_half, sc.x0 + m_half, sc.m_points)
-    k_grid = GeneratorGrid(-sc.p0 - k_half, -sc.p0 + k_half, sc.k_points)
+    m_grid = GeneratorGrid(sc.x0 - m_half, sc.x0 + m_half, JOINT_POINTS)
+    k_grid = GeneratorGrid(-sc.p0 - k_half, -sc.p0 + k_half, JOINT_POINTS)
     grid = state_grid(sc.p0, SPAN_SIGMAS * sigma_p, m_grid)
     probe = make_gaussian_probe(
         GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid
@@ -480,8 +479,8 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     half_state = SPAN_SIGMAS * sig_max + radius
     m_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + sc.vx_m) + radius
     k_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + vp_m) + radius
-    m_grid = GeneratorGrid(-m_half, m_half, sc.m_points)
-    k_grid = GeneratorGrid(-k_half, k_half, sc.k_points)
+    m_grid = GeneratorGrid(-m_half, m_half, JOINT_POINTS)
+    k_grid = GeneratorGrid(-k_half, k_half, JOINT_POINTS)
     grid = state_grid(0.0, half_state, m_grid)
     # the Fourier transform is the quarter turn (x, p) -> (p, -x), which
     # commutes with rotations: psi_lam(p) is the position wavefunction of

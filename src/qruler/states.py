@@ -99,16 +99,16 @@ def make_gaussian_probe(spec: GaussianProbeSpec, grid: GeneratorGrid) -> PurePro
     return PureProbe(grid, psi)
 
 
-def sg_n_max(xi: complex, tail: float = SG_TAIL_TOLERANCE) -> int:
-    """Smallest truncation n with |xi|^(2n) <= tail.
+def sg_n_max(xi: complex) -> int:
+    """Smallest truncation n with |xi|^(2n) <= SG_TAIL_TOLERANCE.
 
     The neglected mass sum_{n > n_max} (1-|xi|^2)|xi|^(2n) = |xi|^(2(n_max+1))
-    is then strictly below ``tail``.
+    is then strictly below ``SG_TAIL_TOLERANCE``.
     """
     a = abs(xi)
     if a == 0.0:
         return 1
-    return max(1, math.ceil(math.log(tail) / (2.0 * math.log(a))))
+    return max(1, math.ceil(math.log(SG_TAIL_TOLERANCE) / (2.0 * math.log(a))))
 
 
 def make_sg_probe(spec: SGProbeSpec) -> PureProbe:

@@ -95,9 +95,11 @@ class TestSweep:
         expected = np.array([fn(4.0, s) for s in sweep.splits])
         assert np.array_equal(sweep.values, expected)
 
-    def test_fn_objective_with_displacements(self):
-        sweep = sweep_budget(4.0, "fn", 33, displacements=(1.0, 0.0))
-        assert np.all(sweep.values > 0)
+    def test_fn_is_an_unknown_objective(self):
+        # the rotation generator's F_N has no optimum under the budget: it grows
+        # without bound as s -> 0, so it is not an objective
+        with pytest.raises(ValueError, match="unknown objective"):
+            sweep_budget(4.0, "fn", 33)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qruler.errors import GridMismatch, NonPositiveSigma
+from qruler.errors import DegenerateDistribution, GridMismatch, NonPositiveSigma
 from qruler.grids import GeneratorGrid, grid_for_gaussian
 from qruler.ruler import (
     DIAGONAL_TOL,
@@ -274,18 +274,37 @@ def test_gaussian_bounds_hold(dphi, n, offset, scale):
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 4e307])
 def test_a_non_finite_symbol_is_not_certified(bad):
-    # An infinite lag, or one so large that the roundoff term overflows,
-    # makes the bounds -inf and +inf, and -inf >= -tol * inf; a NaN lag makes
-    # them NaN.  Each goes to the real form, whatever it makes of the section.
+    # A NaN or infinite lag is refused before either route runs.  A finite lag
+    # so large that the roundoff term overflows makes the bounds -inf and +inf,
+    # and -inf >= -tol * inf, so it goes to the real form, whose extremes are finite.
     grid = GeneratorGrid(-8.0, 8.0, 64)
     symbol = np.array(make_ideal_ruler(grid).symbol)
     symbol[5] = bad
+    seed = RulerSeed(grid, symbol)
     with np.errstate(all="ignore"):
-        try:
-            report = validate_ruler(RulerSeed(grid, symbol))
-        except np.linalg.LinAlgError:  # the real form's eigensolver refuses a NaN or inf section
+        if not math.isfinite(bad):
+            with pytest.raises(DegenerateDistribution, match="NaN or infinite"):
+                validate_ruler(seed)
             return
+        report = validate_ruler(seed)
     assert report.positivity_route == "real-form"
+    assert math.isfinite(report.min_eigenvalue) and math.isfinite(report.max_eigenvalue)
+    assert not report.positive
+
+
+def test_a_real_symbol_the_bound_cannot_clear_takes_the_real_form():
+    # The Lorentzian K(tau) = e^{-|tau|}/(2*pi) is positive, its transform a
+    # Cauchy law, but no Gaussian reference is near it: the one real n x n
+    # form decides, and gives the dense extremes to roundoff (measured 1.2e-17
+    # and 8.9e-16 of max|eig|).  An even and an odd n cover the odd middle row.
+    for n in (160, 161):
+        grid = grid_for_gaussian(0.3, 1.2, n)
+        seed = RulerSeed(grid, (FLAT_DIAGONAL * np.exp(-grid.tau_grid)).astype(complex))
+        report = validate_ruler(seed)
+        assert report.positivity_route == "real-form" and report.all_pass
+        eig = np.linalg.eigvalsh(seed.kernel * grid.spacing)
+        atol = 1e-13 * max(abs(eig[0]), abs(eig[-1]))
+        np.testing.assert_allclose([report.min_eigenvalue, report.max_eigenvalue], eig[[0, -1]], rtol=0, atol=atol)
 
 
 def test_bound_charges_its_own_rounding():

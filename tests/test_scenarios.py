@@ -178,20 +178,28 @@ def coherent_squeezed_position_oracle(sc, lam, m_grid, k_grid):
     return _finalize_density(m_grid, np.abs(overlap) ** 2 / (2.0 * np.pi), k_grid=k_grid)
 
 
-# small specs of every SCENARIOS kind, each valid at lambda0 = 0.3
+# small specs of every SCENARIOS kind, each valid at lambda0 = 0.3; ``small_run``
+# builds them with SMALL_JOINT_POINTS on each joint axis
 KIND_FIELDS = {
     "linear": {"dx_s": 0.5, "dx_m": 0.5},
     "phase": {"n_mean": 100.0, "dn_s": 5.0, "dphi_m": 0.1},
     "sg": {"xi": 0.9},
-    "nonlinear": {"vx_s": 0.25, "vx_m": 0.25, "m_points": 64, "k_points": 64, "lambda_pad": 0.32},
-    "phase-cs": {"vx_s": 0.2, "vx_m": 0.5, "x0": 1.0, "m_points": 64, "k_points": 64},
+    "nonlinear": {"vx_s": 0.25, "vx_m": 0.25, "lambda_pad": 0.32},
+    "phase-cs": {"vx_s": 0.2, "vx_m": 0.5, "x0": 1.0},
 }
+SMALL_JOINT_POINTS = 64
+
+
+def small_run(kind, monkeypatch):
+    """The run of ``kind``'s KIND_FIELDS spec, its joint axes cut to SMALL_JOINT_POINTS."""
+    monkeypatch.setattr(scenarios, "JOINT_POINTS", SMALL_JOINT_POINTS)
+    return SCENARIOS[kind](**KIND_FIELDS[kind]).run()
 
 
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
-def test_run_fisher_is_fisher_from_family(kind):
+def test_run_fisher_is_fisher_from_family(kind, monkeypatch):
     # with a step, the run's Fisher information is the finite-difference route, bit for bit
-    run = SCENARIOS[kind](**KIND_FIELDS[kind]).run()
+    run = small_run(kind, monkeypatch)
     assert run.fisher(step=run.default_step) == fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
     step = 2.0 * run.default_step
     assert run.fisher(0.3, step=step) == fisher_from_family(run.family, 0.3, step, qfi=run.qfi)
@@ -209,9 +217,9 @@ def five_member_fisher(family, lambda0, step):
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_RUNS) + ["nonlinear", "phase-cs"])
-def test_streamed_stencil_matches_five_members(name):
+def test_streamed_stencil_matches_five_members(name, monkeypatch):
     # the five 1-D runs of fisher-1d and both joint kinds, bit for bit
-    run = BENCH_RUNS[name]() if name in BENCH_RUNS else SCENARIOS[name](**KIND_FIELDS[name]).run()
+    run = BENCH_RUNS[name]() if name in BENCH_RUNS else small_run(name, monkeypatch)
     for lam0 in (0.0, 0.3):
         got = fisher_from_family(run.family, lam0, run.default_step, qfi=run.qfi).fisher
         assert got == five_member_fisher(run.family, lam0, run.default_step)
@@ -254,7 +262,7 @@ def test_joint_build_and_fisher_keep_no_phase_table(spec, monkeypatch):
         fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
 
     op()
-    table = sizes[0] * spec.m_points * 16
+    table = sizes[0] * scenarios.JOINT_POINTS * 16
     assert sizes[0] > 1000
     assert traced_peak(op) <= 3.6e6 + 2.0 * table
 
@@ -277,17 +285,17 @@ EXACT_FD_REL = 3e-11
 
 @pytest.mark.parametrize("lam0", [0.0, 0.3])
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
-def test_exact_fisher_matches_finite_differences(kind, lam0):
-    run = SCENARIOS[kind](**KIND_FIELDS[kind]).run()
+def test_exact_fisher_matches_finite_differences(kind, lam0, monkeypatch):
+    run = small_run(kind, monkeypatch)
     exact = run.fisher(lam0)
     assert exact.qfi == run.qfi
     assert exact.fisher == pytest.approx(run.fisher(lam0, step=run.default_step).fisher, rel=EXACT_FD_REL)
 
 
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
-def test_derivative_reads_the_family_member(kind):
+def test_derivative_reads_the_family_member(kind, monkeypatch):
     # the exact route's p is the family's, bit for bit, with dp on its axes
-    run = SCENARIOS[kind](**KIND_FIELDS[kind]).run()
+    run = small_run(kind, monkeypatch)
     dist, dp = run.derivative(0.3)
     member = run.family(0.3)
     assert dist.mu_grid == member.mu_grid and dist.k_grid == member.k_grid
@@ -304,7 +312,8 @@ def test_grid_sizes_are_keyword_only():
         SGScenario(0.9, n_max=300)
     with pytest.raises(TypeError):
         NonlinearScenario(0.25, 0.25, 0.0, 0.0, 128)
-    assert NonlinearScenario(0.25, 0.25, m_points=128, lambda_pad=0.1).m_points == 128
+    with pytest.raises(TypeError):  # the joint axes take JOINT_POINTS, not a field
+        NonlinearScenario(0.25, 0.25, m_points=128)
     with pytest.raises(TypeError):  # the joint state grid's count is derived, not set
         NonlinearScenario(0.25, 0.25, n_points=256)
 
@@ -680,12 +689,11 @@ class TestCoherentSqueezed:
         rep = run.fisher()
         assert rep.fisher == pytest.approx(0.9, rel=1e-3)
 
-    def test_quarter_turn_permutes_outcomes(self):
+    def test_quarter_turn_permutes_outcomes(self, monkeypatch):
         # with a rotation-symmetric ruler, rotating the probe by pi/2 must
-        # permute the sampled (m, k) cells exactly
-        sc = CoherentSqueezedScenario(
-            vx_s=0.5, vx_m=0.5, x0=0.6, p0=0.0, m_points=128, k_points=128
-        )
+        # permute the sampled (m, k) cells exactly, here on 128 x 128 outcomes
+        monkeypatch.setattr(scenarios, "JOINT_POINTS", 128)
+        sc = CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5, x0=0.6, p0=0.0)
         run = run_phase_coherent_squeezed(sc)
         p0 = run.family(0.0).density
         pq = run.family(math.pi / 2.0).density
@@ -735,11 +743,11 @@ JOINT_CASES = (
 
 
 # (spec, runner, oracle, last angle) of joint cases whose state grids hold
-# more points than their m axes
+# more points than their m axes at SMALL_JOINT_POINTS
 FOLDED_CASES = (
-    (NonlinearScenario(vx_s=0.05, vx_m=4.0, x0=0.3, p0=0.5, m_points=64, k_points=64, lambda_pad=0.3),
+    (NonlinearScenario(vx_s=0.05, vx_m=4.0, x0=0.3, p0=0.5, lambda_pad=0.3),
      run_nonlinear, nonlinear_oracle, 0.25),
-    (CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5, x0=10.0, p0=-3.0, m_points=64, k_points=64),
+    (CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5, x0=10.0, p0=-3.0),
      run_phase_coherent_squeezed, coherent_squeezed_oracle, 0.7),
 )
 
@@ -785,11 +793,12 @@ class TestJointReadout:
             assert np.max(np.abs(dp - ref_dp)) <= 5e-14 * np.max(np.abs(ref_dp))
 
     @pytest.mark.parametrize("case", FOLDED_CASES, ids=("nonlinear", "phase-cs"))
-    def test_folded_readout_matches_oracle(self, case):
+    def test_folded_readout_matches_oracle(self, case, monkeypatch):
         # more state samples than m points: the window rows fold modulo M before
         # the FFT (n = 229 and 193 at M = 64; measured 2.0e-15 and 4.2e-15 of the peak)
+        monkeypatch.setattr(scenarios, "JOINT_POINTS", SMALL_JOINT_POINTS)
         sc, runner, *_ = case
-        assert joint_grid(sc, runner(sc).family(0.0).mu_grid).n_points > sc.m_points
+        assert joint_grid(sc, runner(sc).family(0.0).mu_grid).n_points > scenarios.JOINT_POINTS
         assert_matches_oracle(case)
 
     @pytest.mark.parametrize(("sc", "gate"), (

@@ -115,9 +115,10 @@ class TestSGProbe:
     @given(xi=st.floats(0.0, 0.95), phase=st.floats(0.0, 2 * math.pi))
     def test_moments_property(self, xi, phase):
         z = xi * complex(math.cos(phase), math.sin(phase))
-        # the default 1e-12 tail rule leaves ~1e-8 variance error near
-        # |xi| = 1; moment checks at 1e-9 need a deeper truncation
-        probe = make_sg_probe(SGProbeSpec(xi=z, n_max=max(sg_n_max(z, tail=1e-18), SG_MIN_NMAX)))
+        # the default 1e-12 tail rule leaves ~1e-8 variance error near |xi| = 1;
+        # moment checks at 1e-9 need a deeper truncation, |xi|^(2n) <= 1e-18
+        deep = math.ceil(math.log(1e-18) / (2.0 * math.log(abs(z)))) if abs(z) > 0 else 1
+        probe = make_sg_probe(SGProbeSpec(xi=z, n_max=max(deep, SG_MIN_NMAX)))
         x = abs(z) ** 2
         assert abs(probe.norm - 1.0) < 1e-10
         assert probe.moment(1) == pytest.approx(x / (1 - x), abs=1e-9)
