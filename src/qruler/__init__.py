@@ -40,6 +40,7 @@ from .errors import (
     NonPositiveSigma,
     NormalizationFailure,
     QuantumBoundExceeded,
+    SignalOutOfRange,
     StepTooLarge,
     XiOutOfDisc,
 )

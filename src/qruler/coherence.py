@@ -22,12 +22,24 @@ spacing 2*pi/(M'*dtau), the axis every outcome density carries by its
 type.  Two independent routes to p(mu) are provided: the
 transform of Gamma and a brute-force double sum over the dense kernel,
 used to cross-check each other.
+
+A signal shift lambda multiplies Gamma(tau_j), tau_j = j*dtau, by
+exp(i j s) with s = dtau*lambda.  ``CoherenceFunction.shifted`` builds
+that phase from exact arguments: s is carried as four doubles of at most
+27 significant bits each (Dekker's two-product, each half split by
+Veltkamp), so every product of a piece with a lag index below
+``EXACT_INDEX`` = 2**26 is exact, and the phase error stays a few ulps
+for any |tau*lambda|, where fl(tau*lambda) alone would carry
+|tau*lambda|*eps.  With j = a*B + b, B = ceil(sqrt(h)), the phase is the
+outer product of a coarse table exp(i a B s) and a fine one exp(i b s):
+O(sqrt(h)) complex exponentials, then h complex products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft  # next_fast_len and hfft; the same pocketfft transforms as numpy.fft
@@ -35,8 +47,10 @@ import scipy.fft  # next_fast_len and hfft; the same pocketfft transforms as num
 from .errors import (
     DegenerateDistribution,
     GridMismatch,
+    InvalidGrid,
     NonPositiveSigma,
     NormalizationFailure,
+    SignalOutOfRange,
 )
 from .grids import GeneratorGrid
 from .ruler import FLAT_DIAGONAL, RulerSeed
@@ -47,6 +61,30 @@ SYMMETRY_TOL = 1e-10
 IMAG_TOL = 1e-10
 NEGATIVE_CLIP = 1e-12  # of the density's peak, which grows as 1/sigma
 NORM_HARD_TOL = 1e-6
+# a piece of at most 27 significant bits times a lag index below this (26
+# bits) is exact; MAX_LATTICE_POINTS = 2**20 keeps every run's h far below it
+EXACT_INDEX = 1 << 26
+SPLIT_MAX = 2.0**995  # largest |x| whose Veltkamp split 134217729*x cannot overflow
+
+
+def _split(x: float) -> tuple[float, float]:
+    """Veltkamp's split x = hi + lo, exact: hi has 26 significant bits, lo 27 (|x| <= SPLIT_MAX)."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _exact_pieces(a: float, b: float) -> tuple[float, float, float, float]:
+    """Four doubles of at most 27 significant bits whose exact sum is a*b.
+
+    Dekker's two-product a*b = p + e (exact barring underflow), then p and
+    e each split by ``_split``.
+    """
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return (*_split(p), *_split(e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,20 +126,61 @@ class CoherenceFunction:
         """Degree of coherence gamma(tau) = Gamma(tau) / Gamma(0)."""
         return self.values / self.gamma0
 
+    @cached_property
+    def dual_axis(self) -> GeneratorGrid:
+        """The mu axis of the transform: M' = 2h-1 points spaced 2*pi/(M'*dtau), on +/-(h-1)*dmu."""
+        m = 2 * len(self.values) - 1
+        half = (m // 2) * (2.0 * np.pi / (m * self.spacing))
+        return GeneratorGrid(-half, half, m)
+
+    @cached_property
+    def _lag_table(self) -> tuple[int, int, np.ndarray]:
+        """(A, B, i*k): the coarse lag indices k = a*B, a < A, then the fine k = b < B, as i*k.
+
+        B = ceil(sqrt(h)) and A = ceil(h/B), so every lag j < h is a*B + b.
+        """
+        h = len(self.values)
+        if not h <= EXACT_INDEX:
+            raise InvalidGrid(f"{h} lags, above the {EXACT_INDEX} whose products with a split shift are exact")
+        fine = math.isqrt(h - 1) + 1
+        coarse = -(-h // fine)
+        k = np.concatenate([np.arange(coarse) * float(fine), np.arange(fine, dtype=float)])
+        return coarse, fine, 1j * k
+
     def shifted(self, delta: float) -> "CoherenceFunction":
         """Coherence function of the signal-shifted state.
 
-        A signal shift lambda multiplies Gamma(tau) by exp(i tau lambda),
-        translating p(mu) to p(mu - lambda).  Both invariants survive,
-        Hermitian symmetry too, so the stored lags tau >= 0 are all it
-        shifts; the phase is built by cos/sin in the one complex array it
-        returns, tau*delta held in its real part until the cos.
+        A signal shift lambda multiplies Gamma(tau_j) by exp(i j s),
+        s = dtau*lambda, translating p(mu) to p(mu - lambda); Hermitian
+        symmetry survives, so the stored lags are all it shifts.  The phase
+        comes from exact arguments (module docstring), a few ulps off at
+        any |tau*delta| for h <= EXACT_INDEX = 2**26 lags (``InvalidGrid``
+        beyond).  A NaN or infinite delta, or |delta|, dtau or |dtau*delta|
+        above SPLIT_MAX (about 3e299), raises ``SignalOutOfRange`` before
+        any arithmetic.  Gamma(0) is copied bit for bit; delta = 0 returns
+        this Gamma.
         """
-        phase = np.empty(len(self.tau_grid), dtype=complex)
-        x = np.multiply(self.tau_grid, delta, out=phase.real)
-        np.sin(x, out=phase.imag)
-        np.cos(x, out=x)
-        return CoherenceFunction(self.tau_grid, np.multiply(self.values, phase, out=phase))
+        if not math.isfinite(delta):
+            raise SignalOutOfRange(f"signal shift delta = {delta!r} is not finite")
+        if delta == 0.0:
+            return self
+        dtau = self.spacing
+        if not max(abs(delta), abs(dtau), abs(dtau * delta)) <= SPLIT_MAX:
+            raise SignalOutOfRange(
+                f"signal shift delta = {delta!r} on lags dtau = {dtau!r}: |delta|, dtau or "
+                f"|dtau*delta| exceeds {SPLIT_MAX:.3e}, the range of the exact split"
+            )
+        coarse, fine, k = self._lag_table
+        pieces = np.exp(np.multiply.outer(_exact_pieces(dtau, delta), k))  # exp(i k*piece), each argument exact
+        pair = pieces[:2] * pieces[2:]
+        phase = pair[0] * pair[1]  # exp(i k s): the coarse k, then the fine
+        table = np.empty((coarse, fine), dtype=complex)
+        np.multiply(phase[:coarse, None], phase[coarse:], out=table)  # lag a*B + b at row a, column b
+        h = len(self.values)
+        out = table.reshape(-1)[:h]
+        np.multiply(out[1:], self.values[1:], out=out[1:])
+        out[0] = self.values[0]
+        return CoherenceFunction(self.tau_grid, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +202,7 @@ class OutcomeDistribution:
         return self.mu_grid.spacing * (1.0 if self.k_grid is None else self.k_grid.spacing)
 
     def total_mass(self) -> float:
-        return float(np.sum(self.density) * self.cell)
+        return float(self.density.sum() * self.cell)
 
     def mean(self) -> float:
         if self.k_grid is not None:
@@ -184,10 +263,10 @@ def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None, scaled=()
         if not max_imag <= IMAG_TOL * max(1.0, float(np.max(np.abs(raw.real)))):
             raise NormalizationFailure(f"density not real: max |Im p| = {max_imag:.3e}")
     dens = raw if raw.dtype == np.float64 else np.array(raw.real, dtype=float)
-    low, peak = float(np.min(dens)), float(np.max(dens))
+    low, peak = float(dens.min()), float(dens.max())
     if not low >= -NEGATIVE_CLIP * peak:
         raise NormalizationFailure(f"density negative beyond tolerance: min p = {low:.3e} at peak {peak:.3e}")
-    np.clip(dens, 0.0, None, out=dens)
+    np.maximum(dens, 0.0, out=dens)  # what np.clip(dens, 0.0, None) calls, without its wrapper
     dist = OutcomeDistribution(mu_grid=mu, density=dens, k_grid=k_grid)
     norm = dist.total_mass()
     if not abs(norm - 1.0) <= NORM_HARD_TOL:
@@ -201,26 +280,22 @@ def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None, scaled=()
     return dist
 
 
-def statistics_from_coherence(gamma: CoherenceFunction) -> OutcomeDistribution:
-    """p(mu) = sum_tau Gamma(tau) exp(-i tau mu) * dtau on the dual mu grid.
+def statistics_from_coherence(gamma: CoherenceFunction, delta: float = 0.0) -> OutcomeDistribution:
+    """p(mu - delta) = sum_tau Gamma(tau) exp(i tau delta) exp(-i tau mu) * dtau on the dual mu grid.
 
-    The sum runs over the M' = 2*len(values) - 1 symmetric lags that the
-    stored lags tau >= 0 stand for, spacing dtau; the mu grid has spacing
-    2*pi/(M'*dtau), and on it the transform is a plain DFT that preserves
-    normalization exactly.  Integer tau grids (periodic phase statistics)
-    are the special case dtau = 1, where mu is the phase on (-pi, pi) with
-    spacing 2*pi/M'.  Gamma is Hermitian, so p is real: the transform is
-    one half-spectrum ``hfft`` of the stored values.  The mu axis is the
-    ``GeneratorGrid`` of M' points on +/-(h-1)*dmu, so its spacing is dmu
-    to one ulp.
+    The transform of ``gamma.shifted(delta)``, on ``gamma.dual_axis``: the
+    axis depends on the lags alone, so a run's members share the one its
+    unshifted Gamma caches.  The sum runs over the M' = 2*len(values) - 1
+    symmetric lags that the stored lags tau >= 0 stand for, spacing dtau;
+    the mu grid has spacing 2*pi/(M'*dtau), and on it the transform is a
+    plain DFT that preserves normalization exactly.  Integer tau grids
+    (periodic phase statistics) are the special case dtau = 1, where mu is
+    the phase on (-pi, pi) with spacing 2*pi/M'.  Gamma is Hermitian, so p
+    is real: the transform is one half-spectrum ``hfft`` of the stored
+    values.  The mu axis is the ``GeneratorGrid`` of M' points on
+    +/-(h-1)*dmu, so its spacing is dmu to one ulp.
     """
-    return _finalize_density(_dual_axis(gamma), _transform(gamma, gamma.values))
-
-
-def _dual_axis(gamma: CoherenceFunction) -> GeneratorGrid:
-    m, dtau = 2 * len(gamma.values) - 1, gamma.spacing
-    half = (m // 2) * (2.0 * np.pi / (m * dtau))
-    return GeneratorGrid(-half, half, m)
+    return _finalize_density(gamma.dual_axis, _transform(gamma, gamma.shifted(delta).values))
 
 
 def _transform(gamma: CoherenceFunction, values: np.ndarray) -> np.ndarray:
@@ -230,23 +305,24 @@ def _transform(gamma: CoherenceFunction, values: np.ndarray) -> np.ndarray:
     straight into the one returned array in fftshift's order, negative
     mu (the last h-1 outputs) before the h outputs mu >= 0.
     """
-    h = len(values)
+    h, dtau = len(values), gamma.spacing
     raw = scipy.fft.hfft(values, 2 * h - 1)
     out = np.empty_like(raw)
-    np.multiply(gamma.spacing, raw[h:], out=out[: h - 1])
-    np.multiply(gamma.spacing, raw[:h], out=out[h - 1 :])
+    np.multiply(dtau, raw[h:], out=out[: h - 1])
+    np.multiply(dtau, raw[:h], out=out[h - 1 :])
     return out
 
 
-def statistics_with_derivative(gamma: CoherenceFunction) -> tuple[OutcomeDistribution, np.ndarray]:
-    """p(mu) of ``gamma`` and the exact dp/dlambda of ``gamma.shifted(lambda)`` at lambda = 0.
+def statistics_with_derivative(gamma: CoherenceFunction, delta: float = 0.0) -> tuple[OutcomeDistribution, np.ndarray]:
+    """p(mu) of ``gamma.shifted(delta)`` and the exact dp/dlambda of ``gamma.shifted(lambda)`` at lambda = delta.
 
     The shift multiplies Gamma(tau) by e^{i tau lambda}, so dp/dlambda is
-    the transform of i*tau*Gamma(tau), Hermitian like Gamma, on the same
-    lags; it is divided by the norm p is divided by.
+    the transform of i*tau*Gamma_delta(tau), Hermitian like Gamma, on the
+    same lags and axis; it is divided by the norm p is divided by.
     """
-    raw, d_raw = _transform(gamma, gamma.values), _transform(gamma, 1j * gamma.tau_grid * gamma.values)
-    return _finalize_density(_dual_axis(gamma), raw, scaled=(d_raw,)), d_raw
+    values = gamma.shifted(delta).values
+    raw, d_raw = _transform(gamma, values), _transform(gamma, 1j * gamma.tau_grid * values)
+    return _finalize_density(gamma.dual_axis, raw, scaled=(d_raw,)), d_raw
 
 
 def direct_statistics(

@@ -33,6 +33,10 @@ class DegenerateDistribution(DomainError):
     """Density too flat/degenerate for the requested functional."""
 
 
+class SignalOutOfRange(DomainError):
+    """A signal value that is not finite, or beyond the range of exact shift arithmetic."""
+
+
 class StepTooLarge(DomainError):
     """Finite-difference step rejected by the extrapolation residual gate."""
 

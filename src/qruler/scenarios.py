@@ -45,7 +45,6 @@ import scipy.fft
 from .coherence import (
     CoherenceFunction,
     OutcomeDistribution,
-    _dual_axis,
     _finalize_density,
     coherence_function,
     statistics_from_coherence,
@@ -103,15 +102,16 @@ class ScenarioRun:
 def _shift_run(scenario: str, probe: PureProbe, width_m: float, closed: FisherReport) -> ScenarioRun:
     """A 1-D run: ``probe`` read out by a Gaussian ruler of width ``width_m`` (the ideal ruler at 0),
     whose Gamma, stored by its lags tau >= 0, is built once and a signal value only
-    shifts; the outcome grid is the dual of the M' = 2*len(values) - 1 symmetric lags
-    those stand for, and dp/dlambda is the transform of i*tau*Gamma_lambda on the same lags."""
+    shifts; every member sits on the outcome grid ``gamma.dual_axis`` caches, the dual
+    of the M' = 2*len(values) - 1 symmetric lags those stand for, and dp/dlambda is the
+    transform of i*tau*Gamma_lambda on the same lags."""
     gamma = coherence_function(probe, make_gaussian_ruler(width_m, probe.grid))
 
     def family(lam: float) -> OutcomeDistribution:
-        return statistics_from_coherence(gamma.shifted(lam))
+        return statistics_from_coherence(gamma, lam)
 
     def derivative(lam: float) -> tuple[OutcomeDistribution, np.ndarray]:
-        return statistics_with_derivative(gamma.shifted(lam))
+        return statistics_with_derivative(gamma, lam)
 
     return ScenarioRun(scenario, family, derivative, closed, gamma=gamma)
 
@@ -148,7 +148,7 @@ def run_linear(sc: LinearScenario) -> ScenarioRun:
     spec = GaussianProbeSpec(center=sc.p0, sigma=1.0 / (2.0 * sc.dx_s), conjugate_center=-sc.x0)
     closed = closed_form_linear(sc.dx_s, sc.dx_m)
     run = _shift_run("linear", make_gaussian_probe(spec, grid_for_gaussian(spec.center, spec.sigma)), sc.dx_m, closed)
-    if not abs(sc.x0) + SPAN_SIGMAS * math.hypot(sc.dx_s, sc.dx_m) <= (half := _dual_axis(run.gamma).g_max):
+    if not abs(sc.x0) + SPAN_SIGMAS * math.hypot(sc.dx_s, sc.dx_m) <= (half := run.gamma.dual_axis.g_max):
         raise GridTooNarrow(f"x0={sc.x0!r} and {SPAN_SIGMAS:g} sigmas leave the outcome axis +/- {half!r}")
     return run
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,20 @@ class TestFisherCommand:
             "--out", str(out),
         ]) == 2
         assert "--step must be > 0" in capsys.readouterr().err
+        assert not (out / "fisher.json").exists()
+
+    @pytest.mark.parametrize("step", ["1e308", "9e307"])
+    def test_signal_beyond_the_exact_split_is_domain_error(self, step, tmp_path, capsys):
+        # the stencil's first member, lambda0 - step; a float64 phase gave "min p = nan"
+        out = tmp_path / "fhuge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([
+                "fisher", "--scenario", "sg", "--xi", "0.9", "--step", step, "--out", str(out),
+            ]) == 3
+        err = capsys.readouterr().err
+        assert f"signal shift delta = {-float(step)!r} on lags" in err and "exact split" in err
+        assert "nan" not in err
         assert not (out / "fisher.json").exists()
 
     @pytest.mark.parametrize("step", ["0.12", "0.13"])

@@ -1,9 +1,12 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.fft
@@ -13,10 +16,12 @@ from scipy.integrate import quad
 
 import qruler
 from qruler.coherence import (
+    EXACT_INDEX,
     GAMMA0_TOL,
     IMAG_TOL,
     NEGATIVE_CLIP,
     NORM_HARD_TOL,
+    SPLIT_MAX,
     SYMMETRY_TOL,
     CoherenceFunction,
     GaussianModel,
@@ -34,7 +39,9 @@ from qruler.coherence import (
 from qruler.errors import (
     DegenerateDistribution,
     GridMismatch,
+    InvalidGrid,
     NormalizationFailure,
+    SignalOutOfRange,
 )
 from qruler.grids import GeneratorGrid, grid_for_gaussian
 from qruler.ruler import FLAT_DIAGONAL, RulerSeed, make_gaussian_ruler, make_ideal_ruler, validate_ruler
@@ -228,8 +235,18 @@ class TestStatisticsFromCoherence:
 
 
 def exp_shifted(gamma, delta):
-    """Oracle of ``shifted``: the complex exp over every stored lag."""
-    return CoherenceFunction(gamma.tau_grid, gamma.values * np.exp(1j * gamma.tau_grid * delta))
+    """Oracle of ``shifted``: Gamma(tau_j) * e^{i j (dtau*delta)} in long double, rounded to complex once.
+
+    With a 64-bit mantissa the argument j*(dtau*delta) is off by at most
+    2**-63 of itself, 2**-11 of the float64 argument fl(tau*delta)'s error;
+    on the ``BENCH_RUNS`` Gammas at |delta| <= 2.5 the oracle is within
+    5e-19 of an mpmath one (measured on every 34th lag or closer).
+    """
+    assert np.finfo(np.longdouble).nmant >= 63, "needs an 80-bit long double"
+    x = np.arange(len(gamma.values), dtype=np.longdouble) * (np.longdouble(gamma.spacing) * np.longdouble(delta))
+    cos, sin = np.cos(x), np.sin(x)
+    re, im = gamma.values.real.astype(np.longdouble), gamma.values.imag.astype(np.longdouble)
+    return CoherenceFunction(gamma.tau_grid, (re * cos - im * sin).astype(float) + 1j * (re * sin + im * cos).astype(float))
 
 
 def complex_fft_statistics(gamma):
@@ -294,7 +311,7 @@ class TestHermitianTransform:
             p = statistics_from_coherence(gamma.shifted(lam))
             ref = complex_fft_statistics(exp_shifted(gamma, lam))
             assert p.mu_grid == ref.mu_grid
-            # measured <= 8.4e-16 of the peak
+            # measured <= 7.0e-16 of the peak (the float64-argument phase: 8.0e-15 at sg-0.999)
             assert np.max(np.abs(p.density - ref.density)) <= 1e-14 * np.max(ref.density)
 
     @pytest.mark.parametrize("name", sorted(BENCH_RUNS))
@@ -313,8 +330,92 @@ class TestHermitianTransform:
         for delta in (-0.93, 0.4117, 2.5):
             shifted = gamma.shifted(delta)
             assert shifted.tau_grid is gamma.tau_grid
-            # measured 2.8e-17 (sg-0.999), bit-identical elsewhere
+            # measured <= 3.5e-17 (the float64-argument phase: 5.7e-15 at sg-0.999)
             assert np.max(np.abs(shifted.values - exp_shifted(gamma, delta).values)) <= 1e-15
+
+
+def exact_phase(dtau, delta, j):
+    """e^{i j (dtau*delta)} by mpmath at 1,200 bits: the product is exact (53 + 53 + 26 bits),
+    and reducing any |j*dtau*delta| < 2**1100 mod 2*pi leaves it 100 bits."""
+    with mpmath.workprec(1200):
+        return complex(mpmath.expj(j * mpmath.mpf(dtau) * mpmath.mpf(delta)))
+
+
+def flat_gamma(h, dtau):
+    """Gamma = 1 on h lags j*dtau, so a shift returns its phase table."""
+    return CoherenceFunction(np.arange(h) * dtau, np.ones(h, dtype=complex))
+
+
+def phase_error(gamma, delta, lags):
+    """Largest |shifted - exact phase| over ``lags`` of a flat Gamma."""
+    out = gamma.shifted(delta).values
+    return max(abs(out[j] - exact_phase(gamma.spacing, delta, int(j))) for j in lags)
+
+
+def sample_lags(h, seed, count=40):
+    """Lags 0, 1, h-1 and ``count`` more drawn at random."""
+    return np.unique(np.concatenate([[0, 1, h - 1], np.random.default_rng(seed).integers(0, h, count)]))
+
+
+EPS = np.finfo(float).eps
+# largest phase error of ``shifted`` in eps: 10x the 2.5 eps measured over
+# 3,000 random draws of the property below, at any |tau*delta|
+PHASE_ERROR_EPS = 25.0
+
+
+class TestExactShift:
+    """``shifted`` multiplies by e^{i j s}, s = dtau*delta, from exact arguments: a few ulps at any |tau*delta|."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(2, 20_000),
+        dtau=st.one_of(st.just(1.0), st.floats(1e-3, 10.0)),
+        delta=st.floats(-1e6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_phase_error_is_a_few_ulps(self, h, dtau, delta, seed):
+        # fl(tau*delta) alone is off by |tau*delta|*eps/2, up to 1e-6 here
+        assert phase_error(flat_gamma(h, dtau), delta, sample_lags(h, seed)) <= PHASE_ERROR_EPS * EPS
+
+    @pytest.mark.parametrize("delta", [0.7318, -123456.789, math.pi * 1e17, SPLIT_MAX])
+    def test_largest_lattice(self, delta):
+        # h = 2**20, the MAX_LATTICE_POINTS bound; measured <= 1.5 eps
+        gamma = flat_gamma(1 << 20, 1.0)
+        assert phase_error(gamma, delta, sample_lags(1 << 20, 7, count=200)) <= PHASE_ERROR_EPS * EPS
+
+    @pytest.mark.parametrize("name", sorted(BENCH_RUNS))
+    def test_zero_shift_and_zero_lag_are_bit_exact(self, name):
+        gamma = BENCH_RUNS[name]().gamma
+        for zero in (0.0, -0.0):
+            assert gamma.shifted(zero).values.tobytes() == gamma.values.tobytes()
+        for delta in (-0.93, 1e-300, 2.5, math.pi * 1e17, -SPLIT_MAX):
+            assert gamma.shifted(delta).values[:1].tobytes() == gamma.values[:1].tobytes()
+
+    @pytest.mark.parametrize(("delta", "why"), [
+        (math.nan, "is not finite"), (math.inf, "is not finite"), (-math.inf, "is not finite"),
+        (2.0 * SPLIT_MAX, "exact split"), (-1e308, "exact split"),
+    ])
+    def test_signal_out_of_range_is_refused(self, delta, why):
+        # typed, named and before any arithmetic: no numpy warning
+        run = BENCH_RUNS["sg-0.9"]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shift in (run.gamma.shifted, run.family, run.derivative):
+                with pytest.raises(SignalOutOfRange, match=re.escape(f"delta = {delta!r}") + ".*" + why):
+                    shift(delta)
+
+    def test_split_range_counts_the_product(self):
+        # |delta| within the split's range, |dtau*delta| beyond it
+        gamma = flat_gamma(64, 4.0)
+        gamma.shifted(SPLIT_MAX / 4.0)
+        with pytest.raises(SignalOutOfRange, match="exact split"):
+            gamma.shifted(SPLIT_MAX / 2.0)
+
+    def test_lags_beyond_the_exact_index_are_refused(self):
+        # zero-stride views: EXACT_INDEX + 1 lags without the 1 GB they would hold
+        gamma = CoherenceFunction(np.broadcast_to(0.0, (EXACT_INDEX + 1,)), np.broadcast_to(0.1 + 0j, (EXACT_INDEX + 1,)))
+        with pytest.raises(InvalidGrid, match=f"{EXACT_INDEX + 1} lags"):
+            gamma.shifted(0.5)
 
 
 def unit_mass_density():

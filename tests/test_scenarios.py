@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -494,6 +495,24 @@ class TestSG:
         np.testing.assert_allclose(
             p.density, sg_closed_form_density(0.9, p.mu_grid.points), atol=1e-10
         )
+
+    @pytest.mark.parametrize("lam", [math.pi * 1e12, math.pi * 1e15, math.pi * 1e17])
+    def test_huge_signal_is_its_reduced_phase(self, lam):
+        # a float64 phase argument fl(tau*lam) put pi*1e12 5.1e-4 of the peak off the
+        # closed form and failed the negativity gate at pi*1e15; the exact shift is
+        # the member at lam mod 2*pi: measured 1.3e-15 of the peak from it
+        run = run_phase_sg(SGScenario(xi=0.9))
+        with mpmath.workprec(1200):
+            reduced = float(mpmath.fmod(mpmath.mpf(lam), 2 * mpmath.pi))
+        member, near = run.family(lam), run.family(reduced)
+        closed = sg_closed_form_density(0.9, member.mu_grid.points, reduced)
+        peak = np.max(closed)
+        assert np.max(np.abs(member.density - near.density)) <= 1.5e-14 * peak
+        # the series' truncation gap at the reduced phase, 5.6e-7 to 1.6e-6 of the
+        # peak here (1.5e-6 at lambda = 0.3), is all that separates it from the closed form
+        gap = np.max(np.abs(near.density - closed))
+        assert gap <= 2e-6 * peak
+        assert np.max(np.abs(member.density - closed)) <= gap + 1.5e-14 * peak
 
     def test_widths_both_routes(self):
         run = run_phase_sg(SGScenario(xi=0.9))
