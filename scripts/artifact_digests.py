@@ -63,10 +63,11 @@ SCENARIO_EXAMPLES = {
 LAMBDAS = {"linear": "0,0.5", "phase": "0,0.05", "sg": "0,1", "nonlinear": "0,0.02",
            "phase-cs": "0,0.3"}
 # flags no README example passes: user-built grids, an explicit step
-# (which for nonlinear widens lambda_pad), a nonlinear run whose default
-# step would need more than lambda_pad (its exact F reads axes sized for
-# lambda_pad alone), the deep sg probe (13,810 number
-# states) and a narrow seed
+# (which for nonlinear widens lambda_pad), a wide nonlinear probe whose
+# exact F reads axes sized for the default lambda_pad alone (a step of
+# 1e-3*sqrt(CRB), 0.181 there, would reach past it; the default step is
+# capped at 1e-3*pi), the deep sg probe (13,810 number states) and a
+# narrow seed
 FLAG_EXAMPLES = {
     "grid-wk": "wk --probe gaussian:sigma=1 --ruler ideal --grid gmin=-10,gmax=10,n=300",
     "grid-validate-ruler": "validate-ruler --ruler ideal --grid gmin=-4,gmax=4,n=128",

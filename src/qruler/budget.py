@@ -71,6 +71,12 @@ class LinearOptimum:
     delta2_lambda_numeric: float
 
 
+def _check_budget(c: float) -> None:
+    """Refuse a budget that is not > 0, or for which 27*C^2 (the nonlinear optimum) or 1/(SPLIT_EPS*C) overflows."""
+    if not (c > 0 and 27.0 * c * c < math.inf and SPLIT_EPS * c > 2.0**-1024):  # 1/2**-1024 overflows
+        raise NonPositiveBudget(f"budget {c!r} is not > 0, or 27*C^2 or 1/({SPLIT_EPS:g}*C) overflows a float")
+
+
 def linear_objective(c: float, s: float) -> float:
     """Signal variance vx_s + vx_m at split s of budget c."""
     return 1.0 / (s * c) + 1.0 / ((1.0 - s) * c)
@@ -78,8 +84,7 @@ def linear_objective(c: float, s: float) -> float:
 
 def optimize_linear(c: float) -> LinearOptimum:
     """Balanced split minimizes the linear signal variance: s* = 1/2."""
-    if not c > 0:
-        raise NonPositiveBudget(f"budget must be > 0, got {c}")
+    _check_budget(c)
     s_num, val_num = golden_section(lambda s: linear_objective(c, s), SPLIT_EPS, 1.0 - SPLIT_EPS)
     return LinearOptimum(
         budget=c,
@@ -114,8 +119,7 @@ def optimize_nonlinear(c: float) -> NonlinearOptimum:
     At the optimum the Fisher information reaches 3/8 of the probe's
     quantum Fisher information 1/(2 vx_s^2).
     """
-    if not c > 0:
-        raise NonPositiveBudget(f"budget must be > 0, got {c}")
+    _check_budget(c)
     s_num, neg = golden_section(
         lambda s: -nonlinear_objective(c, s), SPLIT_EPS, 1.0 - SPLIT_EPS
     )
@@ -146,8 +150,7 @@ class BudgetSweep:
 
 def sweep_budget(c: float, objective: str, n_samples: int) -> BudgetSweep:
     """Tabulate an ``OBJECTIVES`` entry over splits s in (0, 1) for plotting."""
-    if not c > 0:
-        raise NonPositiveBudget(f"budget must be > 0, got {c}")
+    _check_budget(c)
     if n_samples < 16:
         raise ValueError("n_samples must be >= 16")
     if objective not in OBJECTIVES:

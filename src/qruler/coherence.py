@@ -14,12 +14,12 @@ through its symbol K(tau), and the probe only through its autocorrelation
 (psi * psi)(tau) = integral' dg psi(g) conj(psi(g+tau)), computed by one
 FFT.  Both factors are Hermitian, K by the seed's type and the
 autocorrelation by construction, so Gamma(-tau) = conj Gamma(tau): it is
-stored by its h lags tau >= 0 only, which stand for all M' = 2h-1
-symmetric lags, and gated once, for Gamma(0) = 1/(2*pi), where it is
-built.  So p(mu) is real, and the transform is one half-spectrum FFT of
-the stored lags, onto the dual axis: a ``GeneratorGrid`` of M' points with
-spacing 2*pi/(M'*dtau), the axis every outcome density carries by its
-type.  Two independent routes to p(mu) are provided: the
+stored by its lag spacing dtau and its values on the h lags j*dtau >= 0,
+which stand for all M' = 2h-1 symmetric lags, and gated once, for
+Gamma(0) = 1/(2*pi), where it is built.  So p(mu) is real, and the
+transform is one half-spectrum FFT of the stored values, onto the dual
+axis: a ``GeneratorGrid`` of M' points with spacing 2*pi/(M'*dtau), the
+axis every outcome density carries by its type.  Two independent routes to p(mu) are provided: the
 transform of Gamma and a brute-force double sum over the dense kernel,
 used to cross-check each other.
 
@@ -89,22 +89,19 @@ def _exact_pieces(a: float, b: float) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True, eq=False)
 class CoherenceFunction:
-    """Sampled Hermitian Gamma(tau) on its lags tau = 0, dtau, ..., (h-1)*dtau.
+    """Sampled Hermitian Gamma(tau) on its h = len(values) lags tau_j = j*spacing, uniform from 0 by construction.
 
     Gamma(-tau) = conj Gamma(tau) gives the rest of its M' = 2h-1 lags.
     """
 
-    tau_grid: np.ndarray
+    spacing: float
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.tau_grid) != len(self.values) or len(self.values) < 2:
-            raise ValueError(
-                f"need two or more lags tau >= 0 with one value each, got "
-                f"{len(self.tau_grid)} lags and {len(self.values)} values"
-            )
-        if self.tau_grid[0] != 0.0:  # a symmetric tau grid would make gamma0 read Gamma(-tau_max)
-            raise ValueError(f"the first lag must be tau = 0, got {float(self.tau_grid[0])!r}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"the lag spacing must be finite and positive, got {self.spacing!r}")
+        if len(self.values) < 2:
+            raise ValueError(f"need two or more lags tau >= 0, got {len(self.values)}")
         if not 2.0 * abs(self.values[0].imag) <= SYMMETRY_TOL:  # hfft would drop Im Gamma(0)
             raise NormalizationFailure(f"Gamma lacks Hermitian symmetry: Im Gamma(0) = {self.values[0].imag:.3e}")
 
@@ -113,9 +110,12 @@ class CoherenceFunction:
         """Re Gamma(0), the first lag; 1/(2*pi) for detection-process functions."""
         return float(self.values[0].real)
 
-    @property
-    def spacing(self) -> float:
-        return float(self.tau_grid[1] - self.tau_grid[0])
+    @cached_property
+    def tau_grid(self) -> np.ndarray:
+        """The stored lags j*spacing, read-only, built on first read."""
+        tau = np.arange(len(self.values)) * self.spacing
+        tau.flags.writeable = False
+        return tau
 
     def all_lags(self) -> tuple[np.ndarray, np.ndarray]:
         """(tau, Gamma) on all M' = 2h-1 symmetric lags, tau < 0 from Gamma(-tau) = conj Gamma(tau)."""
@@ -180,7 +180,7 @@ class CoherenceFunction:
         out = table.reshape(-1)[:h]
         np.multiply(out[1:], self.values[1:], out=out[1:])
         out[0] = self.values[0]
-        return CoherenceFunction(self.tau_grid, out)
+        return CoherenceFunction(self.spacing, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,10 +243,8 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
     h = (length + 1) // 2
     vals = np.zeros(h, dtype=complex)
     vals[:n] = gamma
-    tau = np.arange(h) * probe.grid.spacing  # the grid's own tau_grid, extended
     vals.flags.writeable = False
-    tau.flags.writeable = False
-    return CoherenceFunction(tau, vals)
+    return CoherenceFunction(probe.grid.spacing, vals)
 
 
 def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None, scaled=()) -> OutcomeDistribution:
@@ -398,10 +396,7 @@ class GaussianModel:
         return FLAT_DIAGONAL * np.exp(-0.5 * self.delta2_lambda * np.asarray(tau) ** 2)
 
 
-def appendix_coherence(
-    probe: PureProbe,
-    tau_grid: np.ndarray | None = None,
-) -> CoherenceFunction:
+def appendix_coherence(probe: PureProbe) -> CoherenceFunction:
     """Probe-only coherence function for the squared generator g^2,
 
         Gamma2(tau) = integral' dp psi(p) conj(psi(sqrt(p^2+tau))),
@@ -412,31 +407,20 @@ def appendix_coherence(
     centred at 0.7 gives 1.068), not 1/(2*pi).  For g itself the probe-only
     Gamma1 is 2*pi times ``coherence_function`` with the ideal ruler.
     The quadrature takes off-grid amplitudes from one complex cubic spline
-    of the sampled probe, clamped to zero outside the grid.  ``tau_grid`` must be
-    uniform and symmetric, tau = -tau reversed; the integral is evaluated
-    and stored on its lags tau >= 0 only, since a coherence function is
-    Hermitian, Gamma(-tau) = conj(Gamma(tau)), and the raw negative-tau
-    integral would break that symmetry.
+    of the sampled probe, clamped to zero outside the grid.  It is evaluated
+    and stored on the 1025 lags tau_j = j*dtau >= 0, dtau = max(40 sigma^2,
+    16 sigma)/1024 with sigma^2 the probe's variance: Gamma2 is Hermitian,
+    Gamma2(-tau) = conj Gamma2(tau), like every coherence function, and the
+    raw negative-tau integral would break that symmetry.
     """
     from scipy.interpolate import CubicSpline  # loads scipy.optimize; only this quadrature needs it
 
     grid = probe.grid
-    if tau_grid is None:
-        sigma = math.sqrt(probe.variance())
-        half = max(40.0 * sigma**2, 16.0 * sigma)
-        tau_grid = np.linspace(-half, half, 2049)
-    tau = np.asarray(tau_grid, dtype=float)
-    tol = 1e-12 * max(float(tau[-1] - tau[0]), 1.0)
-    if abs(tau[len(tau) // 2]) > tol or np.max(np.abs(tau + tau[::-1])) > tol:
-        raise ValueError("tau_grid must be symmetric around 0")
-    if np.ptp(np.diff(tau)) > tol:
-        raise ValueError("tau_grid must be uniform")
-    half_tau = tau[len(tau) // 2 :].copy()
-    half_tau[0] = 0.0  # the middle lag, zero within tol, is Gamma(0)
+    sigma = math.sqrt(probe.variance())
+    dtau = max(40.0 * sigma**2, 16.0 * sigma) / 1024
     p = grid.points
-    at = np.sqrt(p[None, :] ** 2 + half_tau[:, None])  # tau >= 0, so p^2 + tau >= 0 throughout
+    at = np.sqrt(p[None, :] ** 2 + (np.arange(1025) * dtau)[:, None])  # tau >= 0, so p^2 + tau >= 0 throughout
     shifted = np.nan_to_num(CubicSpline(p, probe.amplitudes, extrapolate=False)(at), nan=0.0)
     vals = np.sum(probe.amplitudes[None, :] * np.conj(shifted), axis=1) * grid.spacing
     vals.flags.writeable = False
-    half_tau.flags.writeable = False
-    return CoherenceFunction(half_tau, vals)
+    return CoherenceFunction(dtau, vals)

@@ -50,7 +50,7 @@ class ContinuumApproxViolated(DomainError):
 
 
 class NonPositiveBudget(DomainError):
-    """Coherence budget constant must be strictly positive."""
+    """Coherence budget constant that is not strictly positive, or whose optima leave the float range."""
 
 
 class ConfigError(Exception):

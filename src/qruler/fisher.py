@@ -33,8 +33,8 @@ RESIDUAL_GATE = 1e-3        # Richardson residual gate, relative
 QFI_SLACK = 1e-6            # numerical headroom on F <= F_Q, relative
 # absolute F below which a family carries no resolvable information: the
 # Richardson residual is not gated below it, and F <= F_Q gets it as headroom,
-# 1.1e13 times the roundoff F at F_Q = 0 (phase-cs vacuum, lambda0 = 0.37:
-# 9.4e-26 by Richardson, 0 exact)
+# 1.3e14 times the roundoff F at F_Q = 0 (phase-cs vacuum, lambda0 = 0.37:
+# 7.7e-27 by Richardson at the default step, 0 exact)
 FISHER_FLOOR = 1e-12
 
 

@@ -5,6 +5,7 @@ its offset (tau) axis holds the differences g' - g >= 0, which stand for
 all 2n-1 lags of a Hermitian f(-tau) = conj f(tau).  Outcome densities sit
 on the same type: the mu axis of a coherence transform, the Fourier dual
 of its M' lags with spacing 2*pi/(M'*dtau), and a joint readout's m and k.
+``integer_grid``, the phase scenarios' number lattice, holds its ceiling.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidGrid
+from .errors import GridTooNarrow, InvalidGrid
 
 MIN_POINTS = 64  # resolution floor for quadrature accuracy
 # Gaussian half-span in standard deviations: tail mass below 1e-14, which
@@ -75,6 +76,8 @@ def grid_for_gaussian(center: float, sigma: float, n_points: int = 512) -> Gener
     return GeneratorGrid(center - half, center + half, n_points)
 
 
-def integer_grid(n_max: int) -> GeneratorGrid:
-    """Integer-spaced grid 0..n_max for discrete number-basis states."""
-    return GeneratorGrid(0.0, float(n_max), n_max + 1)
+def integer_grid(lo: int, hi: int) -> GeneratorGrid:
+    """Number lattice lo..hi on float bounds; above MAX_LATTICE_POINTS states, ``GridTooNarrow`` before allocating."""
+    if not hi - lo < MAX_LATTICE_POINTS:
+        raise GridTooNarrow(f"{hi - lo + 1} number states, above MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
+    return GeneratorGrid(float(lo), float(hi), hi - lo + 1)

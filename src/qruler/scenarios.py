@@ -15,11 +15,11 @@ distribution on a fixed grid, whose ``derivative`` adds the exact
 dp/dlambda there, and whose ``fisher`` method is the one route from a
 run to its Fisher information: exact by default, by finite differences
 of ``family`` at a given step (``default_step`` derives one from the
-closed-form CRB); a spec's ``run()`` calls its
+closed-form CRB, at most 1e-3*pi); a spec's ``run()`` calls its
 module-level ``run_*`` by name.  The ruler's POVM does not depend on
 the signal, so each run builds its measurement once and the signal acts
-on the state only: the 1-D runs build the coherence function Gamma
-once, on its fast transform length, and shift it; the joint runs build
+on the state only: the 1-D runs build Gamma, stored by its lag spacing,
+once on its fast transform length, and shift it; the joint runs build
 the (m, k) projections once and apply them to the evolved state and its
 lambda-derivative, on the state grid dual to the m axis
 (``state_grid``), where a readout is one FFT per window; both joint axes
@@ -29,8 +29,8 @@ parameters, from which the command line derives its flags, required values
 and reported parameters; ``nonlinear``'s ``lambda_pad`` is keyword-only
 and is not a flag.  Acceptance builds its runs through the same table.
 ``phase_distribution_ws`` takes the phase density of a blurred squeezed
-vacuum through sg's periodic transform, from a Poisson-kernel Gamma on
-even integer lags.
+vacuum through sg's periodic transform, from a Poisson-kernel Gamma of
+lag spacing 1, zero on odd lags.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .fisher import (
     fisher_from_derivative,
     fisher_from_family,
 )
-from .grids import MAX_LATTICE_POINTS, MIN_POINTS, SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
+from .grids import MIN_POINTS, SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian, integer_grid
 from .ruler import make_gaussian_ruler
 from .states import GaussianProbeSpec, PureProbe, SGProbeSpec, make_gaussian_probe, make_sg_probe
 
@@ -82,9 +82,8 @@ class ScenarioRun:
 
     @property
     def default_step(self) -> float:
-        """A Richardson step for ``fisher``: 1e-3 of the closed-form CRB's root, 1e-4 without a finite CRB."""
-        crb = self.closed_form.crb
-        return 1e-3 * math.sqrt(crb) if 0 < crb < math.inf else 1e-4
+        """A Richardson step for ``fisher``: 1e-3 of the closed-form CRB's root, at most a thousandth of a half-turn."""
+        return 1e-3 * min(math.sqrt(self.closed_form.crb), math.pi)
 
     def fisher(self, lambda0: float = 0.0, step: float | None = None) -> FisherReport:
         """Numerical Fisher information at ``lambda0``: exact from ``derivative``,
@@ -190,9 +189,7 @@ def run_phase_gaussian(sc: PhaseGaussianScenario) -> ScenarioRun:
         raise ContinuumApproxViolated(f"phase width {sigma_phi!r} wraps: need pi/sigma_phi >= {WRAP_SIGMAS:g}")
     lo = math.floor(sc.n_mean - SPAN_SIGMAS * sc.dn_s)
     hi = max(math.ceil(sc.n_mean + SPAN_SIGMAS * sc.dn_s), lo + MIN_POINTS - 1)
-    if not hi - lo < MAX_LATTICE_POINTS:
-        raise GridTooNarrow(f"{hi - lo + 1} number states, above MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
-    probe = make_gaussian_probe(GaussianProbeSpec(sc.n_mean, sc.dn_s), GeneratorGrid(lo, hi, hi - lo + 1))
+    probe = make_gaussian_probe(GaussianProbeSpec(sc.n_mean, sc.dn_s), integer_grid(lo, hi))
     closed = closed_form_phase(0.5 / sc.dn_s, sc.dphi_m)
     return _shift_run("phase_gaussian", probe, sc.dphi_m, closed)
 
@@ -241,10 +238,10 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
     M' = 2*len(gamma.values) - 1 >= 2*n_max + 1 is the transform length
     of ``coherence_function`` and n_max = ``sg_n_max(xi)``.
     """
-    var = sg_fisher_variance(sc.xi)
-    fisher = 0.0 if math.isinf(var) else 1.0 / var
+    probe = make_sg_probe(SGProbeSpec(xi=sc.xi))  # first: it refuses |xi| >= 1, where the closed forms fail
+    fisher = 1.0 / sg_fisher_variance(sc.xi)  # 1/inf = 0 for the vacuum
     qfi = 2.0 * fisher  # QFI = 4 Var(N) = 2 F here, 0 for the vacuum
-    return _shift_run("phase_sg", make_sg_probe(SGProbeSpec(xi=sc.xi)), 0.0, FisherReport(fisher, qfi))
+    return _shift_run("phase_sg", probe, 0.0, FisherReport(fisher, qfi))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +386,10 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     vp_s = 1.0 / (4.0 * sc.vx_s)
     sigma_p = math.sqrt(vp_s)
     vp_m = 1.0 / (4.0 * sc.vx_m)
-    # free-spreading of the x-width under e^{-i lambda p^2}: vx + 4 lambda^2 vp
-    m_half = SPAN_SIGMAS * math.sqrt(sc.vx_s + 4.0 * sc.lambda_pad**2 * vp_s + sc.vx_m)
+    try:  # free-spreading of the x-width under e^{-i lambda p^2}: vx + 4 lambda^2 vp
+        m_half = SPAN_SIGMAS * math.sqrt(sc.vx_s + 4.0 * sc.lambda_pad**2 * vp_s + sc.vx_m)
+    except OverflowError:
+        raise GridTooNarrow(f"lambda_pad={sc.lambda_pad!r}: its square overflows a float") from None
     m_half += 2.0 * sc.lambda_pad * abs(sc.p0)
     k_half = SPAN_SIGMAS * math.sqrt(vp_s + vp_m)
     m_grid = GeneratorGrid(sc.x0 - m_half, sc.x0 + m_half, JOINT_POINTS)
@@ -550,10 +549,8 @@ def phase_distribution_ws(vx_eff: float, vp_eff: float) -> PhaseDistribution:
         raise GridTooNarrow(f"Poisson tail |r|^{(h - 1) // 2} = {tail:.2e} > {TAIL_TOL} at vx/vp = {s * s!r}")
     vals = np.zeros(h)
     vals[::2] = r ** np.arange((h + 1) // 2) / (2.0 * np.pi)
-    tau = np.arange(h, dtype=float)
     vals.flags.writeable = False
-    tau.flags.writeable = False
-    gamma = CoherenceFunction(tau, vals)
+    gamma = CoherenceFunction(1.0, vals)
     dist = statistics_from_coherence(gamma)
     profile = s / (2.0 * np.pi) / (1.0 + (s * s - 1.0) * np.sin(dist.mu_grid.points) ** 2)
     residual = float(np.max(np.abs(dist.density - profile)))

@@ -2,6 +2,7 @@
 
 Amplitudes follow the density convention: a probe psi(g) satisfies
 sum |psi(g)|^2 * dg = 1, so |psi|^2 is a probability density on the grid.
+The geometric-series (sg) probe sits on its own number lattice 0..n_max.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistribution, GridTooNarrow, InvalidGrid, NonPositiveSigma, XiOutOfDisc
-from .grids import MAX_LATTICE_POINTS, SPAN_SIGMAS, GeneratorGrid, integer_grid
+from .grids import SPAN_SIGMAS, GeneratorGrid, integer_grid
 
 SG_TAIL_TOLERANCE = 1e-12
 SG_MIN_NMAX = 64  # grid resolution floor of the sg phase axis
@@ -45,7 +46,7 @@ class SGProbeSpec:
     n_max: int | None = None  # None: smallest n with |xi|^(2n) <= tail tol, at least 64
 
     def __post_init__(self):
-        if abs(self.xi) >= 1.0:
+        if not abs(self.xi) < 1.0:  # a NaN xi fails too
             raise XiOutOfDisc(f"|xi| must be < 1, got {abs(self.xi)}")
 
 
@@ -119,15 +120,14 @@ def make_sg_probe(spec: SGProbeSpec) -> PureProbe:
     1e-12, well inside the unit-norm invariant.  An explicit ``n_max``
     below the grid floor of 64 is refused, never raised to it, and a
     derived or explicit lattice above MAX_LATTICE_POINTS states raises
-    ``GridTooNarrow`` before anything is allocated.
+    ``GridTooNarrow`` in ``integer_grid``, before anything is allocated.
     """
     n_max = spec.n_max
     if n_max is None:
         n_max = max(sg_n_max(spec.xi), SG_MIN_NMAX)
     elif n_max < SG_MIN_NMAX:
         raise InvalidGrid(f"n_max={n_max} is below the grid floor {SG_MIN_NMAX}")
-    if not n_max < MAX_LATTICE_POINTS:
-        raise GridTooNarrow(f"{n_max + 1} number states, above MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
+    grid = integer_grid(0, n_max)
     tail = abs(spec.xi) ** (2 * (n_max + 1))
     if tail >= SG_TAIL_TOLERANCE:
         raise XiOutOfDisc(
@@ -136,4 +136,4 @@ def make_sg_probe(spec: SGProbeSpec) -> PureProbe:
     n = np.arange(n_max + 1)
     c = math.sqrt(1.0 - abs(spec.xi) ** 2) * np.asarray(spec.xi, complex) ** n
     c.flags.writeable = False
-    return PureProbe(integer_grid(n_max), c)
+    return PureProbe(grid, c)

@@ -272,8 +272,8 @@ class TestFisherCommand:
 
     def test_nonlinear_stencil_past_lambda_pad_is_too_narrow(self, tmp_path):
         # the command takes the exact derivative, on axes sized for lambda_pad = 0.05
-        # alone; the default step 1e-3*sqrt(crb) is 0.181 here, so its stencil reaches
-        # 0.362 and needs a spec built with that lambda_pad
+        # alone; a step of 1e-3*sqrt(crb), 0.181 here, has its stencil reach 0.362
+        # and needs a spec built with that lambda_pad
         out = tmp_path / "fnld"
         assert run_cli([
             "fisher", "--scenario", "nonlinear", "--vxs", "20", "--vxm", "0.25", "--out", str(out),
@@ -284,12 +284,13 @@ class TestFisherCommand:
         assert payload["agreement_rel"] < 1e-6  # measured 4.0e-10
         spec = SCENARIOS["nonlinear"](vx_s=20.0, vx_m=0.25)
         run = spec.run()
-        assert run.default_step == pytest.approx(0.1811, rel=1e-3)
+        step = 1e-3 * math.sqrt(run.closed_form.crb)
+        assert step == pytest.approx(0.1811, rel=1e-3)
         with pytest.raises(GridTooNarrow, match="sized range"):
-            run.fisher(step=run.default_step)
-        wide = dataclasses.replace(spec, lambda_pad=2.0 * run.default_step).run()
+            run.fisher(step=step)
+        wide = dataclasses.replace(spec, lambda_pad=2.0 * step).run()
         exact = wide.fisher().fisher
-        assert wide.fisher(step=wide.default_step).fisher == pytest.approx(exact, rel=1e-12)  # measured 2e-16
+        assert wide.fisher(step=step).fisher == pytest.approx(exact, rel=1e-12)  # measured 2e-16
         # the m axis sized for 0.05 against the one sized for 0.362: measured 1.5e-12
         assert payload["numerical"]["fisher"] == pytest.approx(exact, rel=1e-11)
 
@@ -643,6 +644,32 @@ class TestExtremeWidths:
     ], ids=["wk-nan", "wk-overflow", "ruler-overflow", "fisher-overflow", "fisher-underflow",
             "nonlinear-underflow", "phase-cs-overflow", "phase-cs-underflow", "wk-dlam-overflow"])
     def test_domain_error(self, args, message, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli(args + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+
+class TestEdgeValueExits:
+    """Edge values fail typed (exit 3) before anything is allocated: no traceback, no artifact."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["fisher", "--scenario", "sg", "--xi", "1"], "|xi| must be < 1"),
+        (["fisher", "--scenario", "sg", "--xi", "-1"], "|xi| must be < 1"),
+        (["scenario", "--scenario", "sg", "--xi", "1"], "|xi| must be < 1"),
+        (["fisher", "--scenario", "sg", "--xi", "1e200"], "|xi| must be < 1"),
+        (["fisher", "--scenario", "phase", "--nmean", "1e200", "--dns", "1"], "g_max must exceed g_min"),
+        (["scenario", "--scenario", "nonlinear", "--vxs", "0.25", "--vxm", "0.25", "--lambdas", "1e200"],
+         "lambda_pad=1.05e+200: its square overflows"),
+        (["optimize", "--objective", "nonlinear", "--budget", "1e200"], "overflows a float"),
+        (["optimize", "--objective", "linear", "--budget", "1e-320"], "overflows a float"),
+    ], ids=["fisher-sg-xi-1", "fisher-sg-xi-minus-1", "scenario-sg-xi-1", "fisher-sg-xi-1e200",
+            "fisher-phase-nmean-1e200", "scenario-nonlinear-lambdas-1e200",
+            "optimize-nonlinear-budget-1e200", "optimize-linear-budget-1e-320"])
+    def test_domain_error_before_allocation(self, args, message, tmp_path, capsys, monkeypatch):
+        for name in ("arange", "empty", "zeros", "linspace"):
+            monkeypatch.setattr(np, name, lambda *a, **kw: pytest.fail("an array was allocated"))
         out = tmp_path / "x"
         assert run_cli(args + ["--out", str(out)]) == 3
         err = capsys.readouterr().err

@@ -72,7 +72,7 @@ def trace_coherence(probe, ruler):
 
 def grid_lags(gamma, n):
     """Gamma on the n lags tau >= 0 of an n-point grid (its 2n-1 grid lags): the padding dropped."""
-    return CoherenceFunction(gamma.tau_grid[:n], gamma.values[:n])
+    return CoherenceFunction(gamma.spacing, gamma.values[:n])
 
 
 class TestCoherenceFunction:
@@ -102,20 +102,19 @@ class TestCoherenceFunction:
         assert np.array_equal(tau, np.concatenate([-unit_grid.tau_grid[:0:-1], unit_grid.tau_grid]))
         np.testing.assert_allclose(full, trace_coherence(probe, half_ruler), atol=1e-14)
 
-    def test_one_value_per_lag(self):
-        # Gamma(0) is the first lag, and the spacing needs a second one
-        with pytest.raises(ValueError):
-            CoherenceFunction(np.arange(0.0, 4.0), np.full(5, FLAT_DIAGONAL, dtype=complex))
-        with pytest.raises(ValueError):
-            CoherenceFunction(np.zeros(1), np.full(1, FLAT_DIAGONAL, dtype=complex))
-        gamma = CoherenceFunction(np.arange(0.0, 4.0), np.linspace(0.5, 1.0, 4) + 0.5j * np.arange(4))
-        assert gamma.gamma0 == 0.5 and gamma.spacing == 1.0
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
+    def test_spacing_must_be_finite_and_positive(self, spacing):
+        with pytest.raises(ValueError, match="lag spacing"):
+            CoherenceFunction(spacing, np.full(4, FLAT_DIAGONAL, dtype=complex))
 
-    def test_first_lag_is_zero(self):
-        # the old symmetric layout would put Gamma(-tau_max) where gamma0 reads
-        tau = np.linspace(-3.0, 3.0, 7)
-        with pytest.raises(ValueError, match="first lag"):
-            CoherenceFunction(tau, np.full(7, FLAT_DIAGONAL, dtype=complex))
+    def test_lags_start_at_zero_by_their_spacing(self):
+        # Gamma(0) is the first lag, and a transform needs a second one
+        with pytest.raises(ValueError, match="two or more lags"):
+            CoherenceFunction(1.0, np.full(1, FLAT_DIAGONAL, dtype=complex))
+        gamma = CoherenceFunction(0.25, np.linspace(0.5, 1.0, 4) + 0.5j * np.arange(4))
+        assert gamma.gamma0 == 0.5 and gamma.spacing == 0.25
+        assert np.array_equal(gamma.tau_grid, [0.0, 0.25, 0.5, 0.75])
+        assert not gamma.tau_grid.flags.writeable and gamma.tau_grid is gamma.tau_grid
 
     @pytest.mark.parametrize("n", [256, 512, 1024])
     def test_spacing_is_the_grid_spacing(self, n):
@@ -218,7 +217,7 @@ class TestStatisticsFromCoherence:
 
     def test_flat_coherence_gives_point_mass(self, unit_grid):
         tau = unit_grid.tau_grid
-        flat = CoherenceFunction(tau, np.full(len(tau), FLAT_DIAGONAL, dtype=complex))
+        flat = CoherenceFunction(unit_grid.spacing, np.full(len(tau), FLAT_DIAGONAL, dtype=complex))
         p = statistics_from_coherence(flat)
         center = p.mu_grid.n_points // 2
         assert p.density[center] * p.cell == pytest.approx(1.0, abs=1e-10)
@@ -231,7 +230,7 @@ class TestStatisticsFromCoherence:
         freq = 1.37 * 2 * np.pi / ((2 * len(tau) - 1) * unit_grid.spacing)  # off the dual grid
         vals = FLAT_DIAGONAL * np.cos(freq * tau) + 0j
         with pytest.raises(NormalizationFailure):
-            statistics_from_coherence(CoherenceFunction(tau, vals))
+            statistics_from_coherence(CoherenceFunction(unit_grid.spacing, vals))
 
 
 def exp_shifted(gamma, delta):
@@ -246,7 +245,7 @@ def exp_shifted(gamma, delta):
     x = np.arange(len(gamma.values), dtype=np.longdouble) * (np.longdouble(gamma.spacing) * np.longdouble(delta))
     cos, sin = np.cos(x), np.sin(x)
     re, im = gamma.values.real.astype(np.longdouble), gamma.values.imag.astype(np.longdouble)
-    return CoherenceFunction(gamma.tau_grid, (re * cos - im * sin).astype(float) + 1j * (re * sin + im * cos).astype(float))
+    return CoherenceFunction(gamma.spacing, (re * cos - im * sin).astype(float) + 1j * (re * sin + im * cos).astype(float))
 
 
 def complex_fft_statistics(gamma):
@@ -329,7 +328,8 @@ class TestHermitianTransform:
         gamma = BENCH_RUNS[name]().gamma
         for delta in (-0.93, 0.4117, 2.5):
             shifted = gamma.shifted(delta)
-            assert shifted.tau_grid is gamma.tau_grid
+            # the base's spacing, and no lag array until one is read
+            assert shifted.spacing == gamma.spacing and "tau_grid" not in vars(shifted)
             # measured <= 3.5e-17 (the float64-argument phase: 5.7e-15 at sg-0.999)
             assert np.max(np.abs(shifted.values - exp_shifted(gamma, delta).values)) <= 1e-15
 
@@ -343,7 +343,7 @@ def exact_phase(dtau, delta, j):
 
 def flat_gamma(h, dtau):
     """Gamma = 1 on h lags j*dtau, so a shift returns its phase table."""
-    return CoherenceFunction(np.arange(h) * dtau, np.ones(h, dtype=complex))
+    return CoherenceFunction(dtau, np.ones(h, dtype=complex))
 
 
 def phase_error(gamma, delta, lags):
@@ -413,7 +413,7 @@ class TestExactShift:
 
     def test_lags_beyond_the_exact_index_are_refused(self):
         # zero-stride views: EXACT_INDEX + 1 lags without the 1 GB they would hold
-        gamma = CoherenceFunction(np.broadcast_to(0.0, (EXACT_INDEX + 1,)), np.broadcast_to(0.1 + 0j, (EXACT_INDEX + 1,)))
+        gamma = CoherenceFunction(1.0, np.broadcast_to(0.1 + 0j, (EXACT_INDEX + 1,)))
         with pytest.raises(InvalidGrid, match=f"{EXACT_INDEX + 1} lags"):
             gamma.shifted(0.5)
 
@@ -468,9 +468,9 @@ class TestGates:
         vals = FLAT_DIAGONAL * np.exp(-(tau**2) / 4.0) + 0j
         vals[0] += 1e-10j
         with pytest.raises(NormalizationFailure, match="Hermitian"):
-            CoherenceFunction(tau, vals)
+            CoherenceFunction(1.0, vals)
         vals[0] = FLAT_DIAGONAL + 2.5e-11j
-        assert CoherenceFunction(tau, vals).gamma0 == FLAT_DIAGONAL
+        assert CoherenceFunction(1.0, vals).gamma0 == FLAT_DIAGONAL
 
     def test_gamma0_normalization_gate(self):
         # a normalized probe gives Gamma(0) = K(0), so raising K(0) raises Gamma(0) by as much
@@ -512,7 +512,7 @@ class TestGates:
         vals = np.full(5, FLAT_DIAGONAL, dtype=complex)
         vals[0] = complex(FLAT_DIAGONAL, np.nan)
         with pytest.raises(NormalizationFailure, match="Hermitian"):
-            CoherenceFunction(np.arange(5.0), vals)
+            CoherenceFunction(1.0, vals)
         grid = grid_for_gaussian(0.0, 1.0, 256)
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid)
         symbol = np.array(make_ideal_ruler(grid).symbol)
@@ -660,50 +660,41 @@ class TestAppendixCoherence:
 
     def test_squared_power_value(self):
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
-        tau = np.linspace(-4.0, 4.0, 401)
-        g2 = appendix_coherence(probe, tau)
-        # stored on the grid's lags tau >= 0; tau < 0 is their Hermitian reflection
-        assert np.array_equal(g2.tau_grid, tau[200:])
+        g2 = appendix_coherence(probe)
+        # stored on 1025 lags j*dtau >= 0, dtau = max(40 sigma^2, 16 sigma)/1024;
+        # tau < 0 is their Hermitian reflection
+        assert len(g2.values) == 1025
+        assert g2.spacing == pytest.approx(40.0 / 1024, rel=1e-12)
         idx = np.argmin(np.abs(g2.tau_grid - 2.0))
-        assert g2.values[idx].real == pytest.approx(math.exp(-0.5), abs=1e-8)
+        assert g2.values[idx].real == pytest.approx(math.exp(-g2.tau_grid[idx] / 4.0), abs=1e-8)
 
     def test_independent_quadrature_oracle(self):
         # adaptive quadrature of the defining integrals at a few tau values
         probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
         lags, g1 = linear_generator_coherence(probe)
         picks = np.arange(0, 193, 16)  # 13 lags, tau up to 3.003
-        g2 = appendix_coherence(probe, np.linspace(-3.0, 3.0, 25))
+        g2 = appendix_coherence(probe)
         psi = lambda p: (2 * math.pi) ** (-0.25) * math.exp(-p * p / 4.0)
         for i, t in zip(picks, lags[picks]):
             ref1 = quad(lambda p: psi(p) * psi(p + t), -30, 30)[0]
             assert g1[i].real == pytest.approx(ref1, abs=1e-8)
-        assert len(g2.tau_grid) == 13
-        for t, v in zip(g2.tau_grid, g2.values):
+        picks = np.arange(0, 77, 6)  # 13 lags, tau up to 2.969
+        for t, v in zip(g2.tau_grid[picks], g2.values[picks]):
             ref2 = quad(lambda p: psi(p) * psi(math.sqrt(p * p + t)), -30, 30)[0]
             assert v.real == pytest.approx(ref2, abs=1e-8)
 
     def test_center_dependence_of_squared_power(self):
-        tau = np.linspace(-4.0, 4.0, 401)
         p0 = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
         p2 = make_gaussian_probe(GaussianProbeSpec(2.0, 1.0), grid_for_gaussian(2.0, 1.0, 1024))
-        g2_0 = appendix_coherence(p0, tau)
-        g2_2 = appendix_coherence(p2, tau)
+        g2_0, g2_2 = appendix_coherence(p0), appendix_coherence(p2)
+        # equal variances, so equal lags to the roundoff of the sampled variance
+        assert g2_2.spacing == pytest.approx(g2_0.spacing, rel=1e-13)
         assert np.max(np.abs(g2_0.values - g2_2.values)) > 1e-3
         # equal spacing and length: both probes' coherence functions share their lags
         lags_0, g1_0 = linear_generator_coherence(p0)
         lags_2, g1_2 = linear_generator_coherence(p2)
         np.testing.assert_array_equal(lags_0, lags_2)
         assert np.max(np.abs(np.abs(g1_0) - np.abs(g1_2))) < 1e-10
-
-    @pytest.mark.parametrize("tau, problem", [
-        ([-1.0, -0.5, 0.0, 1.0, 2.0], "symmetric"),   # would mirror tau = 1, 2 onto -0.5, -1
-        ([-3.0, -1.0, 0.0, 1.0, 3.0], "uniform"),     # coherence_time would read spacing 2
-        ([-1.0, -0.5, 0.5, 1.0], "symmetric"),        # no zero lag
-    ])
-    def test_tau_grid_must_be_uniform_and_symmetric(self, tau, problem):
-        probe = make_gaussian_probe(GaussianProbeSpec(0.0, 1.0), grid_for_gaussian(0.0, 1.0, 1024))
-        with pytest.raises(ValueError, match=problem):
-            appendix_coherence(probe, np.array(tau))
 
     def test_import_leaves_interpolation_unloaded(self):
         # scipy.interpolate pulls in scipy.optimize, sparse and spatial; each

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from test_coherence import grid_lags
 
 from qruler.coherence import coherence_function, statistics_from_coherence
-from qruler.errors import InvalidGrid
-from qruler.grids import GeneratorGrid, grid_for_gaussian, integer_grid
+from qruler.errors import GridTooNarrow, InvalidGrid
+from qruler.grids import MAX_LATTICE_POINTS, GeneratorGrid, grid_for_gaussian, integer_grid
 from qruler.ruler import make_ideal_ruler
 from qruler.states import GaussianProbeSpec, make_gaussian_probe
 
@@ -77,6 +79,23 @@ def test_grid_for_gaussian_covers():
 
 
 def test_integer_grid():
-    grid = integer_grid(100)
+    grid = integer_grid(-3, 100)
     assert grid.spacing == 1.0
-    assert grid.n_points == 101
+    assert grid.n_points == 104
+    assert grid.g_min == -3.0 and type(grid.g_min) is float and type(grid.g_max) is float
+    assert np.array_equal(grid.points, np.arange(-3, 101))
+
+
+def test_integer_grid_ceiling():
+    # MAX_LATTICE_POINTS states are the most, refused before the grid exists
+    assert integer_grid(5, 5 + MAX_LATTICE_POINTS - 1).n_points == MAX_LATTICE_POINTS
+    with pytest.raises(GridTooNarrow, match="MAX_LATTICE_POINTS"):
+        integer_grid(5, 5 + MAX_LATTICE_POINTS)
+
+
+def test_integer_grid_bounds_enter_as_floats():
+    # a 201-digit lattice bound: its float is 1e200 at both ends, so the
+    # grid fails typed rather than in np.isfinite on a Python int
+    lo = math.floor(1e200)
+    with pytest.raises(InvalidGrid, match="g_max must exceed g_min"):
+        integer_grid(lo, lo + 63)

@@ -293,6 +293,30 @@ def test_exact_fisher_matches_finite_differences(kind, lam0, monkeypatch):
     assert exact.fisher == pytest.approx(run.fisher(lam0, step=run.default_step).fisher, rel=EXACT_FD_REL)
 
 
+class TestDefaultStep:
+    """The Richardson step 1e-3*min(sqrt(CRB), pi): never more than a thousandth of a half-turn."""
+
+    def test_low_information_joint_draw_passes_the_residual_gate(self):
+        # a fisher-joint draw with F = 9.4e-4, whose uncapped step 1e-3*sqrt(CRB) = 0.0325
+        # failed the residual gate (1.29e-3); the capped step: measured 9.2e-11 from exact
+        run = CoherentSqueezedScenario(0.5147320847472618, 0.6182216390859889,
+                                       0.00028049029321808305, 0.011061002482863014).run()
+        assert run.default_step == 1e-3 * math.pi
+        assert run.fisher(step=run.default_step).fisher == pytest.approx(run.fisher().fisher, rel=1e-9)
+
+    def test_wide_nonlinear_stencil_stays_inside_lambda_pad(self):
+        # (20, 0.25): the uncapped step 0.181 put the stencil at 0.362, past lambda_pad = 0.05
+        spec = NonlinearScenario(20.0, 0.25)
+        run = spec.run()
+        assert 2.0 * run.default_step <= spec.lambda_pad
+        # measured 4.6e-13 from the exact F
+        assert run.fisher(step=run.default_step).fisher == pytest.approx(run.fisher().fisher, rel=5e-12)
+
+    def test_an_infinite_crb_takes_the_cap(self):
+        run = run_phase_sg(SGScenario(0.0))  # the vacuum: F = 0
+        assert run.closed_form.crb == math.inf and run.default_step == 1e-3 * math.pi
+
+
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
 def test_derivative_reads_the_family_member(kind, monkeypatch):
     # the exact route's p is the family's, bit for bit, with dp on its axes
@@ -567,7 +591,7 @@ class TestSG:
         dense = trace_coherence(probe, ideal)
         np.testing.assert_allclose(generic.all_lags()[1], dense, atol=1e-14)
         p_g = statistics_from_coherence(generic)
-        p_d = statistics_from_coherence(CoherenceFunction(generic.tau_grid, dense[len(generic.values) - 1:]))
+        p_d = statistics_from_coherence(CoherenceFunction(generic.spacing, dense[len(generic.values) - 1:]))
         np.testing.assert_allclose(p_d.density, p_g.density, atol=1e-12)
 
     def test_large_axis_allocates_no_dense_kernel(self):
@@ -690,7 +714,7 @@ class TestCoherentSqueezed:
         assert rep.fisher == pytest.approx(0.0, abs=1e-8)
 
     def test_zero_quantum_bound_passes_roundoff(self):
-        # F_Q = 0: the Richardson F is roundoff (measured 9.4e-26), under FISHER_FLOOR
+        # F_Q = 0: the Richardson F is roundoff (measured 7.7e-27), under FISHER_FLOOR
         run = CoherentSqueezedScenario(0.5, 0.5).run()
         rep = run.fisher(0.37, step=run.default_step)
         assert rep.qfi == 0.0

@@ -1,6 +1,8 @@
-"""The experiment scripts run with their default arguments and write their CSVs."""
+"""The experiment scripts run with their default arguments and write their CSVs;
+``artifact_diff.py`` reports each kind of artifact change."""
 
 import csv
+import json
 import os
 import runpy
 import sys
@@ -36,3 +38,37 @@ def test_script_writes_its_csv(script, tmp_path, monkeypatch, capsys):
         assert rows[0] == header
         assert len(rows) - 1 == n_rows
         assert all(len(row) == len(header) for row in rows[1:])
+
+
+def test_artifact_diff_reports_each_kind_of_change(tmp_path, monkeypatch, capsys):
+    # two artifact trees, one example directory each: a file identical on
+    # both sides, a CSV value change, a JSON leaf change and a file on one side only
+    trees = {}
+    for side, p_last, b, c in (("old", "2.0", 2.0, "x"), ("new", "2.5", 2.5, "y")):
+        trees[side] = {
+            "same.csv": "mu,p\n0.0,1.0\n",
+            "values.csv": f"mu,p\n-1.0,1.0\n1.0,{p_last}\n",
+            "summary.json": json.dumps({"a": {"b": b, "c": c}, "n": [1, 2]}),
+        }
+    trees["old"]["gone.csv"] = "mu,p\n0.0,1.0\n"
+    trees["new"]["added.json"] = "{}"
+    for side, files in trees.items():
+        (tmp_path / side / "ex").mkdir(parents=True)
+        for name, text in files.items():
+            (tmp_path / side / "ex" / name).write_text(text, encoding="utf-8")
+    script = runpy.run_path(os.path.join(SCRIPTS_DIR, "artifact_diff.py"))
+    monkeypatch.setattr(sys, "argv", ["artifact_diff.py", str(tmp_path / "old"), str(tmp_path / "new")])
+    assert script["main"]() == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ex/added.json: only in NEW",
+        "ex/gone.csv: only in OLD",
+        "ex/same.csv: identical",
+        "ex/summary.json: differs",
+        "  leaves 4 -> 4",
+        "  a.b: abs 0.5, rel 0.25",
+        "  a.c: 'x' -> 'y'",
+        "ex/values.csv: differs",
+        "  rows 2 -> 2",
+        "  mu: max abs 0, rel to max|old| 0",
+        "  p: max abs 0.5, rel to max|old| 0.25",
+    ]

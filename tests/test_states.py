@@ -109,6 +109,8 @@ class TestSGProbe:
         with pytest.raises(XiOutOfDisc):
             SGProbeSpec(xi=1.0)
         with pytest.raises(XiOutOfDisc):
+            SGProbeSpec(xi=complex(math.nan, 0.0))  # a NaN fails the comparison with 1
+        with pytest.raises(XiOutOfDisc):
             make_sg_probe(SGProbeSpec(xi=0.9, n_max=70))  # tail too heavy
 
     @settings(max_examples=25, deadline=None)
