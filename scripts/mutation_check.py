@@ -73,7 +73,7 @@ DEFECTS = [
     ("src/qruler/coherence.py",
      "        if len(self.values) < 2:",
      "        if False:",
-     "tests/test_coherence.py::TestCoherenceFunction::test_lags_start_at_zero_by_their_spacing"),
+     "tests/test_coherence.py::TestCoherenceFunction::test_one_value_per_lag"),
     # the exact-argument shift: s = dtau*delta as four split pieces, the
     # coarse stride B of the two-level table, Gamma(0) untouched, the guards
     ("src/qruler/coherence.py",

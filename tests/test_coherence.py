@@ -107,12 +107,18 @@ class TestCoherenceFunction:
         with pytest.raises(ValueError, match="lag spacing"):
             CoherenceFunction(spacing, np.full(4, FLAT_DIAGONAL, dtype=complex))
 
-    def test_lags_start_at_zero_by_their_spacing(self):
+    def test_one_value_per_lag(self):
         # Gamma(0) is the first lag, and a transform needs a second one
         with pytest.raises(ValueError, match="two or more lags"):
             CoherenceFunction(1.0, np.full(1, FLAT_DIAGONAL, dtype=complex))
         gamma = CoherenceFunction(0.25, np.linspace(0.5, 1.0, 4) + 0.5j * np.arange(4))
         assert gamma.gamma0 == 0.5 and gamma.spacing == 0.25
+        assert len(gamma.tau_grid) == len(gamma.values) == 4
+
+    def test_first_lag_is_zero(self):
+        # the lags are j*spacing, so gamma0 reads Gamma(0) and never Gamma(-tau_max)
+        gamma = CoherenceFunction(0.25, np.linspace(0.5, 1.0, 4) + 0.5j * np.arange(4))
+        assert gamma.tau_grid[0] == 0.0
         assert np.array_equal(gamma.tau_grid, [0.0, 0.25, 0.5, 0.75])
         assert not gamma.tau_grid.flags.writeable and gamma.tau_grid is gamma.tau_grid
 
