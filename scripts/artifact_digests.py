@@ -6,9 +6,11 @@ Runs, through ``qruler.cli.main``, every ``qruler`` line of the README
 each of the five scenario kinds, ``wk`` and ``validate-ruler`` on an
 explicit ``--grid``, ``wk`` on the deep ``sg:xi=0.999`` probe,
 ``validate-ruler`` on a narrow Gaussian seed, ``fisher`` with an
-explicit ``--step`` and ``fisher`` on a wide nonlinear probe, then the three experiment scripts (``wk_demo.py``,
-``budget_curves.py``, ``generator_power_widths.py``, in process with
-their default arguments), each into its own directory under a working
+explicit ``--step``, ``fisher`` on a wide nonlinear probe and
+``scenario`` on a linear probe displaced far off zero (x0 = 150), then
+the three experiment scripts (``wk_demo.py``, ``budget_curves.py``,
+``generator_power_widths.py``, in process with their default
+arguments), each into its own directory under a working
 directory, and prints one ``example/file sha256`` line per artifact,
 sorted.  The working directory is temporary unless ``--keep
 DIR`` names one, which then holds the artifacts afterwards.  Output
@@ -66,8 +68,8 @@ LAMBDAS = {"linear": "0,0.5", "phase": "0,0.05", "sg": "0,1", "nonlinear": "0,0.
 # (which for nonlinear widens lambda_pad), a wide nonlinear probe whose
 # exact F reads axes sized for the default lambda_pad alone (a step of
 # 1e-3*sqrt(CRB), 0.181 there, would reach past it; the default step is
-# capped at 1e-3*pi), the deep sg probe (13,810 number states) and a
-# narrow seed
+# capped at 1e-3*pi), the deep sg probe (13,810 number states), a
+# narrow seed and a linear x0 beyond the half-span of its x0 = 0 axis
 FLAG_EXAMPLES = {
     "grid-wk": "wk --probe gaussian:sigma=1 --ruler ideal --grid gmin=-10,gmax=10,n=300",
     "grid-validate-ruler": "validate-ruler --ruler ideal --grid gmin=-4,gmax=4,n=128",
@@ -76,6 +78,7 @@ FLAG_EXAMPLES = {
     "step-fisher-linear": "fisher --scenario linear --dxs 0.5 --dxm 0.5 --step 1e-3",
     "step-fisher-nonlinear": "fisher --scenario nonlinear --vxs 0.25 --vxm 0.25 --step 0.03",
     "wide-fisher-nonlinear": "fisher --scenario nonlinear --vxs 20 --vxm 0.25",
+    "far-x0-scenario-linear": "scenario --scenario linear --dxs 0.5 --dxm 0.5 --x0 150 --lambdas 0,0.5",
 }
 
 

@@ -72,9 +72,9 @@ class LinearOptimum:
 
 
 def _check_budget(c: float) -> None:
-    """Refuse a budget that is not > 0, or for which 27*C^2 (the nonlinear optimum) or 1/(SPLIT_EPS*C) overflows."""
-    if not (c > 0 and 27.0 * c * c < math.inf and SPLIT_EPS * c > 2.0**-1024):  # 1/2**-1024 overflows
-        raise NonPositiveBudget(f"budget {c!r} is not > 0, or 27*C^2 or 1/({SPLIT_EPS:g}*C) overflows a float")
+    """Refuse a budget that is not > 0, for which 27*C^2 overflows, or whose nonlinear optimum 27*C^2/256 is not normal."""
+    if not (c > 0 and 2.0**-1022 <= 27.0 * c * c / 256.0 < math.inf):  # the smallest normal float
+        raise NonPositiveBudget(f"budget {c!r} is not > 0, 27*C^2 overflows a float, or 27*C^2/256 is not normal")
 
 
 def linear_objective(c: float, s: float) -> float:
@@ -83,16 +83,16 @@ def linear_objective(c: float, s: float) -> float:
 
 
 def optimize_linear(c: float) -> LinearOptimum:
-    """Balanced split minimizes the linear signal variance: s* = 1/2."""
+    """Balanced split minimizes the linear signal variance: s* = 1/2, found on its C = 1 shape (it scales as 1/C)."""
     _check_budget(c)
-    s_num, val_num = golden_section(lambda s: linear_objective(c, s), SPLIT_EPS, 1.0 - SPLIT_EPS)
+    s_num, val_num = golden_section(lambda s: linear_objective(1.0, s), SPLIT_EPS, 1.0 - SPLIT_EPS)
     return LinearOptimum(
         budget=c,
         split=0.5,
         delta2_lambda=4.0 / c,
         probe_variance=2.0 / c,
         split_numeric=s_num,
-        delta2_lambda_numeric=val_num,
+        delta2_lambda_numeric=val_num / c,
     )
 
 
@@ -117,12 +117,10 @@ def optimize_nonlinear(c: float) -> NonlinearOptimum:
     """Probe-heavy split maximizes the quadratic-generator term: s* = 3/4.
 
     At the optimum the Fisher information reaches 3/8 of the probe's
-    quantum Fisher information 1/(2 vx_s^2).
+    quantum Fisher information 1/(2 vx_s^2); the split is found at C = 1.
     """
     _check_budget(c)
-    s_num, neg = golden_section(
-        lambda s: -nonlinear_objective(c, s), SPLIT_EPS, 1.0 - SPLIT_EPS
-    )
+    s_num, neg = golden_section(lambda s: -nonlinear_objective(1.0, s), SPLIT_EPS, 1.0 - SPLIT_EPS)
     vx_s = 1.0 / (0.75 * c)
     fisher = 27.0 * c * c / 256.0
     return NonlinearOptimum(
@@ -133,7 +131,7 @@ def optimize_nonlinear(c: float) -> NonlinearOptimum:
         qfi=0.5 * (0.75 * c) ** 2,
         ratio_to_qfi=0.375,
         split_numeric=s_num,
-        fisher_numeric=-neg,
+        fisher_numeric=-neg * c * c,
     )
 
 

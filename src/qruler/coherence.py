@@ -91,11 +91,13 @@ def _exact_pieces(a: float, b: float) -> tuple[float, float, float, float]:
 class CoherenceFunction:
     """Sampled Hermitian Gamma(tau) on its h = len(values) lags tau_j = j*spacing, uniform from 0 by construction.
 
-    Gamma(-tau) = conj Gamma(tau) gives the rest of its M' = 2h-1 lags.
+    Gamma(-tau) = conj Gamma(tau) gives the rest of its M' = 2h-1 lags; a
+    ``center`` x0, the phase e^{i tau x0} on Gamma, is ``dual_axis``'s centre.
     """
 
     spacing: float
     values: np.ndarray
+    center: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.spacing < math.inf:
@@ -128,10 +130,10 @@ class CoherenceFunction:
 
     @cached_property
     def dual_axis(self) -> GeneratorGrid:
-        """The mu axis of the transform: M' = 2h-1 points spaced 2*pi/(M'*dtau), on +/-(h-1)*dmu."""
+        """The mu axis of the transform: M' = 2h-1 points spaced 2*pi/(M'*dtau), on center +/- (h-1)*dmu."""
         m = 2 * len(self.values) - 1
         half = (m // 2) * (2.0 * np.pi / (m * self.spacing))
-        return GeneratorGrid(-half, half, m)
+        return GeneratorGrid(self.center - half, self.center + half, m)
 
     @cached_property
     def _lag_table(self) -> tuple[int, int, np.ndarray]:
@@ -158,7 +160,7 @@ class CoherenceFunction:
         beyond).  A NaN or infinite delta, or |delta|, dtau or |dtau*delta|
         above SPLIT_MAX (about 3e299), raises ``SignalOutOfRange`` before
         any arithmetic.  Gamma(0) is copied bit for bit; delta = 0 returns
-        this Gamma.
+        this Gamma.  The shifted Gamma keeps this one's ``center``.
         """
         if not math.isfinite(delta):
             raise SignalOutOfRange(f"signal shift delta = {delta!r} is not finite")
@@ -180,7 +182,7 @@ class CoherenceFunction:
         out = table.reshape(-1)[:h]
         np.multiply(out[1:], self.values[1:], out=out[1:])
         out[0] = self.values[0]
-        return CoherenceFunction(self.spacing, out)
+        return CoherenceFunction(self.spacing, out, self.center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +216,8 @@ class OutcomeDistribution:
         return float(np.sum((self.mu_grid.points - m) ** 2 * self.density) * self.cell)
 
 
-def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
-    """Gamma(tau) = K(tau) * sum'_g psi(g) conj(psi(g+tau)) * dg.
+def coherence_function(probe: PureProbe, ruler: RulerSeed, center: float = 0.0) -> CoherenceFunction:
+    """Gamma(tau) = K(tau) * sum'_g psi(g) conj(psi(g+tau)) * dg, of the probe displaced by ``center``.
 
     The autocorrelation is one zero-padded FFT of the amplitudes, padded to
     the next power of two >= 2n-1 so no lag wraps; O(n log n) time and O(n)
@@ -244,7 +246,7 @@ def coherence_function(probe: PureProbe, ruler: RulerSeed) -> CoherenceFunction:
     vals = np.zeros(h, dtype=complex)
     vals[:n] = gamma
     vals.flags.writeable = False
-    return CoherenceFunction(probe.grid.spacing, vals)
+    return CoherenceFunction(probe.grid.spacing, vals, center)
 
 
 def _finalize_density(mu: GeneratorGrid, raw: np.ndarray, k_grid=None, scaled=()) -> OutcomeDistribution:
@@ -282,8 +284,8 @@ def statistics_from_coherence(gamma: CoherenceFunction, delta: float = 0.0) -> O
     """p(mu - delta) = sum_tau Gamma(tau) exp(i tau delta) exp(-i tau mu) * dtau on the dual mu grid.
 
     The transform of ``gamma.shifted(delta)``, on ``gamma.dual_axis``: the
-    axis depends on the lags alone, so a run's members share the one its
-    unshifted Gamma caches.  The sum runs over the M' = 2*len(values) - 1
+    axis depends on the lags and the centre alone, so a run's members share
+    the one its unshifted Gamma caches.  The sum runs over the M' = 2*len(values) - 1
     symmetric lags that the stored lags tau >= 0 stand for, spacing dtau;
     the mu grid has spacing 2*pi/(M'*dtau), and on it the transform is a
     plain DFT that preserves normalization exactly.  Integer tau grids
@@ -291,7 +293,7 @@ def statistics_from_coherence(gamma: CoherenceFunction, delta: float = 0.0) -> O
     the phase on (-pi, pi) with spacing 2*pi/M'.  Gamma is Hermitian, so p
     is real: the transform is one half-spectrum ``hfft`` of the stored
     values.  The mu axis is the ``GeneratorGrid`` of M' points on
-    +/-(h-1)*dmu, so its spacing is dmu to one ulp.
+    center +/- (h-1)*dmu, so its spacing is dmu to one ulp of its bounds.
     """
     return _finalize_density(gamma.dual_axis, _transform(gamma, gamma.shifted(delta).values))
 

@@ -50,7 +50,7 @@ class ContinuumApproxViolated(DomainError):
 
 
 class NonPositiveBudget(DomainError):
-    """Coherence budget constant that is not strictly positive, or whose optima leave the float range."""
+    """Coherence budget constant that is not strictly positive, or whose nonlinear optimum 27*C^2/256 is not a normal float."""
 
 
 class ConfigError(Exception):

@@ -98,13 +98,13 @@ class ScenarioRun:
 # ---------------------------------------------------------------------------
 
 
-def _shift_run(scenario: str, probe: PureProbe, width_m: float, closed: FisherReport) -> ScenarioRun:
-    """A 1-D run: ``probe`` read out by a Gaussian ruler of width ``width_m`` (the ideal ruler at 0),
-    whose Gamma, stored by its lags tau >= 0, is built once and a signal value only
-    shifts; every member sits on the outcome grid ``gamma.dual_axis`` caches, the dual
-    of the M' = 2*len(values) - 1 symmetric lags those stand for, and dp/dlambda is the
-    transform of i*tau*Gamma_lambda on the same lags."""
-    gamma = coherence_function(probe, make_gaussian_ruler(width_m, probe.grid))
+def _shift_run(scenario: str, probe: PureProbe, width_m: float, closed: FisherReport, center: float = 0.0) -> ScenarioRun:
+    """A 1-D run: ``probe``, displaced by ``center``, read out by a Gaussian ruler of width
+    ``width_m`` (0: ideal), whose Gamma, stored by its lags tau >= 0, is built once and a
+    signal value only shifts; every member sits on the outcome grid ``gamma.dual_axis``
+    caches about ``center``, the dual of the M' = 2*len(values) - 1 symmetric lags those
+    stand for, and dp/dlambda is the transform of i*tau*Gamma_lambda on the same lags."""
+    gamma = coherence_function(probe, make_gaussian_ruler(width_m, probe.grid), center)
 
     def family(lam: float) -> OutcomeDistribution:
         return statistics_from_coherence(gamma, lam)
@@ -138,17 +138,17 @@ def run_linear(sc: LinearScenario) -> ScenarioRun:
     """p(m|lambda): Gaussian centered at x0 + lambda, variance dx_s^2 + dx_m^2.
 
     Built in the generator (momentum) eigenbasis: the probe has momentum
-    width 1/(2*dx_s) and a linear phase encoding the position center, the
-    ruler kernel is exp(-dx_m^2 (p-p')^2 / 2)/(2*pi).  A signal value
-    multiplies the coherence function by exp(i*tau*lambda).  An x0 whose
-    SPAN_SIGMAS-sigma law leaves the outcome axis would wrap: it raises ``GridTooNarrow``.
+    width 1/(2*dx_s), the ruler kernel is exp(-dx_m^2 (p-p')^2 / 2)/(2*pi).
+    x0 only translates the law: it is the outcome axis's centre, not a
+    phase on the probe (``InvalidGrid`` where the axis's float points
+    cannot resolve it).  A signal value multiplies Gamma by e^{i tau lambda}.
+    A law wider (SPAN_SIGMAS sigmas) than the axis's half-span raises ``GridTooNarrow``.
     """
-    # phase slope -x0 puts the outcome distribution's center at +x0
-    spec = GaussianProbeSpec(center=sc.p0, sigma=1.0 / (2.0 * sc.dx_s), conjugate_center=-sc.x0)
+    spec = GaussianProbeSpec(center=sc.p0, sigma=1.0 / (2.0 * sc.dx_s))
     closed = closed_form_linear(sc.dx_s, sc.dx_m)
-    run = _shift_run("linear", make_gaussian_probe(spec, grid_for_gaussian(spec.center, spec.sigma)), sc.dx_m, closed)
-    if not abs(sc.x0) + SPAN_SIGMAS * math.hypot(sc.dx_s, sc.dx_m) <= (half := run.gamma.dual_axis.g_max):
-        raise GridTooNarrow(f"x0={sc.x0!r} and {SPAN_SIGMAS:g} sigmas leave the outcome axis +/- {half!r}")
+    run = _shift_run("linear", make_gaussian_probe(spec, grid_for_gaussian(spec.center, spec.sigma)), sc.dx_m, closed, sc.x0)
+    if not SPAN_SIGMAS * math.hypot(sc.dx_s, sc.dx_m) <= (half := run.gamma.dual_axis.g_max - sc.x0):
+        raise GridTooNarrow(f"{SPAN_SIGMAS:g} sigmas of the law leave the outcome axis's half-span {half!r}")
     return run
 
 

@@ -46,6 +46,13 @@ class TestLinearOptimum:
         with pytest.raises(NonPositiveBudget):
             optimize_linear(0.0)
 
+    @pytest.mark.parametrize("c", [5e-154, 1e-100, 0.3, 1e100, 2.5e153])
+    def test_split_does_not_depend_on_the_budget(self, c):
+        # the objective is 1/C times its C = 1 shape, which the search runs on
+        opt, unit = optimize_linear(c), optimize_linear(1.0)
+        assert opt.split_numeric == unit.split_numeric
+        assert opt.delta2_lambda_numeric == pytest.approx(opt.delta2_lambda, rel=1e-12)
+
 
 class TestNonlinearOptimum:
     def test_worked_example(self):
@@ -66,6 +73,21 @@ class TestNonlinearOptimum:
     def test_probe_to_ruler_coherence_ratio(self):
         opt = optimize_nonlinear(4.0)
         assert 1.0 / opt.probe_variance == pytest.approx(3.0 * (1.0 / (0.25 * 4.0)))
+
+    @pytest.mark.parametrize("c", [5e-154, 1e-100, 0.3, 1e100, 2.5e153])
+    def test_split_does_not_depend_on_the_budget(self, c):
+        # C^2 s^3 (1-s) searched at C = 1: at C = 1e-160 the scaled objective is
+        # subnormal and the search settled at 0.7294, at 1e-300 it is 0 everywhere
+        opt, unit = optimize_nonlinear(c), optimize_nonlinear(1.0)
+        assert opt.split_numeric == unit.split_numeric
+        assert opt.fisher_numeric == pytest.approx(opt.fisher, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [4e-154, 1e-160, 1e-300, 2.6e153, -1.0, float("nan")])
+    def test_budget_whose_optimum_is_not_a_normal_float(self, c):
+        # 27*C^2/256 is subnormal below C = 4.59e-154, and 27*C^2 overflows above 2.58e153
+        for build in (optimize_linear, optimize_nonlinear, lambda c: sweep_budget(c, "linear", 16)):
+            with pytest.raises(NonPositiveBudget):
+                build(c)
 
     def test_extremes_vanish(self):
         c = 4.0

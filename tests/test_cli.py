@@ -197,6 +197,15 @@ class TestOptimizeCommand:
         assert payload["split"] == 0.75
         assert payload["ratio_to_qfi"] == 0.375
 
+    @pytest.mark.parametrize("budget", ["1e-160", "1e-300"])
+    def test_budget_whose_optimum_is_subnormal_exits_3(self, budget, tmp_path, capsys):
+        # 27*C^2/256 is subnormal or 0: the search read a flattened objective and
+        # wrote split 0.7294 (1e-160), or 1.0e-6 with F = 0 (1e-300)
+        assert run_cli([
+            "optimize", "--objective", "nonlinear", "--budget", budget, "--out", str(tmp_path / "x"),
+        ]) == 3
+        assert "27*C^2/256 is not normal" in capsys.readouterr().err
+
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep"
         run_cli([
@@ -418,14 +427,46 @@ class TestScenarioCommand:
         assert code == 3
 
     @pytest.mark.parametrize("x0", ["99", "150", "1e6"])
-    def test_linear_center_off_the_axis_exits_3(self, x0, tmp_path, capsys):
-        # the (0.5, 0.5) axis spans +/- 100.24 and the law 8 sigmas = 5.66 about x0,
-        # so |x0| <= 94.58; x0 = 99 used to print mean 93.15, x0 = 150 mean -50.67
+    def test_linear_center_far_off_zero(self, x0, tmp_path):
+        # x0 is the outcome axis's centre, not a phase ramp on the probe, which
+        # wrapped on the +/- 100.24 axis (x0 = 99 read mean 93.15, x0 = 150 -50.67):
+        # each member is the x0 = 0 member on an axis moved by x0, its density
+        # renormalized on that axis, whose spacing differs by a share of the bounds' ulp
+        x = float(x0)
+        for center in ("0", x0):
+            assert run_cli([
+                "scenario", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", "--x0", center,
+                "--lambdas", "0,0.5", "--out", str(tmp_path / center),
+            ]) == 0
+        records = read_json(tmp_path / x0 / "summary.json")["distributions"]
+        for i, lam in enumerate((0.0, 0.5)):
+            assert abs(records[i]["mean"] - (x + lam)) <= 1e-6  # measured <= 2.4e-10
+            assert records[i]["variance"] == pytest.approx(0.5, rel=1e-6)  # measured <= 1.7e-11
+            (mu0, p0), (mu, p) = (np.loadtxt(tmp_path / c / f"distribution_{i:03d}.csv", delimiter=",",
+                                             skiprows=1, unpack=True) for c in ("0", x0))
+            half, n = mu0[-1], len(mu0)
+            bound_ulp = math.ulp(abs(x) + half)
+            assert len(mu) == n and mu0[0] == -half
+            assert abs((mu[-1] - mu[0]) - (mu0[-1] - mu0[0])) / (n - 1) <= bound_ulp
+            assert np.max(np.abs(mu - x - mu0)) <= 2.0 * bound_ulp
+            np.testing.assert_allclose(p, p0, rtol=bound_ulp / half + 4.0 * np.finfo(float).eps, atol=0)
+
+    def test_linear_center_beyond_the_float_axis_exits_3(self, tmp_path, capsys):
+        # at x0 = 1e12 the float step 1.2e-4 exceeds 1e-6 of the 0.195 axis spacing
         assert run_cli([
-            "scenario", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", "--x0", x0,
+            "scenario", "--scenario", "linear", "--dxs", "0.5", "--dxm", "0.5", "--x0", "1e12",
             "--out", str(tmp_path / "far"),
         ]) == 3
-        assert "leave the outcome axis" in capsys.readouterr().err
+        assert "too close for the float step" in capsys.readouterr().err
+
+    def test_linear_law_wider_than_the_axis_exits_3(self, tmp_path, capsys):
+        # the (0.01, 10) axis spans +/- 2.005 and the law 8 sigmas = 80: without the
+        # gate it wraps to variance 1.342 against 100.0001
+        assert run_cli([
+            "scenario", "--scenario", "linear", "--dxs", "0.01", "--dxm", "10",
+            "--out", str(tmp_path / "wide"),
+        ]) == 3
+        assert "half-span" in capsys.readouterr().err
 
     def test_linear_center_inside_the_axis(self, tmp_path):
         out = tmp_path / "near"

@@ -298,6 +298,18 @@ class TestOutcomeAxis:
             assert dist.mu_grid.n_points == m and dist.k_grid is None
             assert abs(dist.cell - dmu) <= np.spacing(dmu)
 
+    def test_center_moves_the_axis_not_the_lags(self, unit_probe, half_ruler):
+        # a displacement x0 is the phase e^{i tau x0} on Gamma, carried exactly as the axis's centre
+        base, moved = coherence_function(unit_probe, half_ruler), coherence_function(unit_probe, half_ruler, 150.0)
+        assert np.array_equal(moved.values, base.values) and moved.spacing == base.spacing
+        a, b = base.dual_axis, moved.dual_axis
+        assert (b.g_min, b.g_max, b.n_points) == (150.0 + a.g_min, 150.0 + a.g_max, a.n_points)
+        assert moved.shifted(0.37).center == 150.0 and base.shifted(0.37).center == 0.0
+        p = statistics_from_coherence(moved, 0.37)
+        assert p.mu_grid is b
+        assert p.mean() == pytest.approx(150.37, abs=1e-10)
+        assert p.variance() == pytest.approx(statistics_from_coherence(base, 0.37).variance(), rel=1e-10)
+
     @pytest.mark.parametrize("name", sorted(BENCH_RUNS))
     def test_product_law_to_roundoff(self, name):
         # Parseval on the exact dual axis: tau_c * Delta lambda = sqrt(pi) up to rounding

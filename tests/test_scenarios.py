@@ -431,7 +431,7 @@ class TestPhaseGaussian:
     def test_probe_sits_on_the_integer_lattice(self, spec, lattice, monkeypatch):
         seen = []
         monkeypatch.setattr(scenarios, "coherence_function",
-                            lambda probe, ruler: seen.append(probe.grid) or coherence_function(probe, ruler))
+                            lambda probe, ruler, *center: seen.append(probe.grid) or coherence_function(probe, ruler, *center))
         run = run_phase_gaussian(PhaseGaussianScenario(*spec))
         lo, hi = lattice
         assert seen == [GeneratorGrid(lo, hi, hi - lo + 1)] and seen[0].spacing == 1.0

@@ -1,6 +1,8 @@
 """The experiment scripts run with their default arguments and write their CSVs;
-``artifact_diff.py`` reports each kind of artifact change."""
+``artifact_diff.py`` reports each kind of artifact change; every
+``mutation_check.py`` defect still names a line and a test that exist."""
 
+import ast
 import csv
 import json
 import os
@@ -10,6 +12,7 @@ import sys
 import pytest
 
 SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+ROOT = os.path.join(SCRIPTS_DIR, os.pardir)
 
 # script -> {csv written: (header, data rows)}
 EXPECTED = {
@@ -72,3 +75,30 @@ def test_artifact_diff_reports_each_kind_of_change(tmp_path, monkeypatch, capsys
         "  mu: max abs 0, rel to max|old| 0",
         "  p: max abs 0.5, rel to max|old| 0.25",
     ]
+
+
+def _defines(path, names):
+    """Whether the module at ``path`` defines the nested class/function ``names``, outermost first."""
+    with open(path, encoding="utf-8") as fh:
+        body = ast.parse(fh.read()).body
+    for name in names:
+        node = next((n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def test_mutation_defects_are_current():
+    # the mutation run takes minutes; a defect whose old line is gone or
+    # repeated, or whose expected test was renamed, fails here at once
+    stale = []
+    for path, old, _, expected in runpy.run_path(os.path.join(SCRIPTS_DIR, "mutation_check.py"))["DEFECTS"]:
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            if fh.read().split("\n").count(old) != 1:
+                stale.append(f"{path}: {old.strip()}")
+        if expected is not None:
+            test_file, *names = expected.split("[")[0].split("::")
+            if not _defines(os.path.join(ROOT, test_file), names):
+                stale.append(expected)
+    assert not stale
