@@ -44,6 +44,7 @@ from .coherence import (
     wk_product,
 )
 from .errors import ConfigError, DegenerateDistribution, DomainError
+from .fisher import FISHER_FLOOR
 from .grids import GeneratorGrid, grid_for_gaussian
 from .output import write_csv, write_json, write_manifest
 from .ruler import make_gaussian_ruler, validate_ruler
@@ -234,7 +235,7 @@ def _cmd_fisher(args):
         "numerical": {"fisher": numerical.fisher, "crb": numerical.crb},
         "qfi": run.qfi,
         "closed_form": {"fisher": closed.fisher, "crb": closed.crb},
-        "agreement_rel": abs(numerical.fisher / closed.fisher - 1.0) if closed.fisher else None,
+        "agreement_rel": abs(numerical.fisher / closed.fisher - 1.0) if closed.fisher > FISHER_FLOOR else None,
     }
     print(f"fisher[{run.scenario}]: numerical={numerical.fisher:.9g} closed={closed.fisher:.9g}")
     return {"fisher.json": payload}, True

@@ -22,12 +22,12 @@ on the state only: the 1-D runs build Gamma, stored by its lag spacing,
 once on its fast transform length, and shift it; the joint runs build
 the (m, k) projections once and apply them to the evolved state and its
 lambda-derivative, on the state grid dual to the m axis
-(``state_grid``), where a readout is one FFT per window; both joint axes
-take ``JOINT_POINTS`` points.  ``SCENARIOS`` maps the five runnable kinds
-to their spec classes.  A spec's positional fields are its physical
+(``state_grid``), where a readout is one FFT per window; ``law_axes`` sizes
+each joint outcome axis by its law.  ``SCENARIOS`` maps the five runnable
+kinds to their spec classes.  A spec's positional fields are its physical
 parameters, from which the command line derives its flags, required values
-and reported parameters; ``nonlinear``'s ``lambda_pad`` is keyword-only
-and is not a flag.  Acceptance builds its runs through the same table.
+and reported parameters; ``nonlinear``'s ``lambda_pad`` is keyword-only and
+is not a flag.  Acceptance builds its runs through the same table.
 ``phase_distribution_ws`` takes the phase density of a blurred squeezed
 vacuum through sg's periodic transform, from a Poisson-kernel Gamma of
 lag spacing 1, zero on odd lags.
@@ -249,8 +249,24 @@ def run_phase_sg(sc: SGScenario) -> ScenarioRun:
 # ---------------------------------------------------------------------------
 
 
-JOINT_POINTS = 256  # points on each joint outcome axis, m and k
-MAX_STATE_POINTS = 4096  # largest joint state grid: an 8 MB [k, p] window at k = 256
+# points per smallest marginal sd on a joint outcome axis: by Poisson summation a Riemann sum of a
+# normal law at spacing sd/c is off by at most 2 e^{-2 pi^2 c^2}, 1.0e-34 at c = 2; the bound meets
+# double roundoff (2.2e-16) at c = 1.36 and is 5.3e-9 at c = 1, and a larger c buys only points
+POINTS_PER_SIGMA = 2.0
+MAX_STATE_POINTS = 4096  # largest joint state grid: a 32 KB row of the [k, p] window (64 MB at k = 2048)
+MAX_JOINT_CELLS = 1 << 17  # largest m*k joint outcome cells: a 2 MB complex [k, m] readout
+
+
+def law_axes(*axes: tuple[float, float, float]) -> list[GeneratorGrid]:
+    """Joint outcome axes from (centre, half-span, sd) each, sd the law's smallest marginal sd on that axis
+    over the run's lambda range: n = max(MIN_POINTS, ceil(2*half*POINTS_PER_SIGMA/sd) + 1) points.  No 2-D alias
+    term of the (m, k) sum exceeds a 1-D one: the shear only widens m, a rotation keeps the narrowest quadrature.
+    Above MAX_JOINT_CELLS cells, or at a NaN or infinite count, ``GridTooNarrow`` before anything is allocated."""
+    counts = [2.0 * half * POINTS_PER_SIGMA / sd + 1.0 for _, half, sd in axes]
+    counts = [max(MIN_POINTS, math.ceil(n)) if n < math.inf else n for n in counts]  # NaN and inf stay
+    if not (cells := math.prod(map(float, counts))) <= MAX_JOINT_CELLS:
+        raise GridTooNarrow(f"{cells:.4g} joint outcome cells, above MAX_JOINT_CELLS = {MAX_JOINT_CELLS}")
+    return [GeneratorGrid(center - half, center + half, n) for (center, half, _), n in zip(axes, counts)]
 
 
 def state_grid(center: float, half: float, m_grid: GeneratorGrid) -> GeneratorGrid:
@@ -347,8 +363,8 @@ class _JointSpec:
 
     ``vx_s`` and ``vx_m`` are X-quadrature variances of probe and ruler;
     the conjugate variances follow the minimum-uncertainty link of pure
-    uncorrelated Gaussians, vp = 1/(4*vx).  The outcome axes take
-    ``JOINT_POINTS`` each; each runner samples its state on the
+    uncorrelated Gaussians, vp = 1/(4*vx).  Each runner sizes its outcome
+    axes by the law (``law_axes``) and samples its state on the
     ``state_grid`` dual to its m axis, whose count follows from the spans.
     """
 
@@ -377,10 +393,10 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
 
     The evolution is exact (diagonal in momentum); outcome grids cover
     8 effective sigmas of the lambda-evolved state in each axis for
-    |lambda| <= ``lambda_pad``, and a member outside that range (a
-    Richardson stencil's included) raises ``GridTooNarrow``.  The state
-    grid spans 8 sigmas of the probe's momentum about p0, on the
-    ``state_grid`` dual to the m axis.
+    |lambda| <= ``lambda_pad`` at the law's lambda = 0 sds (``law_axes``),
+    and a member outside that range (a Richardson stencil's included)
+    raises ``GridTooNarrow``.  The state grid spans 8 sigmas of the
+    probe's momentum about p0, on the ``state_grid`` dual to the m axis.
     """
     closed = closed_form_fp2(sc.vx_s, sc.vx_m, sc.p0)
     vp_s = 1.0 / (4.0 * sc.vx_s)
@@ -391,13 +407,10 @@ def run_nonlinear(sc: NonlinearScenario) -> ScenarioRun:
     except OverflowError:
         raise GridTooNarrow(f"lambda_pad={sc.lambda_pad!r}: its square overflows a float") from None
     m_half += 2.0 * sc.lambda_pad * abs(sc.p0)
-    k_half = SPAN_SIGMAS * math.sqrt(vp_s + vp_m)
-    m_grid = GeneratorGrid(sc.x0 - m_half, sc.x0 + m_half, JOINT_POINTS)
-    k_grid = GeneratorGrid(-sc.p0 - k_half, -sc.p0 + k_half, JOINT_POINTS)
+    sd_k = math.sqrt(vp_s + vp_m)  # the shear only widens m: its smallest sd is at lambda = 0
+    m_grid, k_grid = law_axes((sc.x0, m_half, math.sqrt(sc.vx_s + sc.vx_m)), (-sc.p0, SPAN_SIGMAS * sd_k, sd_k))
     grid = state_grid(sc.p0, SPAN_SIGMAS * sigma_p, m_grid)
-    probe = make_gaussian_probe(
-        GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid
-    )
+    probe = make_gaussian_probe(GaussianProbeSpec(center=sc.p0, sigma=sigma_p, conjugate_center=-sc.x0), grid)
     p_axis = grid.points
     d_log = -1j * p_axis**2  # d/dlambda of e^{-i lambda p^2}, over itself
 
@@ -463,10 +476,10 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     """Joint (m, k) statistics of a rotating Gaussian probe.
 
     The rotation is applied exactly on the Gaussian's means and covariance,
-    in momentum like ``nonlinear``; outcome grids are sized to cover the
-    whole rotation circle, so the family is valid for any angle.  The
-    state grid covers the same circle, on the ``state_grid`` dual to the
-    m axis.
+    in momentum like ``nonlinear``; outcome grids cover the whole rotation
+    circle, spaced for the probe's narrowest quadrature, so the family is
+    valid for any angle.  The state grid covers the same circle, on the
+    ``state_grid`` dual to the m axis.
     """
     vp_s = 1.0 / (4.0 * sc.vx_s)
     vp_m = 1.0 / (4.0 * sc.vx_m)
@@ -474,12 +487,11 @@ def run_phase_coherent_squeezed(sc: CoherentSqueezedScenario) -> ScenarioRun:
     fisher = closed_form_fn(sc.vx_s, vp_s, sc.vx_m, vp_m, sc.x0, sc.p0).fisher
     closed = FisherReport(fisher, gaussian_number_qfi(sc.vx_s, vp_s, sc.x0, sc.p0))
     radius = math.hypot(sc.x0, sc.p0)
-    sig_max = math.sqrt(max(sc.vx_s, vp_s))
-    half_state = SPAN_SIGMAS * sig_max + radius
-    m_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + sc.vx_m) + radius
-    k_half = SPAN_SIGMAS * math.sqrt(sig_max**2 + vp_m) + radius
-    m_grid = GeneratorGrid(-m_half, m_half, JOINT_POINTS)
-    k_grid = GeneratorGrid(-k_half, k_half, JOINT_POINTS)
+    var_min, var_max = sorted((sc.vx_s, vp_s))  # the rotating probe's narrowest and widest quadratures
+    half_state = SPAN_SIGMAS * math.sqrt(var_max) + radius
+    m_half = SPAN_SIGMAS * math.sqrt(var_max + sc.vx_m) + radius
+    k_half = SPAN_SIGMAS * math.sqrt(var_max + vp_m) + radius
+    m_grid, k_grid = law_axes((0.0, m_half, math.sqrt(var_min + sc.vx_m)), (0.0, k_half, math.sqrt(var_min + vp_m)))
     grid = state_grid(0.0, half_state, m_grid)
     # the Fourier transform is the quarter turn (x, p) -> (p, -x), which
     # commutes with rotations: psi_lam(p) is the position wavefunction of

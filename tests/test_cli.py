@@ -11,7 +11,7 @@ import scipy.fft
 from qruler import cli, scenarios
 from qruler.acceptance import CriterionResult
 from qruler.errors import GridTooNarrow
-from qruler.fisher import FisherReport
+from qruler.fisher import FISHER_FLOOR, FisherReport
 from qruler.scenarios import SCENARIOS
 
 
@@ -268,6 +268,18 @@ class TestFisherCommand:
         assert payload["closed_form"]["fisher"] == 0.0
         assert payload["agreement_rel"] is None
 
+    def test_information_below_the_floor_has_no_relative_agreement(self, tmp_path):
+        # closed-form F = 8e-300 and numerical F = 0.0: below FISHER_FLOOR a relative
+        # gap is noise, so none is reported (the gap read 1.0 as if it measured agreement)
+        out = tmp_path / "ffloor"
+        assert run_cli([
+            "fisher", "--scenario", "nonlinear", "--vxs", "0.5", "--vxm", "1e-300", "--out", str(out),
+        ]) == 0
+        payload = read_json(out / "fisher.json")
+        assert payload["closed_form"]["fisher"] == pytest.approx(8e-300)
+        assert payload["numerical"]["fisher"] <= FISHER_FLOOR
+        assert payload["agreement_rel"] is None
+
     def test_nonlinear_step_widens_the_sized_range(self, tmp_path):
         # the stencil reaches 2*step = 0.06, beyond the default lambda_pad 0.05
         out = tmp_path / "fnl"
@@ -290,7 +302,7 @@ class TestFisherCommand:
         payload = read_json(out / "fisher.json")
         assert payload["step"] is None
         assert payload["closed_form"]["fisher"] == pytest.approx(3.048e-05, rel=1e-3)
-        assert payload["agreement_rel"] < 1e-6  # measured 4.0e-10
+        assert payload["agreement_rel"] < 1e-6  # measured 4.4e-10
         spec = SCENARIOS["nonlinear"](vx_s=20.0, vx_m=0.25)
         run = spec.run()
         step = 1e-3 * math.sqrt(run.closed_form.crb)
@@ -299,8 +311,8 @@ class TestFisherCommand:
             run.fisher(step=step)
         wide = dataclasses.replace(spec, lambda_pad=2.0 * step).run()
         exact = wide.fisher().fisher
-        assert wide.fisher(step=step).fisher == pytest.approx(exact, rel=1e-12)  # measured 2e-16
-        # the m axis sized for 0.05 against the one sized for 0.362: measured 1.5e-12
+        assert wide.fisher(step=step).fisher == pytest.approx(exact, rel=1e-12)  # measured 2.3e-15
+        # the m axis sized for 0.05 against the one sized for 0.362: measured 1.8e-12
         assert payload["numerical"]["fisher"] == pytest.approx(exact, rel=1e-11)
 
     def test_nonlinear_step_too_large_fails_richardson(self, tmp_path, capsys):
@@ -415,7 +427,7 @@ class TestScenarioCommand:
         ]) == 0
         lines = (out / "distribution_000.csv").read_text().splitlines()
         assert lines[0] == "m,k,p"
-        assert len(lines) == 256 * 256 + 1
+        assert len(lines) == 64 * 64 + 1  # the law's axes: 8 sigmas at POINTS_PER_SIGMA fall below MIN_POINTS
         summary = read_json(out / "summary.json")
         assert summary["distributions"][0]["mass"] == pytest.approx(1.0, abs=1e-9)
 

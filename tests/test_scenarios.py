@@ -31,13 +31,16 @@ from qruler.fisher import (
 from qruler.grids import MIN_POINTS, SPAN_SIGMAS, GeneratorGrid, grid_for_gaussian
 from qruler.ruler import make_gaussian_ruler, make_ideal_ruler
 from qruler.scenarios import (
+    MAX_JOINT_CELLS,
     MAX_STATE_POINTS,
+    POINTS_PER_SIGMA,
     SCENARIOS,
     CoherentSqueezedScenario,
     LinearScenario,
     NonlinearScenario,
     PhaseGaussianScenario,
     SGScenario,
+    law_axes,
     phase_distribution_ws,
     rotate_gaussian,
     rotate_gaussian_dlog,
@@ -179,8 +182,8 @@ def coherent_squeezed_position_oracle(sc, lam, m_grid, k_grid):
     return _finalize_density(m_grid, np.abs(overlap) ** 2 / (2.0 * np.pi), k_grid=k_grid)
 
 
-# small specs of every SCENARIOS kind, each valid at lambda0 = 0.3; ``small_run``
-# builds them with SMALL_JOINT_POINTS on each joint axis
+# small specs of every SCENARIOS kind, each valid at lambda0 = 0.3; each joint
+# spec's law puts MIN_POINTS on each of its outcome axes
 KIND_FIELDS = {
     "linear": {"dx_s": 0.5, "dx_m": 0.5},
     "phase": {"n_mean": 100.0, "dn_s": 5.0, "dphi_m": 0.1},
@@ -188,19 +191,17 @@ KIND_FIELDS = {
     "nonlinear": {"vx_s": 0.25, "vx_m": 0.25, "lambda_pad": 0.32},
     "phase-cs": {"vx_s": 0.2, "vx_m": 0.5, "x0": 1.0},
 }
-SMALL_JOINT_POINTS = 64
 
 
-def small_run(kind, monkeypatch):
-    """The run of ``kind``'s KIND_FIELDS spec, its joint axes cut to SMALL_JOINT_POINTS."""
-    monkeypatch.setattr(scenarios, "JOINT_POINTS", SMALL_JOINT_POINTS)
+def small_run(kind):
+    """The run of ``kind``'s KIND_FIELDS spec."""
     return SCENARIOS[kind](**KIND_FIELDS[kind]).run()
 
 
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
-def test_run_fisher_is_fisher_from_family(kind, monkeypatch):
+def test_run_fisher_is_fisher_from_family(kind):
     # with a step, the run's Fisher information is the finite-difference route, bit for bit
-    run = small_run(kind, monkeypatch)
+    run = small_run(kind)
     assert run.fisher(step=run.default_step) == fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
     step = 2.0 * run.default_step
     assert run.fisher(0.3, step=step) == fisher_from_family(run.family, 0.3, step, qfi=run.qfi)
@@ -218,9 +219,9 @@ def five_member_fisher(family, lambda0, step):
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_RUNS) + ["nonlinear", "phase-cs"])
-def test_streamed_stencil_matches_five_members(name, monkeypatch):
+def test_streamed_stencil_matches_five_members(name):
     # the five 1-D runs of fisher-1d and both joint kinds, bit for bit
-    run = BENCH_RUNS[name]() if name in BENCH_RUNS else small_run(name, monkeypatch)
+    run = BENCH_RUNS[name]() if name in BENCH_RUNS else small_run(name)
     for lam0 in (0.0, 0.3):
         got = fisher_from_family(run.family, lam0, run.default_step, qfi=run.qfi).fisher
         assert got == five_member_fisher(run.family, lam0, run.default_step)
@@ -247,33 +248,34 @@ def test_sg_fisher_evaluation_holds_few_densities():
     assert traced_peak(evaluate) <= 7.0 * size
 
 
-@pytest.mark.parametrize("spec", (NonlinearScenario(0.01, 100.0), CoherentSqueezedScenario(0.5, 0.5, 40.0)),
+@pytest.mark.parametrize("spec", (NonlinearScenario(0.01, 0.01, lambda_pad=0.5), CoherentSqueezedScenario(0.01, 0.01)),
                          ids=("nonlinear", "phase-cs"))
 def test_joint_build_and_fisher_keep_no_phase_table(spec, monkeypatch):
-    # a build and a Richardson F at 256 x 256 outcomes, on specs whose state grids
-    # are large (n = 2049 and 1402, folded onto M = 256), where an [n, m] complex
-    # phase table of n*m*16 B would show: measured 8.3 and 6.9 MB, each under one table
+    # a build and a Richardson F on specs whose state grids and m axes are both
+    # large (n = 1021 on 1133 x 64 outcomes for each), where an [n, m] complex
+    # phase table of n*m*16 B = 18.5 MB would show: measured 4.07 and 4.03 MB
     sizes = []
     joint = scenarios._joint_family
     monkeypatch.setattr(scenarios, "_joint_family",
-                        lambda grid, *rest: sizes.append(grid.n_points) or joint(grid, *rest))
+                        lambda grid, vx_m, m_grid, *rest: sizes.append((grid.n_points, m_grid.n_points))
+                        or joint(grid, vx_m, m_grid, *rest))
 
     def op():
         run = spec.run()
         fisher_from_family(run.family, 0.0, run.default_step, qfi=run.qfi)
 
     op()
-    table = sizes[0] * scenarios.JOINT_POINTS * 16
-    assert sizes[0] > 1000
-    assert traced_peak(op) <= 3.6e6 + 2.0 * table
+    table = math.prod(sizes[0]) * 16
+    assert min(sizes[0]) > 1000
+    assert traced_peak(op) <= 0.4 * table
 
 
 @pytest.mark.parametrize("spec", (NonlinearScenario(0.5, 0.4, 0.3, 0.2), CoherentSqueezedScenario(0.5, 0.4, 0.3, 0.2)),
                          ids=("nonlinear", "phase-cs"))
 def test_exact_fisher_peaks_no_higher_than_finite_differences(spec):
     # dp/dlambda takes one new [k, m] array and dO is dropped before the density
-    # is formed: measured 2.6 MB against the stencil's 3.1 MB (3.7 MB with four
-    # [k, m] temporaries for 2 Re(conj(O) dO))
+    # is formed: measured 0.27 MB against the stencil's 0.30 MB on 64 x 64 outcomes,
+    # where four [k, m] float temporaries for 2 Re(conj(O) dO) would add 4 x 32 KB
     run = spec.run()
     run.fisher()
     run.fisher(step=run.default_step)
@@ -286,8 +288,8 @@ EXACT_FD_REL = 3e-11
 
 @pytest.mark.parametrize("lam0", [0.0, 0.3])
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
-def test_exact_fisher_matches_finite_differences(kind, lam0, monkeypatch):
-    run = small_run(kind, monkeypatch)
+def test_exact_fisher_matches_finite_differences(kind, lam0):
+    run = small_run(kind)
     exact = run.fisher(lam0)
     assert exact.qfi == run.qfi
     assert exact.fisher == pytest.approx(run.fisher(lam0, step=run.default_step).fisher, rel=EXACT_FD_REL)
@@ -298,7 +300,7 @@ class TestDefaultStep:
 
     def test_low_information_joint_draw_passes_the_residual_gate(self):
         # a fisher-joint draw with F = 9.4e-4, whose uncapped step 1e-3*sqrt(CRB) = 0.0325
-        # failed the residual gate (1.29e-3); the capped step: measured 9.2e-11 from exact
+        # failed the residual gate (1.29e-3); the capped step: measured 9.3e-11 from exact
         run = CoherentSqueezedScenario(0.5147320847472618, 0.6182216390859889,
                                        0.00028049029321808305, 0.011061002482863014).run()
         assert run.default_step == 1e-3 * math.pi
@@ -309,7 +311,7 @@ class TestDefaultStep:
         spec = NonlinearScenario(20.0, 0.25)
         run = spec.run()
         assert 2.0 * run.default_step <= spec.lambda_pad
-        # measured 4.6e-13 from the exact F
+        # measured 8.2e-13 from the exact F
         assert run.fisher(step=run.default_step).fisher == pytest.approx(run.fisher().fisher, rel=5e-12)
 
     def test_an_infinite_crb_takes_the_cap(self):
@@ -318,9 +320,9 @@ class TestDefaultStep:
 
 
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
-def test_derivative_reads_the_family_member(kind, monkeypatch):
+def test_derivative_reads_the_family_member(kind):
     # the exact route's p is the family's, bit for bit, with dp on its axes
-    run = small_run(kind, monkeypatch)
+    run = small_run(kind)
     dist, dp = run.derivative(0.3)
     member = run.family(0.3)
     assert dist.mu_grid == member.mu_grid and dist.k_grid == member.k_grid
@@ -337,7 +339,7 @@ def test_grid_sizes_are_keyword_only():
         SGScenario(0.9, n_max=300)
     with pytest.raises(TypeError):
         NonlinearScenario(0.25, 0.25, 0.0, 0.0, 128)
-    with pytest.raises(TypeError):  # the joint axes take JOINT_POINTS, not a field
+    with pytest.raises(TypeError):  # the law sizes the joint axes, not a field
         NonlinearScenario(0.25, 0.25, m_points=128)
     with pytest.raises(TypeError):  # the joint state grid's count is derived, not set
         NonlinearScenario(0.25, 0.25, n_points=256)
@@ -732,13 +734,13 @@ class TestCoherentSqueezed:
         rep = run.fisher()
         assert rep.fisher == pytest.approx(0.9, rel=1e-3)
 
-    def test_quarter_turn_permutes_outcomes(self, monkeypatch):
+    def test_quarter_turn_permutes_outcomes(self):
         # with a rotation-symmetric ruler, rotating the probe by pi/2 must
-        # permute the sampled (m, k) cells exactly, here on 128 x 128 outcomes
-        monkeypatch.setattr(scenarios, "JOINT_POINTS", 128)
+        # permute the sampled (m, k) cells exactly, here on the law's 64 x 64 outcomes
         sc = CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5, x0=0.6, p0=0.0)
         run = run_phase_coherent_squeezed(sc)
         p0 = run.family(0.0).density
+        assert p0.shape == (MIN_POINTS, MIN_POINTS)
         pq = run.family(math.pi / 2.0).density
         np.testing.assert_allclose(pq, p0[:, ::-1].T, atol=1e-8)
 
@@ -786,7 +788,7 @@ JOINT_CASES = (
 
 
 # (spec, runner, oracle, last angle) of joint cases whose state grids hold
-# more points than their m axes at SMALL_JOINT_POINTS
+# more points than their m axes
 FOLDED_CASES = (
     (NonlinearScenario(vx_s=0.05, vx_m=4.0, x0=0.3, p0=0.5, lambda_pad=0.3),
      run_nonlinear, nonlinear_oracle, 0.25),
@@ -814,7 +816,7 @@ class TestJointReadout:
     """The once-built (m, k) readout, one FFT per window, against the direct complex-product sum."""
 
     # one FFT per window in place of the direct sum moves the density by
-    # rounding only: 3.4e-15 of the peak at most
+    # rounding only: 2.2e-15 of the peak at most
     def test_nonlinear_matches_oracle(self):
         assert_matches_oracle(JOINT_CASES[0])
 
@@ -826,7 +828,7 @@ class TestJointReadout:
     def test_real_gemm_matches_complex_product(self, case, state):
         # the derivative reads out O and dO through the same FFT: its member
         # and dp/dlambda against the complex-product direct sums, within
-        # 5e-14 of each peak (measured 3.4e-15 and 5.5e-15)
+        # 5e-14 of each peak (measured 2.2e-15 and 5.9e-15)
         sc, runner, _, last = case
         run = runner(sc)
         for lam in (0.0, run.default_step, -run.default_step, last):
@@ -836,17 +838,17 @@ class TestJointReadout:
             assert np.max(np.abs(dp - ref_dp)) <= 5e-14 * np.max(np.abs(ref_dp))
 
     @pytest.mark.parametrize("case", FOLDED_CASES, ids=("nonlinear", "phase-cs"))
-    def test_folded_readout_matches_oracle(self, case, monkeypatch):
+    def test_folded_readout_matches_oracle(self, case):
         # more state samples than m points: the window rows fold modulo M before
-        # the FFT (n = 229 and 193 at M = 64; measured 2.0e-15 and 4.2e-15 of the peak)
-        monkeypatch.setattr(scenarios, "JOINT_POINTS", SMALL_JOINT_POINTS)
+        # the FFT (n = 229 at M = 64 and 193 at M = 75; measured 2.0e-15 and 4.9e-15 of the peak)
         sc, runner, *_ = case
-        assert joint_grid(sc, runner(sc).family(0.0).mu_grid).n_points > scenarios.JOINT_POINTS
+        m_grid = runner(sc).family(0.0).mu_grid
+        assert joint_grid(sc, m_grid).n_points > m_grid.n_points
         assert_matches_oracle(case)
 
     @pytest.mark.parametrize(("sc", "gate"), (
-        (JOINT_CASES[1][0], 7e-13),  # measured 1.5e-14 of the peak
-        (CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5), 2.5e-13),  # measured 2.5e-14
+        (JOINT_CASES[1][0], 7e-13),  # measured 1.3e-14 of the peak
+        (CoherentSqueezedScenario(vx_s=0.5, vx_m=0.5), 2.5e-13),  # measured 1.0e-14
     ), ids=("displaced", "vacuum"))
     def test_momentum_readout_matches_position_readout(self, sc, gate):
         # the momentum readout against a position-space window on
@@ -949,7 +951,7 @@ class TestGaussianLaw:
 
     @pytest.mark.parametrize(("kind", "lambdas"), (("nonlinear", (0.01, 0.03, -0.04)), ("phase-cs", (0.3, 1.0, 2.5))))
     def test_exact_fisher_off_zero_is_the_normal_family(self, kind, lambdas):
-        # measured 4.2e-10 (nonlinear) and 4.4e-10 (phase-cs) relative; the vacuum's F is 0 on both
+        # measured 4.5e-10 (nonlinear) and 4.3e-10 (phase-cs) relative; the vacuum's F is 0 on both
         for spec in LAW_SPECS:
             run = SCENARIOS[kind](*spec).run()
             for lam0 in lambdas:
@@ -957,8 +959,8 @@ class TestGaussianLaw:
                     gaussian_fisher(kind, *spec, lam0), rel=5e-9, abs=FISHER_FLOOR)
 
     @pytest.mark.parametrize(("kind", "lambdas", "gate"), (
-        ("nonlinear", (0.0, 0.025, -0.04, 0.05), 3e-13),  # measured 2.1e-14 of the peak
-        ("phase-cs", (0.0, 0.3, 1.0, 2.5, -2.0), 4e-12),  # measured 3.9e-13, at lambda = -2
+        ("nonlinear", (0.0, 0.025, -0.04, 0.05), 3e-13),  # measured 7.9e-15 of the peak
+        ("phase-cs", (0.0, 0.3, 1.0, 2.5, -2.0), 4e-12),  # measured 7.3e-13 at lambda = -2: the state grid's 8-sigma cut
     ), ids=("nonlinear", "phase-cs"))
     def test_density_is_the_blurred_normal(self, kind, lambdas, gate):
         for spec in LAW_SPECS:
@@ -973,11 +975,7 @@ class TestGaussianLaw:
         # each axis holds mean +/- SPAN_SIGMAS sd of the law at every lambda the run
         # takes: +/- lambda_pad for nonlinear, where one m end meets it exactly, and
         # the whole circle for phase-cs; 1e-12 of the span is the only slack
-        specs = [SCENARIOS[kind](*spec) for spec in LAW_SPECS]
-        specs += [case[0] for case in (*JOINT_CASES, *FOLDED_CASES, WIDE_RULER_CASE)
-                  if isinstance(case[0], SCENARIOS[kind])]
-        specs += [sc for sc in criterion_4_draws(2401, 16) if isinstance(sc, SCENARIOS[kind])]
-        for sc in specs:
+        for sc in law_range_specs(kind):
             dist = sc.run().family(0.0)
             lambdas = (-sc.lambda_pad, sc.lambda_pad) if kind == "nonlinear" else np.linspace(-np.pi, np.pi, 721)
             for lam in lambdas:
@@ -986,6 +984,16 @@ class TestGaussianLaw:
                 for axis, center, half in ((dist.mu_grid, mean[0], reach[0]), (dist.k_grid, -mean[1], reach[1])):
                     slack = 1e-12 * axis_span(axis)
                     assert axis.g_min <= center - half + slack and center + half - slack <= axis.g_max
+
+
+def law_range_specs(kind):
+    """Specs of ``kind`` read against the law over its lambda range, squeezed, sheared and displaced ones among them."""
+    specs = [SCENARIOS[kind](*spec) for spec in LAW_SPECS]
+    specs += [case[0] for case in (*JOINT_CASES, *FOLDED_CASES, WIDE_RULER_CASE) if isinstance(case[0], SCENARIOS[kind])]
+    specs += [sc for sc in criterion_4_draws(2401, 16) if isinstance(sc, SCENARIOS[kind])]
+    if kind == "nonlinear":
+        return specs + [NonlinearScenario(0.25, 0.25, p0=1.5, lambda_pad=1.0), NonlinearScenario(0.01, 0.01, lambda_pad=0.5)]
+    return specs + [CoherentSqueezedScenario(0.01, 0.01), CoherentSqueezedScenario(0.01, 100.0, 2.0, 1.0)]
 
 
 # a nonlinear case whose state grid the sampling rule sets above MIN_POINTS (102
@@ -1008,7 +1016,7 @@ class TestStateSampling:
             return real(grid, vx_m, m_grid, *rest)
 
         monkeypatch.setattr(scenarios, "_joint_family", spy)
-        # the rule sets n above the floor for these (measured 95, 104 and 102 points)
+        # the rule sets n above the floor for these (measured 96, 104 and 103 points)
         binding = (NonlinearScenario(0.2, 4.0), NonlinearScenario(0.25, 0.25, p0=1.5, lambda_pad=1.0),
                    WIDE_RULER_CASE[0])
         specs = [*binding, *(case[0] for case in JOINT_CASES), *criterion_4_draws(2401, 16)]
@@ -1022,7 +1030,7 @@ class TestStateSampling:
             assert grid == joint_grid(sc, m_grid)
             assert axis_span(grid) >= 2.0 * half * (1.0 - 1e-12)
             assert n == MIN_POINTS or (n - 2) * dp < 2.0 * half
-            assert n > MIN_POINTS if i < len(binding) else n <= 100  # the draws: measured 64 to 80
+            assert n > MIN_POINTS if i < len(binding) else n <= 100  # the draws: measured 64 to 81
 
     @pytest.mark.parametrize("spans", ((math.inf, 1.0), (math.nan, 1.0), (1e200, 1.0), (500.0, 26.0)))
     def test_a_count_out_of_range_is_too_narrow(self, spans):
@@ -1044,8 +1052,8 @@ class TestStateSampling:
 
     @pytest.mark.parametrize("case", (*JOINT_CASES, WIDE_RULER_CASE), ids=("nonlinear", "phase-cs", "wide-ruler"))
     def test_four_times_denser_state_grid_agrees(self, case):
-        # measured F 2.3e-14 relative and densities 2.0e-15 of the peak (nonlinear),
-        # 4.4e-14 and 1.6e-14 (phase-cs), 4.4e-14 and 8.7e-15 (wide-ruler)
+        # measured F 4.4e-15 relative and densities 1.3e-15 of the peak (nonlinear),
+        # 4.9e-14 and 1.4e-14 (phase-cs), 8.0e-14 and 5.9e-15 (wide-ruler)
         sc, runner, oracle, last = case
         run = runner(sc)
         axes = run.family(0.0)
@@ -1059,15 +1067,18 @@ class TestStateSampling:
             assert got == pytest.approx(fisher_from_family(dense, lam0, run.default_step).fisher, rel=8e-12)
 
     def test_far_displaced_probe_is_sampled_not_aliased(self, tmp_path):
-        # x0 = 40 widens the m axis to 96, which takes 1397 state points; a fixed
-        # 1024 aliased the readout onto the axis (density norm 2.0, exit 3)
+        # x0 = 40 widens the m axis to 96, which takes 1404 state points and 193 x 193
+        # outcome cells; a fixed 1024 aliased the readout onto the axis (density norm 2.0, exit 3)
         out = tmp_path / "far"
         assert cli.main(["fisher", "--scenario", "phase-cs", "--vxs", "0.5", "--vxm", "0.5",
                          "--x0", "40", "--out", str(out)]) == 0
         payload = json.loads((out / "fisher.json").read_text(encoding="utf-8"))
-        assert payload["numerical"]["fisher"] == pytest.approx(1600.0, rel=1e-9)  # measured 2.7e-11
+        assert payload["numerical"]["fisher"] == pytest.approx(1600.0, rel=1e-9)  # measured 2.6e-11
+        dist = CoherentSqueezedScenario(0.5, 0.5, 40.0).run().family(0.0)
+        assert (dist.mu_grid.n_points, dist.k_grid.n_points) == (193, 193)  # 96 sds of the law each
 
-    @pytest.mark.parametrize("spec", (CoherentSqueezedScenario(0.5, 0.5, x0=1000.0), NonlinearScenario(0.25, 1e5)),
+    # x0 = 80: its 353 x 353 outcome cells pass MAX_JOINT_CELLS, its 4,813 state points do not
+    @pytest.mark.parametrize("spec", (CoherentSqueezedScenario(0.5, 0.5, x0=80.0), NonlinearScenario(0.25, 1e5)),
                              ids=("phase-cs", "nonlinear"))
     def test_too_wide_an_m_axis_fails_before_allocating(self, spec, monkeypatch):
         def built(*args):
@@ -1081,13 +1092,78 @@ class TestStateSampling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2e4  # measured 2.5 KB: no state grid, probe or readout
+        assert peak <= 2e4  # measured 2.0 KB: no state grid, probe or readout
 
     def test_too_wide_an_m_axis_exits_3(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(scenarios, "_joint_family", lambda *args: pytest.fail("the readout was built"))
         assert cli.main(["fisher", "--scenario", "phase-cs", "--vxs", "0.5", "--vxm", "0.5",
-                         "--x0", "1000", "--out", str(tmp_path / "x")]) == 3
+                         "--x0", "80", "--out", str(tmp_path / "x")]) == 3
         assert "above MAX_STATE_POINTS" in capsys.readouterr().err
+
+
+class TestLawAxes:
+    """Each joint outcome axis takes POINTS_PER_SIGMA points per smallest marginal sd of the law over the run's range."""
+
+    def test_the_poisson_bound_is_below_roundoff(self):
+        # the alias term 2 e^{-2 pi^2 c^2} of a Riemann sum of a normal law at spacing sd/c
+        assert 2.0 * math.exp(-2.0 * math.pi**2 * POINTS_PER_SIGMA**2) <= 1e-2 * np.finfo(float).eps
+
+    def test_the_count_is_the_ceiling_of_points_per_sigma(self):
+        # n = max(MIN_POINTS, ceil(2*half*POINTS_PER_SIGMA/sd) + 1), on centre +/- half
+        m_grid, k_grid = law_axes((3.0, 10.0, 0.1), (-1.0, 1.0, 1.0))
+        assert (m_grid.n_points, k_grid.n_points) == (401, MIN_POINTS)
+        assert (m_grid.g_min, m_grid.g_max, k_grid.g_min, k_grid.g_max) == (-7.0, 13.0, -2.0, 0.0)
+        half = (MAX_JOINT_CELLS / MIN_POINTS - 1.0) / (2.0 * POINTS_PER_SIGMA)  # exactly at the ceiling
+        assert law_axes((0.0, half, 1.0), (0.0, 1.0, 1.0))[0].n_points * MIN_POINTS == MAX_JOINT_CELLS
+        with pytest.raises(GridTooNarrow, match="MAX_JOINT_CELLS"):
+            law_axes((0.0, half + 0.01, 1.0), (0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("axis", ((0.0, math.inf, 1.0), (0.0, math.nan, 1.0), (0.0, 1.0, math.nan), (0.0, 1e300, 1e-10)))
+    def test_a_count_out_of_range_is_too_narrow(self, axis):
+        with pytest.raises(GridTooNarrow, match="MAX_JOINT_CELLS"):
+            law_axes(axis, (0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("kind", ("nonlinear", "phase-cs"))
+    def test_spacing_resolves_the_law_over_the_lambda_range(self, kind):
+        # at every lambda the run takes, each axis's spacing is at most the law's
+        # marginal sd over POINTS_PER_SIGMA; the shear and the rotation only widen
+        # the law past its narrowest marginals, at lambda = 0 and at quarter turns
+        for sc in law_range_specs(kind):
+            dist = sc.run().family(0.0)
+            lambdas = np.linspace(-sc.lambda_pad, sc.lambda_pad, 21) if kind == "nonlinear" else np.linspace(-np.pi, np.pi, 181)
+            for lam in lambdas:
+                sd = np.sqrt(np.diag(gaussian_law(kind, sc.vx_s, sc.vx_m, sc.x0, sc.p0, lam)[1]))
+                assert dist.mu_grid.spacing <= sd[0] / POINTS_PER_SIGMA * (1.0 + 1e-12)
+                assert dist.k_grid.spacing <= sd[1] / POINTS_PER_SIGMA * (1.0 + 1e-12)
+
+    def test_squeezed_probe_is_sampled_not_aliased(self, tmp_path):
+        # x-variances 0.01: the m axis takes 1,133 points; a fixed 256 left the
+        # density's norm at 0.9637 (exit 3)
+        out = tmp_path / "squeezed"
+        assert cli.main(["fisher", "--scenario", "phase-cs", "--vxs", "0.01", "--vxm", "0.01", "--out", str(out)]) == 0
+        payload = json.loads((out / "fisher.json").read_text(encoding="utf-8"))
+        assert payload["agreement_rel"] <= 1e-8  # measured 3.7e-10
+        dist = CoherentSqueezedScenario(0.01, 0.01).run().family(0.0)
+        assert (dist.mu_grid.n_points, dist.k_grid.n_points) == (1133, MIN_POINTS)
+
+    def test_too_many_cells_exit_3_before_allocating(self, monkeypatch, tmp_path, capsys):
+        # x0 = 35 on the squeezed probe: 2,123 x 75 outcome cells, above MAX_JOINT_CELLS,
+        # while its state grid, 3,640 points even on the coarsest m axis, passes MAX_STATE_POINTS
+        sc = CoherentSqueezedScenario(0.01, 0.01, 35.0)
+        m_half = SPAN_SIGMAS * math.sqrt(25.0 + sc.vx_m) + sc.x0
+        assert state_grid(0.0, state_half(sc), GeneratorGrid(-m_half, m_half, MIN_POINTS)).n_points <= MAX_STATE_POINTS
+        monkeypatch.setattr(scenarios, "_joint_family", lambda *args: pytest.fail("the readout was built"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooNarrow, match="MAX_JOINT_CELLS"):
+                sc.run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e4  # measured 2.0 KB: no axis points, state grid, probe or readout
+        assert cli.main(["fisher", "--scenario", "phase-cs", "--vxs", "0.01", "--vxm", "0.01",
+                         "--x0", "35", "--out", str(tmp_path / "x")]) == 3
+        assert "above MAX_JOINT_CELLS" in capsys.readouterr().err
 
 
 class TestClosedFormQfi:
